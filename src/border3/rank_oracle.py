@@ -4,8 +4,9 @@ Three oracles that share no logic with the structural classifier: an
 exhaustive finite-field search for the exact rank of a small tensor, explicit
 rational decompositions certifying upper bounds, and a bounded-degree
 ideal-membership solver producing multiplier certificates for lower-bound
-arguments.  Everything is exact; the finite-field search is deterministic,
-with candidates ordered sparsest-first and subsets visited in colex order.
+arguments.  Everything is exact; the finite-field search is deterministic:
+it walks the subspaces of the quotient by the slice span that rank-one
+candidates span, each once, in a fixed order.
 """
 
 from __future__ import annotations
@@ -178,78 +179,6 @@ def _rank_one_candidates(dims, q):
     return cands
 
 
-class _GFSpan:
-    """Incremental echelon span over GF(q) with pop-undo."""
-
-    def __init__(self, q):
-        self.q = q
-        self.rows = []
-        self.pivots = []
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def _reduce(self, v):
-        q = self.q
-        v = [x % q for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                v = [(a - f * b) % q for a, b in zip(v, row)]
-        return v
-
-    def add(self, v):
-        v = self._reduce(v)
-        for c, x in enumerate(v):
-            if x:
-                inv = pow(x, self.q - 2, self.q)
-                self.rows.append([a * inv % self.q for a in v])
-                self.pivots.append(c)
-                return True
-        return False
-
-    def pop(self):
-        self.rows.pop()
-        self.pivots.pop()
-
-
-def _span_search(slice_rows, cands, r, q):
-    """First (in colex order) r-subset of cands whose span contains the rows."""
-    chosen_span = _GFSpan(q)
-    joint_span = _GFSpan(q)
-    for row in slice_rows:
-        joint_span.add(row)
-    target = joint_span.dim
-    if target > r:
-        return None
-    found = []
-
-    def rec(bound, slots):
-        for i in range(slots - 1, bound):
-            cand = cands[i]
-            if not chosen_span.add(cand):
-                continue  # no span growth: a smaller subset would already win
-            grew = joint_span.add(cand)
-            needed = joint_span.dim - chosen_span.dim
-            if needed == 0:
-                found.append(i)
-                return True
-            if needed <= slots - 1 and slots > 1:
-                found.append(i)
-                if rec(i, slots - 1):
-                    return True
-                found.pop()
-            chosen_span.pop()
-            if grew:
-                joint_span.pop()
-        return False
-
-    if target == 0:
-        return ()
-    return tuple(sorted(found)) if rec(len(cands), r) else None
-
-
 @dataclass(frozen=True)
 class GreaterThan:
     """Search verdict: the rank exceeds the stated bound."""
@@ -285,21 +214,191 @@ def _prepare_span_search(t, q):
     return None, (slice_rows, _rank_one_candidates(rest, q), max(dims))
 
 
-def _search_job(payload):
-    slice_rows, cands, r, q = payload
-    return r, _span_search(slice_rows, cands, r, q) is not None
+# -- quotient-space search ----------------------------------------------------
+#
+# Vectors over GF(q) are packed into ints, one 4-bit field per coordinate.
+# A field of a sum of two packed vectors holds at most 8; adding 8 - q to it
+# sets its top bit exactly when it reached q, which marks where to subtract
+# q.  So one vector sum costs a handful of integer operations.
+
+def _pack(vec):
+    out = 0
+    for x in reversed(vec):
+        out = out << 4 | x
+    return out
+
+
+def _gf_add(a, b, q, over, top):
+    s = a + b
+    return s - (((s + over) & top) >> 3) * q
+
+
+def _multiples(x, q, over, top):
+    """[0, x, 2x, ..., (q-1)x] for a packed vector x."""
+    out = [0, x]
+    while len(out) < q:
+        out.append(_gf_add(out[-1], x, q, over, top))
+    return out
+
+
+def _grow(space, e, q, over, top):
+    """Span of a subspace and the vector e.
+
+    A subspace is (mask, members): its packed members, and a bitmask with
+    bit x set for each member x.
+    """
+    mask, members = space
+    if mask >> e & 1:
+        return space
+    grown = tuple(_gf_add(m, c, q, over, top)
+                  for c in _multiples(e, q, over, top) for m in members)
+    for x in grown:
+        mask |= 1 << x
+    return mask, grown
+
+
+_ZERO_SPACE = (1, (0,))
+
+
+@dataclass(frozen=True)
+class _Quotient:
+    """Rank-one candidates projected to F^N/S, S the span of the slices.
+
+    k is dim S.  A candidate is packed as its lift: its coordinates in S
+    (its entries in the pivot columns of the slices' rref) in the low k
+    fields, and its image in F^N/S (its free columns after subtracting
+    those multiples of the rref rows) above them.  Each distinct projective
+    image has an index p, in order of first appearance, and gens[p] is the
+    lift of the first candidate with that image.  where maps the image part
+    of every nonzero multiple c * gens[p] to (p, S part of c * gens[p]).
+    extra[p] is a basis of the S parts of the differences between the other
+    candidates with image p and matching multiples of gens[p]; root is the
+    span, as (bitmask, members), of the candidates inside S.  over and top
+    are the carry masks of _gf_add for the packed width.
+    """
+
+    q: int
+    k: int
+    over: int
+    top: int
+    gens: tuple
+    where: dict
+    extra: tuple
+    root: tuple
+
+
+def _project_candidates(slice_rows, cands, q):
+    k, reduced, _ = _gf_row_reduce(slice_rows, q)
+    basis = reduced[:k]
+    n = len(basis[0])
+    pivots = [row.index(1) for row in basis]  # rref rows lead with a 1
+    free = [c for c in range(n) if c not in pivots]
+    shift = 4 * k
+    low = (1 << shift) - 1
+    over, top = _pack([8 - q] * n), _pack([8] * n)
+    qs = (top - over) & low  # q in every field of the S part: qs - x = -x
+    # the lift is linear, so tabulate it on the multiples of unit vectors
+    units = []
+    for c in range(n):
+        coords = [int(c == p) for p in pivots]
+        image = [(int(c == f) - sum(a * r[f] for a, r in zip(coords, basis)))
+                 % q for f in free]
+        units.append(_multiples(_pack(coords + image), q, over, top))
+    gens, extra, spans, where = [], [], [], {}
+    root = _ZERO_SPACE
+    for cand in cands:
+        v = 0
+        for c, x in enumerate(cand):
+            if x:
+                s = v + units[c][x]
+                v = s - (((s + over) & top) >> 3) * q
+        hit = where.get(v >> shift)
+        if hit is not None:
+            p, part = hit
+            diff = _gf_add(v & low, qs - part, q, over, top)
+            grown = _grow(spans[p], diff, q, over, top)
+            if grown is not spans[p]:
+                spans[p] = grown
+                extra[p].append(diff)
+        elif v >> shift:
+            for m in _multiples(v, q, over, top)[1:]:
+                where[m >> shift] = (len(gens), m & low)
+            gens.append(v)
+            spans.append(_ZERO_SPACE)
+            extra.append([])
+        else:
+            root = _grow(root, v, q, over, top)
+    return _Quotient(q, k, over, top, tuple(gens), where,
+                     tuple(map(tuple, extra)), root)
+
+
+def _quotient_search(qt, j):
+    """Whether some j-dimensional U in F^N/S has a preimage W spanned by the
+    candidates inside W, i.e. whether the rank is at most dim S + j.
+
+    The candidates in W span S + U exactly when they span all of S, and
+    their span meets S in the span of: the candidates in S, the differences
+    of candidates sharing an image, and, for each image in U outside the
+    generators, its lift minus the matching combination of generator lifts.
+    Each U spanned by images is visited once, through its greedy basis:
+    generator g_t is the smallest image index among the points of
+    span(g_1..g_t) outside span(g_1..g_t-1).
+    """
+    q, over, top, gens, where, extra = (
+        qt.q, qt.over, qt.top, qt.gens, qt.where, qt.extra)
+    full = q ** qt.k
+    if j == 0:
+        return len(qt.root[1]) == full
+    shift = 4 * qt.k
+    low = (1 << shift) - 1
+    qs = (top - over) & low
+    m = len(gens)
+
+    def rec(span, lo, depth, space):
+        for g in range(lo, m - j + depth):
+            base = gens[g]
+            sp = space
+            # one representative g + y of each point new in this layer
+            for y in span:
+                s = base + y
+                v = s - (((s + over) & top) >> 3) * q
+                hit = where.get(v >> shift)
+                if hit is None:
+                    continue
+                p, part = hit
+                if p < g:
+                    break  # U is reached through its own greedy basis
+                for d in extra[p]:
+                    sp = _grow(sp, d, q, over, top)
+                s = (v & low) + qs - part
+                e = s - (((s + over) & top) >> 3) * q
+                if not sp[0] >> e & 1:
+                    sp = _grow(sp, e, q, over, top)
+            else:
+                if depth == j:
+                    if len(sp[1]) == full:
+                        return True
+                    continue
+                wider = [_gf_add(y, c, q, over, top)
+                         for c in _multiples(base, q, over, top) for y in span]
+                if rec(wider, g + 1, depth + 1, sp):
+                    return True
+        return False
+
+    return rec([0], 0, 1, qt.root)
 
 
 def rank_over_field(t, q, r_max=6, jobs=1):
-    """Exact rank of a small tensor over GF(q) by exhaustive span search.
+    """Exact rank of a small tensor over GF(q) by exhaustive quotient search.
 
-    The rank of T equals the smallest number of rank-one tensors (in the
-    modes past the first) whose span contains every mode-0 slice of T.
-    Candidates are enumerated as outer products of projective vectors and
-    subsets are visited in colex order with pruning by partial-span
-    dimension.  Returns GreaterThan(r_max) when no subset of size <= r_max
-    works.  With jobs > 1 the candidate sizes are searched in parallel
-    worker processes.
+    The rank of T is the smallest r such that some r-dimensional W holding
+    every mode-0 slice is spanned by the rank-one tensors (in the other
+    modes) inside it.  W contains the slice span S, so the search runs over
+    the subspaces U = W/S of F^N/S of dimension r - dim S that are spanned
+    by images of rank-one candidates, each visited once; candidates are
+    outer products of projective vectors, ordered sparsest first.  Returns
+    GreaterThan(r_max) when no r <= r_max works.  With jobs > 1 each r is
+    searched in its own worker process, and the smallest r found wins.
     """
     if q not in _PRIMES:
         raise ValueError(f"search primes are {_PRIMES}")
@@ -311,19 +410,20 @@ def rank_over_field(t, q, r_max=6, jobs=1):
     if ctx is None:
         return decided
     slice_rows, cands, low = ctx
+    qt = _project_candidates(slice_rows, cands, q)
     sizes = range(low, r_max + 1)
     if jobs > 1 and len(sizes) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) as pool:
-            hits = dict(pool.map(
-                _search_job, [(slice_rows, cands, r, q) for r in sizes]))
-        for r in sizes:
-            if hits[r]:
+            hits = list(pool.map(_quotient_search, [qt] * len(sizes),
+                                 [r - low for r in sizes]))
+        for r, hit in zip(sizes, hits):
+            if hit:
                 return r
         return GreaterThan(r_max)
     for r in sizes:
-        if _span_search(slice_rows, cands, r, q) is not None:
+        if _quotient_search(qt, r - low):
             return r
     return GreaterThan(r_max)
 
@@ -592,12 +692,6 @@ def macaulay_membership(target, generators, coefficient_degree_bound,
 
 # variable order: s, t, u, x carry degree one; f1..f3, g1..g3 are parameters
 PENCIL_VARS = ("s", "t", "u", "x", "f1", "f2", "f3", "g1", "g2", "g3")
-
-
-def _pvar(i):
-    e = [0] * len(PENCIL_VARS)
-    e[i] = 1
-    return tuple(e)
 
 
 def _pmono(*indices):

@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from colex_reference import colex_rank_over_field
 from border3.normal_forms import (
     ORBIT_IDS, ORBIT_INFO, orbit_representative, sigma2_point, sigma3_point,
 )
@@ -105,8 +108,8 @@ def test_rank_over_field_matches_orbit_table():
     for oid in ORBIT_IDS:
         rep = orbit_representative(oid)
         expected = ORBIT_INFO[oid]["rank"]
-        assert rank_over_field(rep, 2) == expected
-        assert rank_over_field(rep, 3) == expected
+        for q in (2, 3, 5):
+            assert rank_over_field(rep, q) == expected
 
 
 def test_rank_over_field_greater_than():
@@ -115,6 +118,36 @@ def test_rank_over_field_greater_than():
     out = rank_over_field(g, 2, r_max=4)
     assert out == GreaterThan(4)
     assert rank_over_field(g, 2, r_max=6) == 5
+
+
+def test_rank_over_field_depends_on_the_field():
+    # slices I and a quarter turn: the pencil's determinant s^2 + t^2 is a
+    # square over F2, irreducible over F3 and splits over F5 (-1 = 2^2)
+    t = make_tensor((2, 2, 2), [1, 0, 0, 1, 0, -1, 1, 0])
+    assert [rank_over_field(t, q) for q in (2, 3, 5)] == [3, 3, 2]
+
+
+_SHAPES = {2: [(2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3), (2, 2, 2, 2)],
+           3: [(2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3)],
+           5: [(2, 2, 2), (3, 2, 2), (3, 3, 2)]}
+
+
+@st.composite
+def _small_tensor_and_bound(draw, q):
+    dims = draw(st.sampled_from(_SHAPES[q]))
+    size = math.prod(dims)
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=size,
+                            max_size=size))
+    return make_tensor(dims, entries), draw(st.integers(1, 6))
+
+
+@pytest.mark.parametrize("q", sorted(_SHAPES))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quotient_search_matches_colex_search(q, data):
+    # r_max below the rank makes both searches prove a GreaterThan verdict
+    t, r_max = data.draw(_small_tensor_and_bound(q))
+    assert rank_over_field(t, q, r_max) == colex_rank_over_field(t, q, r_max)
 
 
 def test_rank_over_field_zero_padding_invariance():
