@@ -29,10 +29,9 @@ from .normal_forms import (
     sigma3_point, spinor_model,
 )
 from .rank_oracle import (
-    Decomposition, FieldElement, GreaterThan, MembershipCertificate,
-    SearchSpaceError, macaulay_membership, perturbed_pencil_matrix,
-    perturbed_pencil_minors, perturbed_pencil_targets, rank_over_field,
-    rank_upper_bound,
+    Decomposition, GreaterThan, MembershipCertificate, SearchSpaceError,
+    macaulay_membership, perturbed_pencil_matrix, perturbed_pencil_minors,
+    perturbed_pencil_targets, rank_over_field, rank_upper_bound,
 )
 from .tensor import (
     Tensor, basis_tensor, concise_core, dumps_tensor, flattening, loads_tensor,

@@ -1,5 +1,7 @@
 """Exact linear algebra over the rationals on plain lists.
 
+``rref`` also reduces over GF(q) for a prime q, on integer residues.
+
 Matrices are lists of rows; scalars are ``int`` or ``fractions.Fraction``
 (mixed freely -- results of divisions are normalised back to ``int`` when
 possible so the common all-integer paths stay fast).
@@ -56,9 +58,16 @@ def mat_vec(a, v):
     return [_norm(sum(x * y for x, y in zip(row, v))) for row in a]
 
 
-def rref(a):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = mat_copy(a)
+def rref(a, q=None):
+    """Reduced row echelon form over Q, or over GF(q) for a prime q.
+
+    Returns (rows, pivot_columns).  Over GF(q) the entries are integers
+    read modulo q, and the rows returned hold residues 0..q-1.
+    """
+    if q is None:
+        rows, norm = mat_copy(a), _norm
+    else:
+        rows, norm = [[x % q for x in row] for row in a], q.__rmod__  # x % q
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -73,12 +82,15 @@ def rref(a):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1, 1) / Fraction(rows[r][c])
-        rows[r] = [_norm(x * inv) for x in rows[r]]
+        if q is None:
+            inv = Fraction(1, 1) / Fraction(rows[r][c])
+        else:
+            inv = pow(rows[r][c], q - 2, q)
+        rows[r] = [norm(x * inv) for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [_norm(x - f * y) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [norm(x - f * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -229,9 +241,3 @@ def span_basis(vectors):
     """Deterministic rref basis of the span."""
     rows, _ = rref(list(vectors))
     return [r for r in rows if any(r)]
-
-
-def same_span(vs, ws):
-    a = span_basis(list(vs))
-    b = span_basis(list(ws))
-    return a == b

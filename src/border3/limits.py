@@ -274,10 +274,6 @@ class VectorSeries:
         return f"VectorSeries({[p.coeffs for p in self.parts]!r})"
 
 
-def curve_from_coefficients(coeff_vectors, prec):
-    return VectorSeries.from_polynomial(coeff_vectors, prec)
-
-
 def embed_curve(model, curve):
     """Ambient coordinates of the model chart map along a chart curve."""
     vals = model.phi(list(curve.parts))
@@ -470,10 +466,6 @@ def chart_limit_plane(model, curves, prec=8, max_prec=64):
         raise ValueError("a limit plane needs exactly three curves")
     amb = [_ambient_polynomial(model, _poly_data(c)) for c in curves]
     return limit_plane(*amb, prec=prec, max_prec=max_prec)
-
-
-def sample_plane_point(plane, coeffs):
-    return plane.sample(coeffs)
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,6 @@ def psub(p, q):
     return padd(p, {e: -c for e, c in q.items()})
 
 
-def pscale(p, a):
-    if not a:
-        return {}
-    return {e: _norm(c * a) for e, c in p.items()}
-
-
 def pmul(p, q):
     out = {}
     for e1, c1 in p.items():
@@ -79,25 +73,12 @@ def monomial(e, c=1):
     return {tuple(e): c} if c else {}
 
 
-def pdegree(p, var=None):
-    p = pclean(p)
-    if not p:
-        return -1
-    if var is None:
-        return max(sum(e) for e in p)
-    return max(e[var] for e in p)
-
-
 # ---- univariate polynomials over Q as coefficient lists (low degree first) ----
 
 def utrim(f):
     while f and not f[-1]:
         f.pop()
     return f
-
-
-def udeg(f):
-    return len(f) - 1
 
 
 def uadd(f, g):

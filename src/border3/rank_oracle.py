@@ -1,26 +1,31 @@
 """Independent rank verification by search and certificate.
 
-Three oracles that share no logic with the structural classifier: an
-exhaustive finite-field search for the exact rank of a small tensor, explicit
-rational decompositions certifying upper bounds, and a bounded-degree
-ideal-membership solver producing multiplier certificates for lower-bound
-arguments.  Everything is exact; the finite-field search is deterministic:
+Three oracles: an exhaustive finite-field search for the exact rank of a
+small tensor, explicit rational decompositions certifying upper bounds, and
+a bounded-degree ideal-membership solver producing multiplier certificates
+for lower-bound arguments.  Everything is exact.
+
+The finite-field search shares its set-up with the structural classifier:
+the tensor's residues mod q are cut to a concise core by
+``tensor.concise_core`` over GF(q), which eliminates with ``_linalg.rref``,
+the same code that serves the classifier over Q.  The search is its own:
 it walks the subspaces of the quotient by the slice span that rank-one
-candidates span, each once, in a fixed order.
+candidates span, each once, in a fixed order, and ``tests/colex_reference.py``
+keeps the older colex search over candidate subsets to check it against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from ._linalg import Echelon, _norm
-from .normal_forms import (_ORBIT_TERMS, ORBIT_IDS, orbit_representative,
-                           sigma2_point, sigma3_point)
+from ._linalg import Echelon, _norm, rref
+from .normal_forms import (_ORBIT_TERMS, ORBIT_IDS, _unit_index,
+                           orbit_representative, sigma2_point, sigma3_point)
 from .polytools import monomial, padd, pis_zero, pmul, psub
-from .tensor import multilinear_rank, rank_one, zero_tensor
+from .tensor import (Tensor, concise_core, flattening, multilinear_rank,
+                     rank_one, squeeze, zero_tensor)
 
 _PRIMES = (2, 3, 5)
 
@@ -31,130 +36,12 @@ class SearchSpaceError(ValueError):
 
 # -- finite-field plumbing ---------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Residue modulo a small search prime."""
-
-    value: int
-    prime: int
-
-    def __post_init__(self):
-        if self.prime not in _PRIMES:
-            raise ValueError(f"search primes are {_PRIMES}")
-        object.__setattr__(self, "value", self.value % self.prime)
-
-    @classmethod
-    def from_rational(cls, x, prime):
-        x = Fraction(x)
-        if x.denominator % prime == 0:
-            raise ValueError(f"denominator of {x} vanishes modulo {prime}")
-        num = x.numerator % prime
-        den = x.denominator % prime
-        return cls(num * pow(den, prime - 2, prime), prime)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.prime != self.prime:
-            raise ValueError("mixed primes in field arithmetic")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.value + other.value, self.prime)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.value - other.value, self.prime)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.value * other.value, self.prime)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.prime)
-
-    def inverse(self):
-        if not self.value:
-            raise ZeroDivisionError("zero has no inverse")
-        return FieldElement(pow(self.value, self.prime - 2, self.prime), self.prime)
-
-    def __bool__(self):
-        return self.value != 0
-
-
-def _entries_mod(t, q):
-    return [FieldElement.from_rational(x, q).value for x in t.entries]
-
-
-def _gf_row_reduce(rows, q):
-    """Row-reduce over GF(q); returns (rank, reduced rows, transform).
-
-    transform is an invertible matrix with transform @ input = reduced, the
-    first rank rows of which are the echelon basis and the rest zero.
-    """
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    work = [list(r) + [1 if i == j else 0 for j in range(m)]
-            for i, r in enumerate(rows)]
-    piv = 0
-    for col in range(ncols):
-        hit = next((i for i in range(piv, m) if work[i][col] % q), None)
-        if hit is None:
-            continue
-        work[piv], work[hit] = work[hit], work[piv]
-        inv = pow(work[piv][col], q - 2, q)
-        work[piv] = [x * inv % q for x in work[piv]]
-        for i in range(m):
-            if i != piv and work[i][col] % q:
-                f = work[i][col]
-                work[i] = [(a - f * b) % q for a, b in zip(work[i], work[piv])]
-        piv += 1
-        if piv == m:
-            break
-    reduced = [r[:ncols] for r in work]
-    transform = [r[ncols:] for r in work]
-    return piv, reduced, transform
-
-
-def _flatten_mode(flat, dims, mode):
-    rest = dims[:mode] + dims[mode + 1:]
-    width = math.prod(rest) if rest else 1
-    rows = [[0] * width for _ in range(dims[mode])]
-    for pos, idx in enumerate(product(*map(range, dims))):
-        col = 0
-        for c, d in zip(idx[:mode] + idx[mode + 1:], rest):
-            col = col * d + c
-        rows[idx[mode]][col] = flat[pos]
-    return rows
-
-
-def _unflatten_mode(rows, dims, mode):
-    rest = dims[:mode] + dims[mode + 1:]
-    flat = [0] * math.prod(dims)
-    for pos, idx in enumerate(product(*map(range, dims))):
-        col = 0
-        for c, d in zip(idx[:mode] + idx[mode + 1:], rest):
-            col = col * d + c
-        flat[pos] = rows[idx[mode]][col]
-    return flat
-
-
-def _gf_concise_core(flat, dims, q):
-    """Concise core of a mod-q tensor: invertible ops per mode, zero slices cut."""
-    dims = list(dims)
-    for mode in range(len(dims)):
-        rows = _flatten_mode(flat, tuple(dims), mode)
-        r, reduced, _ = _gf_row_reduce(rows, q)
-        if r == dims[mode]:
-            continue
-        flat = _unflatten_mode(reduced, tuple(dims), mode)
-        keep = []
-        for i, idx in enumerate(product(*map(range, dims))):
-            if idx[mode] < r:
-                keep.append(flat[i])
-        dims[mode] = max(r, 1) if r else 0
-        if r == 0:
-            return [], tuple(0 for _ in dims)
-        flat = keep
-    return flat, tuple(dims)
+def from_rational(x, q):
+    """Residue of a rational number modulo the prime q."""
+    x = Fraction(x)
+    if x.denominator % q == 0:
+        raise ValueError(f"denominator of {x} vanishes modulo {q}")
+    return x.numerator * pow(x.denominator, q - 2, q) % q
 
 
 def _projective_vectors(d, q):
@@ -188,13 +75,12 @@ class GreaterThan:
 
 def _prepare_span_search(t, q):
     """Reduce to a concise core; returns (decided rank, None) or (None, ctx)."""
-    flat = _entries_mod(t, q)
-    if not any(flat):
+    t = Tensor(t.dims, tuple(from_rational(x, q) for x in t.entries))
+    if t.is_zero():
         return 0, None
-    flat, dims = _gf_concise_core(flat, t.dims, q)
-    # dropping singleton modes leaves the row-major data untouched
-    dims = tuple(d for d in dims if d > 1)
-    if len(dims) <= 1:
+    core, _ = squeeze(concise_core(t, q).core)
+    dims = core.dims
+    if len(dims) == 1:
         return 1, None
     if len(dims) == 2:
         return dims[0], None  # a concise matrix is square and invertible
@@ -210,7 +96,7 @@ def _prepare_span_search(t, q):
     if n_cands > 2500:
         raise SearchSpaceError(
             f"{n_cands} rank-one candidates exceed the search budget")
-    slice_rows = _flatten_mode(flat, dims, mode0)
+    slice_rows = flattening(core, mode0)
     return None, (slice_rows, _rank_one_candidates(rest, q), max(dims))
 
 
@@ -288,10 +174,9 @@ class _Quotient:
 
 
 def _project_candidates(slice_rows, cands, q):
-    k, reduced, _ = _gf_row_reduce(slice_rows, q)
-    basis = reduced[:k]
+    basis, pivots = rref(slice_rows, q)
+    k = len(pivots)  # the slices of a concise core are independent
     n = len(basis[0])
-    pivots = [row.index(1) for row in basis]  # rref rows lead with a 1
     free = [c for c in range(n) if c not in pivots]
     shift = 4 * k
     low = (1 << shift) - 1
@@ -479,15 +364,8 @@ def _orbit_decomposition(orbit_id):
     return Decomposition((3, 3, 3), terms)
 
 
-def _unit_overrides(dims, overrides):
-    idx = [0] * len(dims)
-    for m, c in overrides.items():
-        idx[m] = c
-    return tuple(idx)
-
-
 def _sigma2_terms(dims, J):
-    return tuple(_basis_term(dims, _unit_overrides(dims, {j - 1: 1})) for j in J)
+    return tuple(_basis_term(dims, _unit_index(len(dims), {j - 1: 1})) for j in J)
 
 
 def _sigma3_terms(dims, kind, factor):
@@ -496,15 +374,15 @@ def _sigma3_terms(dims, kind, factor):
     if kind == "i":
         return tuple(_basis_term(dims, (c,) * n) for c in range(3))
     if kind == "ii":
-        idxs = [(2,) * n] + [_unit_overrides(dims, {j: 1}) for j in range(n)]
+        idxs = [(2,) * n] + [_unit_index(n, {j: 1}) for j in range(n)]
     elif kind == "iii":
-        idxs = [_unit_overrides(dims, {j: 1, k: 1})
+        idxs = [_unit_index(n, {j: 1, k: 1})
                 for j, k in combinations(range(n), 2)]
-        idxs += [_unit_overrides(dims, {j: 2}) for j in range(n)]
+        idxs += [_unit_index(n, {j: 2}) for j in range(n)]
     else:
-        idxs = [_unit_overrides(dims, {f: 1, j: 1}) for j in range(n) if j != f]
-        idxs.append(_unit_overrides(dims, {f: 2}))
-        idxs += [_unit_overrides(dims, {j: 2}) for j in range(n) if j != f]
+        idxs = [_unit_index(n, {f: 1, j: 1}) for j in range(n) if j != f]
+        idxs.append(_unit_index(n, {f: 2}))
+        idxs += [_unit_index(n, {j: 2}) for j in range(n) if j != f]
     return tuple(_basis_term(dims, idx) for idx in idxs)
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Echelon, _norm, mat_mul, rank, span_basis
+from ._linalg import _norm, mat_mul, rank, rref, transpose
 
 MAX_ENTRIES = 10 ** 6
 
@@ -252,11 +252,6 @@ def contract(t, mode, covector):
     return Tensor(dims, tuple(col))
 
 
-def slices(t, mode):
-    """List of order-(n-1) slice tensors along a mode (as flat row vectors)."""
-    return flattening(t, mode)
-
-
 def slice_matrices(t, mode):
     """For 3-way tensors: the dims[mode] slices as matrices (rows/cols in mode order)."""
     if t.order != 3:
@@ -303,29 +298,25 @@ class ConciseCore:
         return out
 
 
-def concise_core(t):
-    """Concise representative: restrict each mode to a pivot set of slices."""
+def concise_core(t, q=None):
+    """Concise representative: restrict each mode to a pivot set of slices.
+
+    One rref per mode, of the transposed flattening: its pivot columns are
+    the slices kept, and its columns give every slice's coordinates on them.
+    With a prime q the reduction is over GF(q), reading the entries of t as
+    integers modulo q.
+    """
     core = t
     maps = []
     for mode in range(t.order):
-        flat = flattening(core, mode)
-        ech = Echelon()
-        pivots = []
-        for i, row in enumerate(flat):
-            if ech.add(row):
-                pivots.append(i)
+        d = core.dims[mode]
+        rows, pivots = rref(transpose(flattening(core, mode)), q)
         if not pivots:  # zero tensor: keep a single index to stay well-formed
-            pivots = [0]
-        # coefficients expressing every slice on the pivot slices
-        sub = Echelon()
-        for i in pivots:
-            sub.add(flat[i])
-        u = []
-        for i in range(core.dims[mode]):
-            u.append(sub.coords_in(flat[i]))
-        sel = [[1 if j == p else 0 for j in range(core.dims[mode])] for p in pivots]
-        core = apply_mode_map(core, sel, mode)
-        maps.append([list(row) for row in u])
+            pivots, rows = [0], [[0] * d]
+        maps.append(transpose(rows[:len(pivots)]))
+        if len(pivots) < d:
+            sel = [[1 if j == p else 0 for j in range(d)] for p in pivots]
+            core = apply_mode_map(core, sel, mode)
     return ConciseCore(core, tuple(maps))
 
 
@@ -382,7 +373,3 @@ def loads_tensor(text):
 
 def dumps_tensor(t):
     return json.dumps(tensor_to_json(t))
-
-
-def vectors_span_equal(vs, ws):
-    return span_basis(list(vs)) == span_basis(list(ws))

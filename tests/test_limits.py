@@ -17,7 +17,6 @@ from border3.limits import (
     VectorSeries,
     affine_tangent_frame,
     chart_limit_plane,
-    curve_from_coefficients,
     curve_taylor_consistency,
     embed_curve,
     fubini_form,
@@ -32,7 +31,6 @@ from border3.limits import (
     line_tangent_span_formula,
     parameterize,
     prolongation_check,
-    sample_plane_point,
     secant_curve_family,
     second_fundamental_vanishes,
     second_order_offset,
@@ -120,7 +118,7 @@ def test_vector_series_basics():
     # t -> t + t^2 applied to 1 + 3t^2: 1 + 3(t + t^2)^2
     assert comp.parts[0].coeffs == (1, 0, 3, 6, 3)
     assert vs.scaled(-1).coeff_vector(1) == (0, -2)
-    assert curve_from_coefficients(vecs, 3).prec == 3
+    assert VectorSeries.from_polynomial(vecs, 3).prec == 3
 
 
 def test_embed_curve_matches_pointwise_evaluation():
@@ -264,7 +262,7 @@ def test_limit_plane_samples_classify_to_expected_orbits():
             seen = set()
             for _ in range(6):
                 coeffs = [rng.randint(1, 9) for _ in range(3)]
-                point = sample_plane_point(plane, coeffs)
+                point = plane.sample(coeffs)
                 rep = classify(segre_tensor_from_ambient(model, point))
                 # every point of a limit plane has border rank class <= 3
                 assert rep.border_rank_class in (0, 1, 2, 3)
@@ -301,7 +299,7 @@ def test_limit_analysis_degenerate_and_osculating_cases():
     assert ana.tag == "degenerate"
     assert ana.support_count == 1
     for coeffs in [(1, 2, 3), (5, 1, 4)]:
-        point = sample_plane_point(ana.plane, coeffs)
+        point = ana.plane.sample(coeffs)
         rep = classify(segre_tensor_from_ambient(model, point))
         assert rep.border_rank_class <= 2
     # three points colliding along one curved arc: osculating plane; the
@@ -312,7 +310,7 @@ def test_limit_analysis_degenerate_and_osculating_cases():
     assert ana.tag == "iii"
     assert ana.plane.orders == (0, 1, 2)
     rep = classify(segre_tensor_from_ambient(
-        model, sample_plane_point(ana.plane, (3, 1, 2))))
+        model, ana.plane.sample((3, 1, 2))))
     assert rep.border_rank_class == 2
     assert rep.core_dims == (2, 2, 2)
 

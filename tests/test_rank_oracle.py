@@ -7,86 +7,71 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colex_reference import colex_rank_over_field
+from border3._linalg import rref
 from border3.normal_forms import (
     ORBIT_IDS, ORBIT_INFO, orbit_representative, sigma2_point, sigma3_point,
 )
 from border3.rank_oracle import (
-    Decomposition, FieldElement, GreaterThan, _gf_concise_core, _gf_row_reduce,
-    macaulay_membership, perturbed_pencil_matrix, perturbed_pencil_minors,
-    perturbed_pencil_targets, rank_over_field, rank_upper_bound,
+    Decomposition, GreaterThan, from_rational, macaulay_membership,
+    perturbed_pencil_matrix, perturbed_pencil_minors, perturbed_pencil_targets,
+    rank_over_field, rank_upper_bound,
 )
 from border3.polytools import monomial, padd, pis_zero, pmul, psub
-from border3.tensor import make_tensor, rank_one, zero_tensor
-
-
-def test_field_element_arithmetic():
-    a = FieldElement(7, 5)
-    assert a.value == 2
-    b = FieldElement(4, 5)
-    assert (a + b).value == 1
-    assert (a - b).value == 3
-    assert (a * b).value == 3
-    assert (-b).value == 1
-    assert (b.inverse() * b).value == 1
-    assert not FieldElement(10, 5)
-    assert FieldElement(1, 3)
-    with pytest.raises(ValueError):
-        FieldElement(1, 7)
-    with pytest.raises(ValueError):
-        FieldElement(1, 3) + FieldElement(1, 5)
-    with pytest.raises(ZeroDivisionError):
-        FieldElement(0, 2).inverse()
+from border3.tensor import (
+    concise_core, flattening, make_tensor, random_tensor, rank_one, zero_tensor,
+)
 
 
 def test_field_element_from_rational():
-    x = FieldElement.from_rational(Fraction(1, 2), 3)
-    assert x.value == 2  # 1/2 = 2 mod 3
-    assert FieldElement.from_rational(Fraction(-1, 3), 5).value == 3
-    assert FieldElement.from_rational(4, 2).value == 0
+    assert from_rational(Fraction(1, 2), 3) == 2  # 1/2 = 2 mod 3
+    assert from_rational(Fraction(-1, 3), 5) == 3
+    assert from_rational(4, 2) == 0
     with pytest.raises(ValueError):
-        FieldElement.from_rational(Fraction(1, 2), 2)
+        from_rational(Fraction(1, 2), 2)
     with pytest.raises(ValueError):
-        FieldElement.from_rational(Fraction(3, 10), 5)
+        from_rational(Fraction(3, 10), 5)
 
 
-def test_gf_row_reduce_transform_tracks_row_operations():
+def _gf_span(rows, q):
+    """Every vector of the row span over GF(q), by brute force."""
+    n = len(rows[0])
+    return {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % q for j in range(n))
+            for cs in product(range(q), repeat=len(rows))}
+
+
+def _gf_rank(rows, q):
+    """Rank over GF(q): the row span has q**rank vectors."""
+    return round(math.log(len(_gf_span(rows, q)), q))
+
+
+def test_rref_over_gf_matches_brute_force_span():
     rng = random.Random(41)
     for q in (2, 3, 5):
         for _ in range(20):
-            m, n = rng.randint(1, 5), rng.randint(1, 5)
-            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(m)]
-            rank, reduced, transform = _gf_row_reduce(rows, q)
-            for i in range(m):
-                got = [sum(transform[i][k] * rows[k][j] for k in range(m)) % q
-                       for j in range(n)]
-                assert got == reduced[i]
-            assert all(not any(reduced[i]) for i in range(rank, m))
-            # the transform is invertible: it reduces to full rank
-            t_rank, _, _ = _gf_row_reduce(transform, q)
-            assert t_rank == m
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+            rows, pivots = rref(a, q)
+            span = _gf_span(a, q)
+            assert len(span) == q ** len(pivots)
+            assert _gf_span(rows, q) == span
+            assert all(0 <= x < q for row in rows for x in row)
+            assert not any(any(row) for row in rows[len(pivots):])
+            for i, c in enumerate(pivots):
+                assert [row[c] for row in rows] == [int(k == i) for k in range(m)]
 
 
-def test_gf_concise_core_is_concise():
+def test_concise_core_over_gf_matches_brute_force_ranks():
     rng = random.Random(17)
-    for q in (2, 3):
+    for q in (2, 3, 5):
         for _ in range(15):
             dims = tuple(rng.randint(1, 3) for _ in range(3))
-            flat = [rng.randrange(q) for _ in range(dims[0] * dims[1] * dims[2])]
-            if not any(flat):
+            t = random_tensor(dims, rng, 0, q - 1)
+            if t.is_zero():
                 continue
-            core, cdims = _gf_concise_core(flat, dims, q)
-            t = make_tensor(cdims, core)
-            for mode, d in enumerate(cdims):
-                # conciseness: each mode flattening has full rank mod q
-                rows = [[0] * (len(core) // d) for _ in range(d)]
-                for pos, idx in enumerate(product(*map(range, cdims))):
-                    rest = idx[:mode] + idx[mode + 1:]
-                    col = 0
-                    for c, dd in zip(rest, cdims[:mode] + cdims[mode + 1:]):
-                        col = col * dd + c
-                    rows[idx[mode]][col] = core[pos]
-                r, _, _ = _gf_row_reduce(rows, q)
-                assert r == d
+            cc = concise_core(t, q)
+            assert cc.core.dims == tuple(
+                _gf_rank(flattening(t, m), q) for m in range(3))
+            assert [x % q for x in cc.embed().entries] == list(t.entries)
 
 
 def test_rank_over_field_small_cases():
@@ -99,6 +84,9 @@ def test_rank_over_field_small_cases():
     five = rank_one([[5], [1], [1]], 1)
     assert rank_over_field(five, 2) == 1
     assert rank_over_field(rank_one([[2], [1], [1]], 1), 2) == 0
+    # rational entries are read as residues: 1/2 is 2 mod 3 and 3 mod 5
+    half = Fraction(1, 2) * orbit_representative(38)
+    assert rank_over_field(half, 3) == rank_over_field(half, 5) == 4
     # matrix case: concise core is square
     m = make_tensor((2, 3), [1, 0, 1, 0, 1, 1])
     assert rank_over_field(m, 2) == 2
@@ -251,14 +239,14 @@ def test_decomposition_reduces_modulo_odd_primes():
     for q in (3, 5):
         acc = [0] * 27
         for coeff, vectors in dec.terms:
-            c = FieldElement.from_rational(coeff, q).value
+            c = from_rational(coeff, q)
             for pos, (i, j, k) in enumerate(product(range(3), repeat=3)):
                 c_ijk = vectors[0][i] * vectors[1][j] * vectors[2][k]
                 acc[pos] = (acc[pos] + c * c_ijk) % q
-        want = [FieldElement.from_rational(x, q).value for x in rep.entries]
+        want = [from_rational(x, q) for x in rep.entries]
         assert acc == want
     with pytest.raises(ValueError):
-        FieldElement.from_rational(Fraction(1, 2), 2)
+        from_rational(Fraction(1, 2), 2)
 
 
 def test_rank_upper_bound_unknown_provenance():

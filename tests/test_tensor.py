@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from border3.normal_forms import ORBIT_IDS, orbit_representative
 from border3.tensor import (
     GLTuple, Tensor, apply_gl, apply_mode_map, basis_tensor, concise_core,
     contract, dumps_tensor, flattening, group_modes, grouped_flattening,
@@ -93,16 +95,29 @@ def test_slices_roundtrip():
     assert mats1[2][0][1] == t[0, 2, 1]
 
 
-def test_concise_core_embeds_back():
-    rng = random.Random(5)
-    for dims in [(3, 3, 3), (4, 4, 4), (2, 3, 4)]:
-        s = zero_tensor(dims)
-        for _ in range(2):
-            s = s + rank_one([[rng.randint(-3, 3) for _ in range(d)] for d in dims])
-        cc = concise_core(s)
-        assert cc.embed() == s
-        assert multilinear_rank(cc.core) == tuple(cc.core.dims)
-        assert all(d <= 2 for d in cc.core.dims)
+@st.composite
+def _moved_orbit_or_short_sum(draw):
+    """A GL-moved orbit representative, or a sum of <= 3 integer rank-one terms."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        rep = orbit_representative(draw(st.sampled_from(ORBIT_IDS)))
+        return apply_gl(rep, random_gl_tuple(rep.dims, rng))
+    dims = draw(st.sampled_from([(3, 3, 3), (4, 4, 4), (2, 3, 4), (4, 2, 3),
+                                 (2, 2, 2, 3)]))
+    t = zero_tensor(dims)
+    for _ in range(draw(st.integers(1, 3))):
+        t = t + rank_one([draw(st.lists(st.integers(-3, 3), min_size=d,
+                                        max_size=d)) for d in dims])
+    return t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=_moved_orbit_or_short_sum())
+def test_concise_core_embeds_back(t):
+    assume(not t.is_zero())
+    cc = concise_core(t)
+    assert cc.embed() == t
+    assert cc.core.dims == multilinear_rank(t)
 
 
 def test_concise_core_of_concise_tensor_is_identity_shaped():
