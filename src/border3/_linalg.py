@@ -5,11 +5,17 @@
 Matrices are lists of rows; scalars are ``int`` or ``fractions.Fraction``
 (mixed freely -- results of divisions are normalised back to ``int`` when
 possible so the common all-integer paths stay fast).
+
+Elimination does work only on nonzero entries: ``rref`` skips the zeros of
+each pivot row when scaling it and when subtracting it, and ``Echelon``
+keeps its rows sparse, as dicts of their nonzero entries, because the
+Macaulay matrices it reduces hold a few nonzeros in hundreds of columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 def _norm(x):
@@ -62,7 +68,9 @@ def rref(a, q=None):
     """Reduced row echelon form over Q, or over GF(q) for a prime q.
 
     Returns (rows, pivot_columns).  Over GF(q) the entries are integers
-    read modulo q, and the rows returned hold residues 0..q-1.
+    read modulo q, and the rows returned hold residues 0..q-1.  Work is done
+    only where the pivot row is nonzero: its zeros are neither scaled nor
+    subtracted, and a pivot already equal to 1 is not scaled at all.
     """
     if q is None:
         rows, norm = mat_copy(a), _norm
@@ -82,15 +90,17 @@ def rref(a, q=None):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        if q is None:
-            inv = Fraction(1, 1) / Fraction(rows[r][c])
-        else:
-            inv = pow(rows[r][c], q - 2, q)
-        rows[r] = [norm(x * inv) for x in rows[r]]
+        prow = rows[r]
+        inv = div(1, prow[c]) if q is None else pow(prow[c], q - 2, q)
+        if inv != 1:
+            prow = rows[r] = [norm(x * inv) if x else 0 for x in prow]
+        support = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [norm(x - f * y) for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if i != r and f:
+                for j, y in support:
+                    row[j] = norm(row[j] - f * y)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -144,7 +154,8 @@ def inverse(a):
 
 
 def det(a):
-    """Determinant by fraction-free-ish elimination (small matrices)."""
+    """Determinant by Gaussian elimination with exact ``Fraction`` division
+    (small matrices); the product of the pivots, signed by the row swaps."""
     n = len(a)
     rows = mat_copy(a)
     sign = 1
@@ -169,18 +180,32 @@ def det(a):
     return _norm(sign * d)
 
 
+def _axpy(v, f, row):
+    """v += f * row on sparse {column: value} dicts, dropping cancelled entries."""
+    for c, y in row.items():
+        x = v.get(c, 0) + f * y
+        if x:
+            v[c] = _norm(x)
+        else:
+            del v[c]
+
+
 class Echelon:
     """Incremental row span with exact arithmetic.
 
     add() returns True when the vector enlarged the span; contains() tests
     membership; coords_in(v) expresses v in terms of the *inserted* vectors
     when it lies in the span (used to rewrite tensors on a chosen subbasis).
+    Vectors go in and come out as dense lists, but the echelon rows and
+    their coefficient records are kept sparse, as {column: value} dicts of
+    the nonzero entries, so reduction never touches a zero.
     """
 
     def __init__(self):
-        self.rows = []        # echelon rows (pivot-normalised)
+        self.rows = []        # sparse echelon rows, pivot entry 1
         self.pivots = []      # pivot column of each echelon row
-        self.combos = []      # combos[i] = coefficients of inserted vectors
+        self.combos = []      # combos[i] = {inserted index: coefficient}
+        self._row_at = {}     # pivot column -> index of its echelon row
         self._ninserted = 0
 
     @property
@@ -188,46 +213,57 @@ class Echelon:
         return len(self.rows)
 
     def _reduce(self, v, combo=None):
-        v = list(v)
-        for i, pc in enumerate(self.pivots):
-            if v[pc]:
-                f = v[pc]
+        # Row i is zero at the pivots of rows before it, so subtracting it
+        # can only create entries at the pivots of later rows: taking the
+        # rows hit in increasing order reduces v as one pass over all rows
+        # would, but visits only rows whose pivot entry may be nonzero.
+        v = {c: x for c, x in enumerate(v) if x}
+        row_at = self._row_at
+        todo = [row_at[c] for c in v if c in row_at]
+        heapify(todo)
+        done = -1
+        while todo:
+            i = heappop(todo)
+            if i == done:
+                continue
+            done = i
+            f = v.get(self.pivots[i])
+            if f:
                 row = self.rows[i]
-                v = [_norm(x - f * y) for x, y in zip(v, row)]
+                _axpy(v, -f, row)
                 if combo is not None:
-                    crow = self.combos[i]
-                    for j, cy in enumerate(crow):
-                        if cy:
-                            combo[j] = _norm(combo[j] - f * cy)
+                    _axpy(combo, -f, self.combos[i])
+                for c in row:
+                    if c in row_at:
+                        heappush(todo, row_at[c])
         return v
 
     def add(self, v):
-        combo = [0] * self._ninserted + [1]
-        for c in self.combos:
-            c.append(0)
+        combo = {self._ninserted: 1}
         self._ninserted += 1
         v = self._reduce(v, combo)
-        for c, x in enumerate(v):
-            if x:
-                inv = Fraction(1) / Fraction(x)
-                v = [_norm(y * inv) for y in v]
-                combo = [_norm(y * inv) for y in combo]
-                self.rows.append(v)
-                self.pivots.append(c)
-                self.combos.append(combo)
-                return True
-        return False
+        if not v:
+            return False
+        c = min(v)
+        inv = div(1, v[c])
+        if inv != 1:
+            v = {j: _norm(y * inv) for j, y in v.items()}
+            combo = {j: _norm(y * inv) for j, y in combo.items()}
+        self._row_at[c] = len(self.rows)
+        self.rows.append(v)
+        self.pivots.append(c)
+        self.combos.append(combo)
+        return True
 
     def contains(self, v):
-        return not any(self._reduce(v))
+        return not self._reduce(v)
 
     def coords_in(self, v):
         """Coefficients c with v = sum c_i * inserted_i, or None."""
-        combo = [0] * self._ninserted
-        red = self._reduce(list(v), combo)
-        if any(red):
+        combo = {}
+        if self._reduce(v, combo):
             return None
-        return [_norm(-x) for x in combo]
+        return [_norm(-combo.get(j, 0)) for j in range(self._ninserted)]
 
 
 def span_dim(vectors):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from ._linalg import Echelon, _norm, rref
@@ -53,8 +54,12 @@ def _projective_vectors(d, q):
     return out
 
 
+@lru_cache(maxsize=32)
 def _rank_one_candidates(dims, q):
-    """Outer products of projective vectors per mode, sparsest first."""
+    """Outer products of projective vectors per mode, sparsest first.
+
+    Cached per (dims, q), so it returns a tuple that callers cannot mutate.
+    """
     grids = [_projective_vectors(d, q) for d in dims]
     cands = []
     for vecs in product(*grids):
@@ -63,7 +68,7 @@ def _rank_one_candidates(dims, q):
             entry = [(a * b) % q for a in entry for b in v]
         cands.append(tuple(entry))
     cands.sort(key=lambda e: (sum(1 for x in e if x), e))
-    return cands
+    return tuple(cands)
 
 
 @dataclass(frozen=True)

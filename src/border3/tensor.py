@@ -347,7 +347,10 @@ def parse_scalar(s):
     if isinstance(s, Fraction):
         return _norm(s)
     if isinstance(s, str):
-        return _norm(Fraction(s))
+        try:
+            return _norm(Fraction(s))
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {s!r} has a zero denominator") from None
     raise ValueError(f"cannot parse scalar {s!r} exactly (floats are rejected)")
 
 

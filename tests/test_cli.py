@@ -268,3 +268,18 @@ def test_limit_verb_non_tensor_model(capsys, monkeypatch):
 def test_unknown_verb_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["frobnicate"])
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["rank", "--field", "2"], ["stabilizer"], ["strassen"],
+    ["limit"],
+])
+def test_zero_denominator_is_a_usage_error(capsys, monkeypatch, argv):
+    if argv == ["limit"]:
+        stdin = _limit_config([[[0] * 6], [[0] * 6, ["1/0"] + [1] * 5],
+                               [[0] * 6, [1] * 6]])
+    else:
+        stdin = json.dumps({"dims": [2, 2, 2], "entries": ["1/0"] + ["1"] * 7})
+    code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 1 and not out
+    assert "zero denominator" in err and "Traceback" not in err

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from border3._linalg import (
     Echelon, det, inverse, mat_mul, mat_vec, nullspace, rank, rref, solve,
     span_basis, span_dim,
@@ -83,3 +86,95 @@ def test_echelon_tracks_coordinates():
 def test_span_helpers():
     assert span_dim([[1, 0], [0, 1], [1, 1]]) == 2
     assert span_basis([[2, 0], [0, 3]]) == [[1, 0], [0, 1]]
+
+
+# -- property tests against a textbook reference ------------------------------
+
+def _reference_rref(a, q=None):
+    """Gauss-Jordan elimination on dense Fractions (or residues mod q)."""
+    if q is None:
+        rows = [[Fraction(x) for x in row] for row in a]
+    else:
+        rows = [[x % q for x in row] for row in a]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        hit = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not hit:
+            continue
+        rows[r], rows[hit[0]] = rows[hit[0]], rows[r]
+        p = rows[r][c]
+        if q is None:
+            rows[r] = [x / p for x in rows[r]]
+        else:
+            inv = next(y for y in range(1, q) if p * y % q == 1)
+            rows[r] = [x * inv % q for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                if q is not None:
+                    rows[i] = [x % q for x in rows[i]]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _reference_rank(rows):
+    return len(_reference_rref(rows)[1])
+
+
+_SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def _matrices(draw, scalars=_SCALARS):
+    """Small matrices, either dense or long rows with a few nonzeros."""
+    m = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        return [[draw(scalars) for _ in range(n)] for _ in range(m)]
+    n = draw(st.integers(8, 40))
+    a = [[0] * n for _ in range(m)]
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), scalars)
+    for i, j, x in draw(st.lists(cells, max_size=3 * m)):
+        a[i][j] = x
+    return a
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=_matrices())
+def test_rref_matches_reference_over_q(a):
+    assert rref(a) == _reference_rref(a)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a=_matrices(scalars=st.integers(-6, 6)))
+def test_rref_matches_reference_over_gf(q, a):
+    assert rref(a, q) == _reference_rref(a, q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=_matrices(), data=st.data())
+def test_echelon_matches_reference(a, data):
+    e = Echelon()
+    for k, row in enumerate(a):
+        grew = _reference_rank(a[:k + 1]) > _reference_rank(a[:k])
+        assert e.add(row) is grew
+    assert e.dim == _reference_rank(a)
+    n = len(a[0])
+    coeffs = data.draw(st.lists(_SCALARS, min_size=len(a), max_size=len(a)))
+    in_span = [sum((c * row[j] for c, row in zip(coeffs, a)), Fraction(0))
+               for j in range(n)]
+    for v in (in_span, data.draw(st.lists(_SCALARS, min_size=n, max_size=n))):
+        coords = e.coords_in(v)
+        assert e.contains(v) is (coords is not None)
+        if _reference_rank(a + [v]) > _reference_rank(a):
+            assert coords is None
+            continue
+        assert coords is not None and len(coords) == len(a)
+        assert [sum((c * row[j] for c, row in zip(coords, a)), Fraction(0))
+                for j in range(n)] == v

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from colex_reference import colex_rank_over_field
 from border3._linalg import rref
@@ -372,3 +372,79 @@ def test_pencil_certificate_matches_hand_identity():
     assert by_key[((0, 2), (0, 2))] == pscale_neg(pmul(f2, f2))
     assert by_key[((1, 2), (0, 1))] == pscale_neg(pmul(f1, f3))
     assert by_key[((1, 2), (0, 2))] == pmul(f1, f2)
+
+
+# -- macaulay_membership against an independently built Macaulay matrix -------
+
+def _graded_monomials(degree, bound):
+    """Exponents over (a, b, c | p): graded degree exactly degree in a, b,
+    c and degree at most bound in the parameter p."""
+    return [e + (k,) for e in product(range(degree + 1), repeat=3)
+            if sum(e) == degree for k in range(bound + 1)]
+
+
+def _reference_rank(vectors):
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _homogeneous_poly(draw, degree):
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from(_graded_monomials(degree, 1)),
+                  st.integers(-3, 3).filter(bool)),
+        min_size=1, max_size=3))
+    poly = {}
+    for expo, c in terms:
+        poly = padd(poly, monomial(expo, c))
+    return poly
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_macaulay_membership_matches_reference_solve(data):
+    gens, gen_degs = [], []
+    for d in data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)):
+        g = data.draw(_homogeneous_poly(d))
+        if g:
+            gens.append(g)
+            gen_degs.append(d)
+    assume(gens)
+    target_deg = data.draw(st.integers(2, 3))
+    bound = data.draw(st.integers(0, 1))
+    columns = [pmul(monomial(expo), g)
+               for g, d in zip(gens, gen_degs)
+               for expo in _graded_monomials(target_deg - d, bound)]
+    target = {}
+    if data.draw(st.booleans()):
+        # a combination of the columns lies in the ideal by construction
+        for col in columns:
+            c = data.draw(st.integers(-2, 2))
+            target = padd(target, {e: c * x for e, x in col.items()})
+    if not target:
+        target = data.draw(_homogeneous_poly(target_deg))
+    slots = sorted(set(target).union(*columns))
+    vectors = [[col.get(m, 0) for m in slots] for col in columns]
+    tvec = [target.get(m, 0) for m in slots]
+    expected = _reference_rank(vectors + [tvec]) == _reference_rank(vectors)
+
+    cert = macaulay_membership(target, gens, bound, graded_indices=(0, 1, 2))
+    assert cert.found is expected
+    assert cert.bound_limited is not expected
+    if expected:
+        total = {}
+        for h, g, d in zip(cert.multipliers, gens, gen_degs):
+            assert all(e[3] <= bound and sum(e[:3]) + d == target_deg
+                       for e in h)
+            total = padd(total, pmul(h, g))
+        assert total == target

@@ -144,6 +144,12 @@ def test_json_roundtrip_and_scalar_parsing():
         parse_scalar(0.5)
 
 
+def test_parse_scalar_rejects_zero_denominator():
+    for text in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
+
+
 def test_gl_tuple_validation():
     with pytest.raises(ValueError):
         GLTuple(([[1, 0]],))
