@@ -14,7 +14,7 @@ from .classifier import (
 )
 from .equations import (
     cubic_line_pattern, slice_det_cubic, strassen_equations,
-    strassen_jacobian_rank, strassen_polynomials, subspace_membership,
+    strassen_jacobian_rank, subspace_membership,
 )
 from .limits import (
     LimitConfig, LimitPlaneResult, PrecisionError, ScalarSeries, VectorSeries,

@@ -60,10 +60,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [_norm(sum(x * y for x, y in zip(row, v))) for row in a]
-
-
 def rref(a, q=None):
     """Reduced row echelon form over Q, or over GF(q) for a prime q.
 
@@ -110,38 +106,6 @@ def rref(a, q=None):
 
 def rank(a):
     return len(rref(a)[1])
-
-
-def nullspace(a):
-    """Basis of {x : a x = 0}, one vector per free column."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    rows, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = _norm(-rows[r][fc])
-        basis.append(v)
-    return basis
-
-
-def solve(a, b):
-    """One solution x of a x = b, or None if inconsistent."""
-    if not a:
-        return [] if not any(b) else None
-    ncols = len(a[0])
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    rows, pivots = rref(aug)
-    if ncols in pivots:  # pivot in the augmented column
-        return None
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    return x
 
 
 def inverse(a):

@@ -10,6 +10,7 @@ all scalars are exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -46,7 +47,8 @@ def _read_text(path):
 def _load_tensor_arg(path):
     try:
         return loads_tensor(_read_text(path))
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, TypeError,
+            OverflowError) as exc:
         raise _UsageError(f"could not read tensor from {path!r}: {exc}")
 
 
@@ -101,7 +103,7 @@ def _cmd_generate(args):
         else:
             factor = args.factor if args.factor is not None else 1
             t = sigma3_point(kind, n, dims=dims, factor=factor)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise _UsageError(str(exc))
     _emit(tensor_to_json(t))
     return 0
@@ -153,7 +155,8 @@ def _cmd_limit(args):
         prec = int(cfg.get("prec", 8))
         max_prec = int(cfg.get("max_prec", 64))
         result = chart_limit_plane(model, curves, prec=prec, max_prec=max_prec)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+            OverflowError) as exc:
         raise _UsageError(f"bad limit config: {exc}")
     out = {
         "degenerate": result.degenerate,
@@ -216,7 +219,9 @@ def _cmd_stabilizer(args):
 
 # -- argument wiring -----------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The parser, built once per process: parse_args keeps no state."""
     parser = _Parser(
         prog="border3",
         description="Exact classification of tensors of border rank at most three.",

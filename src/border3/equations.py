@@ -4,18 +4,22 @@ The quartic system evaluates, for each of the three slicing directions, the
 nine entries of  Z adj(X) Y - Y adj(X) Z  where (X, Y, Z) are the three slices
 of that direction and adj is the classical adjugate.  Vanishing of all 27
 values characterises border rank <= 3 for concise 3x3x3 tensors.
+
+The quartics exist only as this numeric evaluation.  Their Jacobian is taken
+from the same block function by polarization: each block is linear in Y and
+Z and quadratic in X, so every partial derivative is one or two exact
+evaluations of the block at a unit-matrix displacement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from ._linalg import _norm, rank, span_dim
-from .polytools import (
-    bivariate_is_constant, gcd_bivariate, padd, pdiff, pmul, pclean,
-)
+from .polytools import bivariate_is_constant, gcd_bivariate, pclean
 from .tensor import multilinear_rank, slice_matrices
 
 _COF_INDEX = ((1, 2), (0, 2), (0, 1))
@@ -67,91 +71,47 @@ def strassen_equations(t):
     return vals
 
 
-# ---- symbolic version (for the Jacobian criterion) ----
+def _jacobian(t):
+    """The 27x27 Jacobian of the quartic system at t: rows are the quartics in
+    the order of strassen_equations, columns the entries x_ijk (flat 9i+3j+k).
 
-_VARS27 = None
-
-
-def _var(i, j, k):
-    e = [0] * 27
-    e[9 * i + 3 * j + k] = 1
-    return {tuple(e): 1}
-
-
-def strassen_polynomials():
-    """The 27 quartics as polynomials in the 27 entries x_ijk (flat index 9i+3j+k)."""
-    global _VARS27
-    if _VARS27 is not None:
-        return _VARS27
-    polys = []
+    Each block Z adj(X) Y - Y adj(X) Z is linear in Y and Z and quadratic in
+    X, so its derivative along a unit matrix E is block(X, E, Z) or
+    block(X, Y, E) for an entry of Y or Z, and the polarization
+    block(X+E, Y, Z) - block(X, Y, Z) - block(E, Y, Z) for an entry of X;
+    the last term is zero, as the adjugate of a rank-one 3x3 matrix is.
+    """
+    if t.dims != (3, 3, 3):
+        raise ValueError("the quartic system is defined for dims (3, 3, 3)")
+    jac = [[0] * 27 for _ in range(27)]
     for mode in range(3):
-        def entry(slice_idx, r, c, _mode=mode):
-            idx = [0, 0, 0]
-            idx[_mode] = slice_idx
-            other = [m for m in range(3) if m != _mode]
-            idx[other[0]] = r
-            idx[other[1]] = c
-            return _var(*idx)
-
-        x = [[entry(0, r, c) for c in range(3)] for r in range(3)]
-        y = [[entry(1, r, c) for c in range(3)] for r in range(3)]
-        z = [[entry(2, r, c) for c in range(3)] for r in range(3)]
-        cof = [[None] * 3 for _ in range(3)]
-        for j in range(3):
-            r0, r1 = _COF_INDEX[j]
-            for k in range(3):
-                c0, c1 = _COF_INDEX[k]
-                m = padd(pmul(x[r0][c0], x[r1][c1]),
-                         {e: -c for e, c in pmul(x[r0][c1], x[r1][c0]).items()})
-                cof[j][k] = m if (j + k) % 2 == 0 else {e: -c for e, c in m.items()}
-        for s in range(3):
-            for tt in range(3):
-                p = {}
-                for j in range(3):
-                    for k in range(3):
-                        term = padd(pmul(y[j][tt], z[s][k]),
-                                    {e: -c for e, c in pmul(y[s][k], z[j][tt]).items()})
-                        p = padd(p, pmul(cof[j][k], term))
-                polys.append(pclean(p))
-    _VARS27 = polys
-    return polys
-
-
-_GRADS27 = None
-
-
-def _gradients():
-    global _GRADS27
-    if _GRADS27 is None:
-        _GRADS27 = [[pdiff(p, v) for v in range(27)] for p in strassen_polynomials()]
-    return _GRADS27
+        x, y, z = slice_matrices(t, mode)
+        base = _commutator_block(x, y, z)
+        other = [m for m in range(3) if m != mode]
+        for r in range(3):
+            for c in range(3):
+                e = [[int((i, j) == (r, c)) for j in range(3)] for i in range(3)]
+                xe = [list(row) for row in x]
+                xe[r][c] += 1
+                cols = ([_norm(v - b) for v, b in
+                         zip(_commutator_block(xe, y, z), base)],
+                        _commutator_block(x, e, z),
+                        _commutator_block(x, y, e))
+                for a, col in enumerate(cols):
+                    idx = [0, 0, 0]
+                    idx[mode], idx[other[0]], idx[other[1]] = a, r, c
+                    v = 9 * idx[0] + 3 * idx[1] + idx[2]
+                    for s, val in enumerate(col):
+                        jac[9 * mode + s][v] = val
+    return jac
 
 
 def strassen_jacobian_rank(t):
     """Rank of the 27x27 Jacobian of the quartic system at t."""
-    if t.dims != (3, 3, 3):
-        raise ValueError("the quartic system is defined for dims (3, 3, 3)")
-    point = list(t.entries)
-    grads = _gradients()
-    jac = []
-    for row in grads:
-        jac.append([_poly_eval27(p, point) for p in row])
-    return rank(jac)
-
-
-def _poly_eval27(p, point):
-    total = 0
-    for e, c in p.items():
-        v = c
-        for idx, k in enumerate(e):
-            if k:
-                x = point[idx]
-                for _ in range(k):
-                    v *= x
-                if not v:
-                    break
-        total += v
-    return _norm(total)
+    # the quartics are homogeneous, so clearing denominators scales the
+    # Jacobian by a nonzero constant: same rank, integer arithmetic
+    den = math.lcm(*(Fraction(x).denominator for x in t.entries))
+    return rank(_jacobian(den * t))
 
 
 # ---- slice determinant cubics ----

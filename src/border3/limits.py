@@ -687,13 +687,6 @@ def secant_curve_family(tag, model=None, rng=None, factor=1):
 
 # -- spans of tangent spaces along a factor line ---------------------------
 
-def line_tangent_span_formula(dims, factor):
-    """Predicted span dimension of tangent spaces along a factor line."""
-    if not 1 <= factor <= len(dims):
-        raise ValueError("factor out of range")
-    return 2 * sum(d - 1 for d in dims) + 2 - dims[factor - 1]
-
-
 def line_tangent_span(model_or_dims, factor):
     """Exact span dimension of affine tangent spaces along a factor line."""
     if hasattr(model_or_dims, "kind"):

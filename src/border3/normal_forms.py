@@ -31,6 +31,37 @@ def _unit_index(n, overrides):
     return tuple(idx)
 
 
+def _normal_form_terms(kind, n, J=(), factor=1):
+    """Basis multi-indices whose sum is a normal form, each index once.
+
+    kind "sigma2" reads its support J (1-based factors), type iv its
+    distinguished factor.  These lists define the tensors and are their
+    rank decompositions too.
+    """
+    if kind == "sigma2":
+        return [_unit_index(n, {j - 1: 1}) for j in J]
+    if kind == "i":
+        return [(c,) * n for c in range(3)]
+    if kind == "ii":
+        return [(2,) * n] + [_unit_index(n, {j: 1}) for j in range(n)]
+    if kind == "iii":
+        return ([_unit_index(n, {j: 1, k: 1})
+                 for j, k in combinations(range(n), 2)]
+                + [_unit_index(n, {j: 2}) for j in range(n)])
+    f = factor - 1
+    rest = [j for j in range(n) if j != f]
+    return ([_unit_index(n, {f: 1, j: 1}) for j in rest]
+            + [_unit_index(n, {f: 2})]
+            + [_unit_index(n, {j: 2}) for j in rest])
+
+
+def _sum_of_basis(dims, idxs):
+    t = zero_tensor(dims)
+    for idx in idxs:
+        t = t + basis_tensor(dims, idx)
+    return t
+
+
 def sigma2_point(n, J=None, dims=None):
     """Tangent-type point of border rank 2 with support J (1-based factors)."""
     if J is None:
@@ -46,10 +77,7 @@ def sigma2_point(n, J=None, dims=None):
     for j in J:
         if dims[j - 1] < 2:
             raise ValueError(f"factor {j} needs dimension >= 2")
-    t = zero_tensor(dims)
-    for j in J:
-        t = t + basis_tensor(dims, _unit_index(n, {j - 1: 1}))
-    return t
+    return _sum_of_basis(dims, _normal_form_terms("sigma2", n, J=J))
 
 
 def sigma3_point(kind, n=3, dims=None, factor=1):
@@ -65,39 +93,10 @@ def sigma3_point(kind, n=3, dims=None, factor=1):
         raise ValueError("each factor needs dimension >= 3")
     if not 1 <= factor <= n:
         raise ValueError(f"factor must be in 1..{n}")
-    f = factor - 1
-    t = zero_tensor(dims)
-    if kind == "i":
-        for c in range(3):
-            t = t + basis_tensor(dims, (c,) * n)
-    elif kind == "ii":
-        t = t + basis_tensor(dims, (2,) * n)
-        for j in range(n):
-            t = t + basis_tensor(dims, _unit_index(n, {j: 1}))
-    elif kind == "iii":
-        for j, k in combinations(range(n), 2):
-            t = t + basis_tensor(dims, _unit_index(n, {j: 1, k: 1}))
-        for j in range(n):
-            t = t + basis_tensor(dims, _unit_index(n, {j: 2}))
-    else:  # iv
-        for j in range(n):
-            if j != f:
-                t = t + basis_tensor(dims, _unit_index(n, {f: 1, j: 1}))
-        t = t + basis_tensor(dims, _unit_index(n, {f: 2}))
-        for j in range(n):
-            if j != f:
-                t = t + basis_tensor(dims, _unit_index(n, {j: 2}))
-    return t
+    return _sum_of_basis(dims, _normal_form_terms(kind, n, factor=factor))
 
 
 # ---- the six concise orbits at dims (3, 3, 3) ----
-
-def _t333(terms):
-    t = zero_tensor((3, 3, 3))
-    for idx in terms:
-        t = t + basis_tensor((3, 3, 3), idx)
-    return t
-
 
 _ORBIT_TERMS = {
     34: [(0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 2, 0), (2, 0, 2)],
@@ -129,7 +128,7 @@ ORBIT_INFO = {
 def orbit_representative(orbit_id):
     if orbit_id not in _ORBIT_TERMS:
         raise ValueError(f"orbit_id must be one of {list(_ORBIT_TERMS)}")
-    return _t333(_ORBIT_TERMS[orbit_id])
+    return _sum_of_basis((3, 3, 3), _ORBIT_TERMS[orbit_id])
 
 
 # ---- generic-ring determinants and Pfaffians ----
@@ -180,28 +179,6 @@ def generic_pfaffian(m):
             term = -1 * term
         total = term if total is None else total + term
     return total
-
-
-def pfaffian(m):
-    """Pfaffian of a skew-symmetric matrix with exact scalar entries."""
-    n = len(m)
-    for i in range(n):
-        if m[i][i] != 0:
-            raise ValueError("matrix is not skew-symmetric")
-        for j in range(i):
-            if m[i][j] != -m[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
-    if n % 2:
-        return 0
-    return generic_pfaffian(m)
-
-
-def compound_matrix(m, s):
-    """s-th compound: minors indexed by lex s-subsets of rows and columns."""
-    rows = list(combinations(range(len(m)), s))
-    cols = list(combinations(range(len(m[0])), s))
-    return [[generic_det([[m[r][c] for c in cs] for r in rs]) for cs in cols]
-            for rs in rows]
 
 
 # ---- cominuscule coordinate models ----

@@ -7,8 +7,6 @@ plain dicts (no class) so callers can build them literally.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._linalg import _norm, div
 
 
@@ -42,27 +40,6 @@ def pmul(p, q):
             else:
                 out.pop(e, None)
     return out
-
-
-def pdiff(p, var):
-    out = {}
-    for e, c in p.items():
-        k = e[var]
-        if k:
-            e2 = e[:var] + (k - 1,) + e[var + 1:]
-            out[e2] = _norm(out.get(e2, 0) + k * c)
-    return pclean(out)
-
-
-def peval(p, point):
-    total = 0
-    for e, c in p.items():
-        v = c
-        for x, k in zip(point, e):
-            if k:
-                v = v * x ** k
-        total += v
-    return _norm(total)
 
 
 def pis_zero(p):

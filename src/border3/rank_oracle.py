@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from ._linalg import Echelon, _norm, rref
-from .normal_forms import (_ORBIT_TERMS, ORBIT_IDS, _unit_index,
+from .normal_forms import (_ORBIT_TERMS, ORBIT_IDS, _normal_form_terms,
                            orbit_representative, sigma2_point, sigma3_point)
 from .polytools import monomial, padd, pis_zero, pmul, psub
 from .tensor import (Tensor, concise_core, flattening, multilinear_rank,
@@ -340,13 +340,12 @@ class Decomposition:
         return len(self.terms)
 
 
-def _basis_term(dims, idx):
-    vectors = []
-    for d, i in zip(dims, idx):
-        e = [0] * d
-        e[i] = 1
-        vectors.append(tuple(e))
-    return (1, tuple(vectors))
+def _basis_decomposition(dims, idxs):
+    """One unit-coefficient term per basis multi-index."""
+    return Decomposition(dims, tuple(
+        (1, tuple(tuple(int(j == i) for j in range(d))
+                  for d, i in zip(dims, idx)))
+        for idx in idxs))
 
 
 _HALF = Fraction(1, 2)
@@ -365,30 +364,7 @@ _OSCULATING_TERMS = (
 def _orbit_decomposition(orbit_id):
     if orbit_id == 37:
         return Decomposition((3, 3, 3), _OSCULATING_TERMS)
-    terms = tuple(_basis_term((3, 3, 3), idx) for idx in _ORBIT_TERMS[orbit_id])
-    return Decomposition((3, 3, 3), terms)
-
-
-def _sigma2_terms(dims, J):
-    return tuple(_basis_term(dims, _unit_index(len(dims), {j - 1: 1})) for j in J)
-
-
-def _sigma3_terms(dims, kind, factor):
-    n = len(dims)
-    f = factor - 1
-    if kind == "i":
-        return tuple(_basis_term(dims, (c,) * n) for c in range(3))
-    if kind == "ii":
-        idxs = [(2,) * n] + [_unit_index(n, {j: 1}) for j in range(n)]
-    elif kind == "iii":
-        idxs = [_unit_index(n, {j: 1, k: 1})
-                for j, k in combinations(range(n), 2)]
-        idxs += [_unit_index(n, {j: 2}) for j in range(n)]
-    else:
-        idxs = [_unit_index(n, {f: 1, j: 1}) for j in range(n) if j != f]
-        idxs.append(_unit_index(n, {f: 2}))
-        idxs += [_unit_index(n, {j: 2}) for j in range(n) if j != f]
-    return tuple(_basis_term(dims, idx) for idx in idxs)
+    return _basis_decomposition((3, 3, 3), _ORBIT_TERMS[orbit_id])
 
 
 def rank_upper_bound(t):
@@ -430,14 +406,15 @@ def rank_upper_bound(t):
     for size in range(1, len(eligible) + 1):
         for J in combinations(eligible, size):
             if t == sigma2_point(n, set(J), dims):
-                return Decomposition(dims, _sigma2_terms(dims, J))
+                return _basis_decomposition(
+                    dims, _normal_form_terms("sigma2", n, J=J))
     if n >= 3 and all(d >= 3 for d in dims):
-        for kind in ("i", "ii", "iii"):
-            if t == sigma3_point(kind, n, dims):
-                return Decomposition(dims, _sigma3_terms(dims, kind, 1))
-        for factor in range(1, n + 1):
-            if t == sigma3_point("iv", n, dims, factor):
-                return Decomposition(dims, _sigma3_terms(dims, "iv", factor))
+        forms = [(kind, 1) for kind in ("i", "ii", "iii")]
+        forms += [("iv", factor) for factor in range(1, n + 1)]
+        for kind, factor in forms:
+            if t == sigma3_point(kind, n, dims, factor):
+                return _basis_decomposition(
+                    dims, _normal_form_terms(kind, n, factor=factor))
     raise ValueError("unknown provenance: no decomposition recipe matches")
 
 

@@ -236,22 +236,6 @@ def random_gl_tuple(dims, rng):
     return GLTuple(tuple(random_unimodular(d, rng) for d in dims))
 
 
-def contract(t, mode, covector):
-    """Pair one mode with a covector, dropping that mode."""
-    if len(covector) != t.dims[mode]:
-        raise ValueError("covector length does not match mode dimension")
-    flat = flattening(t, mode)
-    col = [0] * (len(flat[0]) if flat else 0)
-    for c, row in zip(covector, flat):
-        if c:
-            for k, x in enumerate(row):
-                col[k] = _norm(col[k] + c * x)
-    dims = tuple(d for m, d in enumerate(t.dims) if m != mode)
-    if not dims:
-        dims = (1,)
-    return Tensor(dims, tuple(col))
-
-
 def slice_matrices(t, mode):
     """For 3-way tensors: the dims[mode] slices as matrices (rows/cols in mode order)."""
     if t.order != 3:
@@ -260,18 +244,6 @@ def slice_matrices(t, mode):
     r, c = t.dims[other[0]], t.dims[other[1]]
     flat = flattening(t, mode)
     return [[row[i * c:(i + 1) * c] for i in range(r)] for row in flat]
-
-
-def tensor_from_slices(mats):
-    """Inverse of slice_matrices along mode 0."""
-    a = len(mats)
-    b = len(mats[0])
-    c = len(mats[0][0])
-    ent = []
-    for m in mats:
-        for row in m:
-            ent.extend(row)
-    return Tensor((a, b, c), tuple(ent))
 
 
 def group_modes(t, partition):

@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from border3 import cli
 from border3.cli import main
-from border3.normal_forms import ORBIT_IDS, ORBIT_INFO
+from border3.normal_forms import ORBIT_IDS, ORBIT_INFO, orbit_representative
 from border3.tensor import dumps_tensor, loads_tensor, tensor_from_json, tensor_to_json
 
 
@@ -283,3 +287,97 @@ def test_zero_denominator_is_a_usage_error(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 1 and not out
     assert "zero denominator" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["rank", "--field", "2"], ["stabilizer"], ["strassen"],
+    ["limit"], ["generate", "--type", "i", "--n", "13"],
+])
+def test_oversized_input_is_a_usage_error(capsys, monkeypatch, argv):
+    if argv == ["limit"]:
+        stdin = _limit_config([[[0] * 6]], prec=float("inf"))
+    else:
+        stdin = json.dumps({"dims": [1000, 1000, 10], "entries": []})
+    code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 1 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    cli._build_parser.cache_clear()
+    t = dumps_tensor(orbit_representative(38))
+    calls = [
+        (["classify"], t), (["rank", "--field", "3"], t), (["frobnicate"], None),
+        (["strassen", "--jacobian"], t), (["rank", "--field", "7"], t),
+        (["generate", "--type", "iv", "--factor", "2"], None),
+        (["stabilizer"], t), (["generate", "--type", "orbit"], None),
+        (["classify"], "not json"), (["limit"], _limit_config([[[0] * 6]])),
+    ]
+    forward = [run_cli(capsys, argv, stdin, monkeypatch) for argv, stdin in calls]
+    backward = [run_cli(capsys, argv, stdin, monkeypatch)
+                for argv, stdin in reversed(calls)]
+    assert forward == backward[::-1]
+    assert [code for code, _, _ in forward] == [0, 0, 1, 0, 1, 0, 0, 1, 1, 1]
+
+
+_FUZZ_VERBS = (
+    ["classify"], ["rank", "--field", "2"], ["rank", "--field", "3"],
+    ["rank", "--field", "5"], ["strassen"], ["strassen", "--jacobian"],
+    ["stabilizer"],
+)
+
+_json_atoms = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 4), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.sampled_from(["1/0", "1/2", "-3", "x", "1e999", "", " 2 "]))
+
+
+@st.composite
+def _tensor_texts(draw):
+    """Small valid tensors up to 3x3x3, malformed tensor JSON, or non-JSON."""
+    kind = draw(st.sampled_from(("valid", "malformed", "text")))
+    if kind == "valid":
+        dims = draw(st.one_of(
+            st.just([3, 3, 3]),
+            st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        n = 1
+        for d in dims:
+            n *= d
+        entries = draw(st.lists(
+            st.one_of(st.just(0), st.integers(-3, 3),
+                      st.sampled_from(["1/2", "-2/3"])),
+            min_size=n, max_size=n))
+        return json.dumps({"dims": dims, "entries": entries})
+    if kind == "text":
+        return draw(st.one_of(st.text(max_size=12), st.sampled_from(
+            ['{"dims": [2, 2]', "[]", "null", '{"dims": [2], "entries"}'])))
+    dims = draw(st.one_of(
+        _json_atoms,
+        st.lists(st.one_of(st.integers(-2, 4), _json_atoms), max_size=4),
+        st.lists(st.sampled_from([10 ** 3, 10 ** 7, 10 ** 40, -1, 0]),
+                 min_size=1, max_size=3)))
+    entries = draw(st.one_of(
+        _json_atoms, st.lists(_json_atoms, max_size=8),
+        st.lists(st.integers(-3, 3), max_size=8),
+        st.dictionaries(st.text(max_size=2), _json_atoms, max_size=2)))
+    obj = {"dims": dims, "entries": entries}
+    for key in draw(st.sets(st.sampled_from(("dims", "entries")), max_size=1)):
+        del obj[key]
+    return json.dumps(obj)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(_FUZZ_VERBS), _tensor_texts())
+def test_cli_fuzz_exits_with_a_documented_code(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3)
+    if code in (1, 3):
+        assert err.getvalue().startswith("error:") and not out.getvalue()

@@ -1,34 +1,72 @@
 import random
+from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from border3._linalg import rank
 from border3.equations import (
-    LinePattern, TernaryCubic, cubic_line_pattern, slice_det_cubic,
-    strassen_equations, strassen_jacobian_rank, strassen_polynomials,
-    subspace_membership,
+    LinePattern, TernaryCubic, _jacobian, cubic_line_pattern, slice_det_cubic,
+    strassen_equations, strassen_jacobian_rank, subspace_membership,
 )
-from border3.normal_forms import orbit_representative
-from border3.polytools import peval
+from border3.normal_forms import ORBIT_IDS, orbit_representative
 from border3.tensor import (
-    make_tensor, random_gl_tuple, random_tensor, rank_one, apply_gl,
-    tensor_from_slices, zero_tensor,
+    Tensor, make_tensor, random_gl_tuple, random_tensor, rank_one, apply_gl,
+    zero_tensor,
 )
 
 
-def test_symbolic_and_numeric_agree():
-    rng = random.Random(9)
-    polys = strassen_polynomials()
-    for _ in range(5):
-        t = random_tensor((3, 3, 3), rng, -5, 5)
-        vals = strassen_equations(t)
-        assert len(vals) == 27
-        sym = [peval(p, list(t.entries)) for p in polys]
-        assert sym == vals
+def _central_difference_jacobian(t):
+    """Five-point central differences of the quartics, one column per entry.
+
+    (8 (f(t+e) - f(t-e)) - (f(t+2e) - f(t-2e))) / 12 is exact for polynomials
+    of degree at most four, so this is the Jacobian itself.
+    """
+    cols = []
+    for v in range(27):
+        def f(h):
+            entries = list(t.entries)
+            entries[v] += h
+            return strassen_equations(Tensor(t.dims, tuple(entries)))
+        cols.append([Fraction(8 * (a - b) - (c - d), 12)
+                     for a, b, c, d in zip(f(1), f(-1), f(2), f(-2))])
+    return [list(row) for row in zip(*cols)]
+
+
+_scalars = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+
+
+@st.composite
+def _quartic_points(draw):
+    """Integer or rational 3x3x3 tensors, or GL-moved orbit representatives."""
+    # rational inputs cost about ten integer ones, so they come less often
+    which = draw(st.sampled_from(
+        ("int", "int", "int", "fraction", "orbit", "orbit", "orbit")))
+    if which == "int":
+        entries = draw(st.lists(st.integers(-9, 9), min_size=27, max_size=27))
+        return make_tensor((3, 3, 3), entries)
+    if which == "fraction":
+        entries = draw(st.lists(_scalars, min_size=27, max_size=27))
+        return make_tensor((3, 3, 3), entries)
+    rep = orbit_representative(draw(st.sampled_from(ORBIT_IDS)))
+    g = random_gl_tuple((3, 3, 3), random.Random(draw(st.integers(0, 10 ** 6))))
+    return apply_gl(rep, g)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_quartic_points())
+def test_jacobian_matches_central_difference(t):
+    reference = _central_difference_jacobian(t)
+    assert _jacobian(t) == reference
+    assert strassen_jacobian_rank(t) == rank(reference)
 
 
 def test_zero_first_slice_kills_first_block():
     rng = random.Random(10)
     mats = [[[0] * 3 for _ in range(3)]] + [
         [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)] for _ in range(2)]
-    t = tensor_from_slices(mats)
+    t = make_tensor((3, 3, 3), [x for m in mats for row in m for x in row])
     vals = strassen_equations(t)
     assert vals[:9] == [0] * 9
 

@@ -28,7 +28,6 @@ from border3.limits import (
     limit_plane,
     limit_type,
     line_tangent_span,
-    line_tangent_span_formula,
     parameterize,
     prolongation_check,
     secant_curve_family,
@@ -349,7 +348,7 @@ def test_line_tangent_span_matches_formula():
                            ((3, 4, 5), (17, 16, 15))]:
         for factor in (1, 2, 3):
             exact = line_tangent_span(dims, factor)
-            assert exact == line_tangent_span_formula(dims, factor)
+            assert exact == 2 * sum(d - 1 for d in dims) + 2 - dims[factor - 1]
             assert exact == expected[factor - 1]
     assert line_tangent_span(segre_model((3, 3, 3)), 2) == 11
     with pytest.raises(ValueError):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from border3._linalg import (
-    Echelon, det, inverse, mat_mul, mat_vec, nullspace, rank, rref, solve,
-    span_basis, span_dim,
+    Echelon, det, inverse, mat_mul, rank, rref, span_basis, span_dim,
 )
 
 
@@ -16,24 +15,6 @@ def test_rref_and_rank_basic():
     assert rank(a) == 2
     assert piv == [0, 1]
     assert r[0][0] == 1 and r[1][1] == 1
-
-
-def test_nullspace_is_kernel():
-    rng = random.Random(7)
-    for _ in range(25):
-        n, m = rng.randint(1, 5), rng.randint(1, 6)
-        a = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
-        basis = nullspace(a)
-        assert len(basis) == m - rank(a)
-        for v in basis:
-            assert all(x == 0 for x in mat_vec(a, v))
-
-
-def test_solve_consistent_and_inconsistent():
-    a = [[1, 1], [1, -1]]
-    x = solve(a, [3, 1])
-    assert x == [2, 1]
-    assert solve([[1, 1], [2, 2]], [1, 3]) is None
 
 
 def test_inverse_roundtrip():

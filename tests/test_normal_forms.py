@@ -3,11 +3,11 @@ from itertools import combinations
 
 import pytest
 
-from border3._linalg import det, mat_mul
+from border3._linalg import det
 from border3.normal_forms import (
-    ORBIT_IDS, ORBIT_INFO, CominusculeModel, compound_matrix, generic_det,
-    grassmann_model, lagrangian_model, orbit_representative, pfaffian,
-    segre_model, sigma2_point, sigma3_point, spinor_model,
+    ORBIT_IDS, ORBIT_INFO, CominusculeModel, generic_det, generic_pfaffian,
+    grassmann_model, lagrangian_model, orbit_representative, segre_model,
+    sigma2_point, sigma3_point, spinor_model,
 )
 from border3.tensor import multilinear_rank, slice_matrices
 
@@ -93,21 +93,10 @@ def test_generic_det_and_pfaffian():
             for j in range(i + 1, n):
                 a[i][j] = rng.randint(-4, 4)
                 a[j][i] = -a[i][j]
-        assert pfaffian(a) ** 2 == det(a)
-    assert pfaffian([[0, 3], [-3, 0]]) == 3
+        assert generic_pfaffian(a) ** 2 == det(a)
+    assert generic_pfaffian([[0, 3], [-3, 0]]) == 3
     with pytest.raises(ValueError):
-        pfaffian([[1]])
-
-
-def test_compound_matrix_cauchy_binet():
-    rng = random.Random(22)
-    for _ in range(5):
-        a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
-        b = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
-        for s in (1, 2, 3):
-            left = compound_matrix(mat_mul(a, b), s)
-            right = mat_mul(compound_matrix(a, s), compound_matrix(b, s))
-            assert left == right
+        generic_pfaffian([[0]])
 
 
 def test_model_dimensions():

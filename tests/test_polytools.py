@@ -2,9 +2,20 @@ import random
 from fractions import Fraction
 
 from border3.polytools import (
-    bivariate_is_constant, gcd_bivariate, monomial, padd, pdiff, peval,
-    pmul, psub, udivmod, ugcd, umul,
+    bivariate_is_constant, gcd_bivariate, monomial, padd, pmul, psub,
+    udivmod, ugcd, umul,
 )
+
+
+def peval(p, point):
+    """Value of a polynomial dict at a point, term by term."""
+    total = 0
+    for e, c in p.items():
+        v = c
+        for x, k in zip(point, e):
+            v = v * x ** k
+        total += v
+    return total
 
 
 def test_poly_arithmetic_against_evaluation():
@@ -16,12 +27,6 @@ def test_poly_arithmetic_against_evaluation():
         assert peval(padd(p, q), pt) == peval(p, pt) + peval(q, pt)
         assert peval(psub(p, q), pt) == peval(p, pt) - peval(q, pt)
         assert peval(pmul(p, q), pt) == peval(p, pt) * peval(q, pt)
-
-
-def test_pdiff():
-    p = {(2, 1): 3, (0, 2): 1}  # 3 x^2 y + y^2
-    assert pdiff(p, 0) == {(1, 1): 6}
-    assert pdiff(p, 1) == {(2, 0): 3, (0, 1): 2}
 
 
 def test_univariate_division_and_gcd():

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from colex_reference import colex_rank_over_field
 from border3._linalg import rref
 from border3.normal_forms import (
-    ORBIT_IDS, ORBIT_INFO, orbit_representative, sigma2_point, sigma3_point,
+    ORBIT_IDS, ORBIT_INFO, SIGMA3_KINDS, orbit_representative, sigma2_point,
+    sigma3_point,
 )
 from border3.rank_oracle import (
     Decomposition, GreaterThan, from_rational, macaulay_membership,
@@ -204,22 +205,25 @@ def test_rank_upper_bound_orbit_representatives():
 
 
 def test_rank_upper_bound_sigma_points():
-    for n in (3, 4):
-        for size in range(1, n + 1):
-            J = tuple(range(1, size + 1))
-            t = sigma2_point(n, set(J), (2,) * n)
-            dec = rank_upper_bound(t)
-            assert dec.verify(t)
-            assert len(dec) == (1 if size == 1 else size)
-    t4 = sigma3_point("iii", 4)
-    d4 = rank_upper_bound(t4)
-    assert d4.verify(t4) and len(d4) == 10  # pair count of five items
-    t2 = sigma3_point("ii", 4)
-    assert len(rank_upper_bound(t2)) == 5
-    for factor in (1, 2, 3):
-        tv = sigma3_point("iv", 3, factor=factor)
-        dv = rank_upper_bound(tv)
-        assert dv.verify(tv) and len(dv) == 5
+    # every normal form is recognised and decomposed into its own basis
+    # terms, at dims 2 or 3 per factor and with one factor of dimension 4
+    for n in (3, 4, 5):
+        for dims in ((2,) * n, (4,) + (2,) * (n - 1)):
+            for size in range(1, n + 1):
+                for J in combinations(range(1, n + 1), size):
+                    t = sigma2_point(n, set(J), dims)
+                    dec = rank_upper_bound(t)
+                    assert dec.verify(t) and len(dec) == size
+        counts = {"i": 3, "ii": n + 1, "iii": n * (n + 1) // 2, "iv": 2 * n - 1}
+        for dims in ((3,) * n, (3,) * (n - 1) + (4,)):
+            for kind in SIGMA3_KINDS:
+                for factor in range(1, n + 1) if kind == "iv" else (1,):
+                    t = sigma3_point(kind, n, dims, factor)
+                    dec = rank_upper_bound(t)
+                    want = counts[kind]
+                    if dims == (3, 3, 3) and kind == "iii":
+                        want = 5  # orbit 37 has a five-term decomposition
+                    assert dec.verify(t) and len(dec) == want, (kind, dims)
 
 
 def test_rank_upper_bound_agrees_with_field_rank():

@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 from border3.normal_forms import ORBIT_IDS, orbit_representative
 from border3.tensor import (
     GLTuple, Tensor, apply_gl, apply_mode_map, basis_tensor, concise_core,
-    contract, dumps_tensor, flattening, group_modes, grouped_flattening,
+    dumps_tensor, flattening, group_modes, grouped_flattening,
     loads_tensor, make_tensor, multilinear_rank, parse_scalar, permute_modes,
     random_gl_tuple, random_tensor, rank_one, slice_matrices, squeeze,
-    tensor_from_slices, zero_tensor,
+    zero_tensor,
 )
 
 
@@ -79,18 +79,11 @@ def test_apply_mode_map_and_gl():
     assert multilinear_rank(apply_gl(t, g)) == multilinear_rank(t)
 
 
-def test_contract():
-    t = rank_one([[1, 2], [3, 4], [5, 6]])
-    c = contract(t, 1, [1, 1])
-    assert c == 7 * rank_one([[1, 2], [5, 6]])
-    assert c[0, 0] == 1 * 7 * 5
-
-
 def test_slices_roundtrip():
     rng = random.Random(4)
     t = random_tensor((3, 3, 3), rng)
     mats = slice_matrices(t, 0)
-    assert tensor_from_slices(mats) == t
+    assert make_tensor((3, 3, 3), [x for m in mats for row in m for x in row]) == t
     mats1 = slice_matrices(t, 1)
     assert mats1[2][0][1] == t[0, 2, 1]
 
