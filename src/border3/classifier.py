@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._linalg import Echelon, _norm, det, inverse, mat_mul, rank, rref
+from ._linalg import Echelon, _norm, det, inverse, mat_mul, rank, rref, transpose
 from .equations import LinePattern, cubic_line_pattern, slice_det_cubic, strassen_equations
 from .normal_forms import ORBIT_INFO
 from .tensor import (
-    Tensor, concise_core, flattening, group_modes, grouped_flattening,
+    Tensor, _gather, concise_core, flattening, group_modes, grouped_flattening,
     multilinear_rank, slice_matrices, squeeze,
 )
 
@@ -58,36 +58,25 @@ class ClassificationReport:
 # ---- stabilizer and orbit dimensions ----
 
 def _stabilizer_matrix(t):
-    """Rows: one linear equation per entry of Gamma.T; columns: entries of Gamma."""
-    dims = t.dims
-    n = len(dims)
-    offs = []
-    off = 0
-    for d in dims:
-        offs.append(off)
-        off += d * d
-    ncols = off
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    ent = t.entries
-    rows = []
-    for flat in range(len(ent)):
-        rem = flat
-        idx = []
-        for i in range(n):
-            q, rem = divmod(rem, strides[i])
-            idx.append(q)
-        row = [0] * ncols
-        for m in range(n):
-            a = idx[m]
-            base = flat - a * strides[m]
-            for b in range(dims[m]):
-                v = ent[base + b * strides[m]]
-                if v:
-                    row[offs[m] + a * dims[m] + b] += v
-        rows.append(row)
-    return rows
+    """Rows: one linear equation per entry of Gamma.T; columns: entries of Gamma.
+
+    The column of the entry E_ab of a gl(d_m) summand is the tensor E_ab . T:
+    slice b of T along mode m, moved to slice a.
+    """
+    cols = []
+    for m, d in enumerate(t.dims):
+        slices = flattening(t, m)
+        pos = _gather(t.dims, (m, *(x for x in range(t.order) if x != m)))
+        n = len(slices[0])
+        for a in range(d):
+            target = pos[a * n:(a + 1) * n]
+            for b in range(d):
+                col = [0] * len(t.entries)
+                for p, v in zip(target, slices[b]):
+                    col[p] = v
+                cols.append(col)
+    # rref runs over twice as fast on this tall matrix as on the wide one
+    return transpose(cols)
 
 
 def stabilizer_dimension(t):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from ._linalg import _norm, rank, span_dim
 from .polytools import bivariate_is_constant, gcd_bivariate, pclean
-from .tensor import multilinear_rank, slice_matrices
+from .tensor import _gather, multilinear_rank, slice_matrices
 
 _COF_INDEX = ((1, 2), (0, 2), (0, 1))
 
@@ -87,7 +87,9 @@ def _jacobian(t):
     for mode in range(3):
         x, y, z = slice_matrices(t, mode)
         base = _commutator_block(x, y, z)
-        other = [m for m in range(3) if m != mode]
+        # pos[9a + 3r + c]: column of the entry with index a in `mode` and
+        # (r, c) in the other two modes
+        pos = _gather(t.dims, (mode, *(m for m in range(3) if m != mode)))
         for r in range(3):
             for c in range(3):
                 e = [[int((i, j) == (r, c)) for j in range(3)] for i in range(3)]
@@ -98,9 +100,7 @@ def _jacobian(t):
                         _commutator_block(x, e, z),
                         _commutator_block(x, y, e))
                 for a, col in enumerate(cols):
-                    idx = [0, 0, 0]
-                    idx[mode], idx[other[0]], idx[other[1]] = a, r, c
-                    v = 9 * idx[0] + 3 * idx[1] + idx[2]
+                    v = pos[9 * a + 3 * r + c]
                     for s, val in enumerate(col):
                         jac[9 * mode + s][v] = val
     return jac

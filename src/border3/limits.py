@@ -17,6 +17,9 @@ from fractions import Fraction
 from ._linalg import Echelon, _norm, rank, span_basis
 from .normal_forms import segre_model
 
+MAX_AMBIENT = 64  # widest ambient space limit_plane reduces in
+MAX_PREC = 1024  # deepest truncation limit_plane accepts: series are dense
+
 
 class PrecisionError(RuntimeError):
     """A computation needs more series terms than are tracked."""
@@ -418,8 +421,10 @@ def limit_plane(c1, c2, c3, prec=8, max_prec=64):
     if len(widths) != 1:
         raise ValueError("curves must share an ambient dimension")
     (width,) = widths
-    if width > 64:
-        raise ValueError("ambient dimension capped at 64")
+    if width > MAX_AMBIENT:
+        raise ValueError(f"ambient dimension capped at {MAX_AMBIENT}")
+    if max(prec, max_prec) > MAX_PREC:
+        raise ValueError(f"truncation order capped at {MAX_PREC}")
     degree_bound = sum(len(data) - 1 for data in polys) + 1
     # never truncate the polynomial data itself, only the series tail
     p = max(prec, max(len(data) for data in polys))
@@ -464,6 +469,10 @@ def chart_limit_plane(model, curves, prec=8, max_prec=64):
     curves = list(curves)
     if len(curves) != 3:
         raise ValueError("a limit plane needs exactly three curves")
+    # ambient_dim > tangent_dim, and the tangent test keeps a huge model from
+    # evaluating its closed form (2^(k-1) for a spinor)
+    if model.tangent_dim >= MAX_AMBIENT or model.ambient_dim > MAX_AMBIENT:
+        raise ValueError(f"ambient dimension capped at {MAX_AMBIENT}")
     amb = [_ambient_polynomial(model, _poly_data(c)) for c in curves]
     return limit_plane(*amb, prec=prec, max_prec=max_prec)
 

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 import math
 
 from .tensor import Tensor, basis_tensor, zero_tensor
@@ -236,15 +236,8 @@ class CominusculeModel:
     def ambient_slots(self):
         """Slot labels in ambient order, each tagged with its form degree s."""
         if self.kind == "segre":
-            out = []
-            for flat in range(math.prod(self.dims)):
-                rem, idx = flat, []
-                for d in reversed(self.dims):
-                    rem, r = divmod(rem, d)
-                    idx.append(r)
-                idx = tuple(reversed(idx))
-                out.append((sum(1 for x in idx if x), idx))
-            return out
+            return [(sum(1 for x in idx if x), idx)
+                    for idx in product(*map(range, self.dims))]
         if self.kind == "grassmann":
             out = []
             for s in range(self.k + 1):
@@ -268,7 +261,14 @@ class CominusculeModel:
 
     @property
     def ambient_dim(self):
-        return len(self.ambient_slots())
+        """Number of ambient coordinates, len(ambient_slots()) in closed form."""
+        if self.kind == "segre":
+            return math.prod(self.dims)
+        if self.kind == "grassmann":
+            return math.comb(self.n, self.k)
+        if self.kind == "lagrangian":
+            return sum(math.comb(math.comb(self.k, s) + 1, 2) for s in range(self.k + 1))
+        return 2 ** (self.k - 1)
 
     def slot_block(self, s):
         """Ambient indices of the degree-s slots (the N_s component)."""

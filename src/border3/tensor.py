@@ -1,7 +1,11 @@
 """Dense tensors with exact rational entries.
 
-Entries are stored flat in row-major order; scalars are ``int`` or
-``fractions.Fraction``.  All operations are exact.
+Entries are stored flat in row-major order: index (i_0, ..., i_{n-1}) of a
+tensor with dims (d_0, ..., d_{n-1}) sits at sum_m i_m * stride_m, where
+stride_m is the product of the dims after m, so the last index varies
+fastest.  Only ``_gather`` decodes that layout for whole tensors; permuting,
+flattening, grouping and mode maps all read their entries through it.
+Scalars are ``int`` or ``fractions.Fraction``.  All operations are exact.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ._linalg import _norm, mat_mul, rank, rref, transpose
 
@@ -31,6 +36,17 @@ def _strides(dims):
     for i in range(len(dims) - 2, -1, -1):
         st[i] = st[i + 1] * dims[i + 1]
     return tuple(st)
+
+
+@lru_cache(maxsize=256)
+def _gather(dims, order):
+    """Flat positions of the entries of a dims-shaped tensor, read in row-major
+    order over the modes listed in `order` (the first varies slowest)."""
+    st = _strides(dims)
+    pos = [0]
+    for m in order:
+        pos = [p + i * st[m] for p in pos for i in range(dims[m])]
+    return tuple(pos)
 
 
 @dataclass(frozen=True)
@@ -106,39 +122,17 @@ def rank_one(vectors, coeff=1):
 
 def flattening(t, mode):
     """Mode flattening: dims[mode] rows, complementary row-major columns."""
-    dims = t.dims
-    d = dims[mode]
-    st = _strides(dims)
-    other = [m for m in range(len(dims)) if m != mode]
-    cols = math.prod(dims[m] for m in other) if other else 1
-    rows = [[0] * cols for _ in range(d)]
-    ost = [1] * len(other)
-    for i in range(len(other) - 2, -1, -1):
-        ost[i] = ost[i + 1] * dims[other[i + 1]]
-    idx = [0] * len(dims)
-    ent = t.entries
-    for col in range(cols):
-        rem = col
-        base = 0
-        for i, m in enumerate(other):
-            q, rem = divmod(rem, ost[i])
-            base += q * st[m]
-        sm = st[mode]
-        for r in range(d):
-            rows[r][col] = ent[base + r * sm]
-    return rows
+    return grouped_flattening(t, [mode])
 
 
 def grouped_flattening(t, row_modes):
     """Flattening with an arbitrary subset of modes as rows."""
     row_modes = sorted(row_modes)
     col_modes = [m for m in range(t.order) if m not in row_modes]
-    perm = row_modes + col_modes
-    p = permute_modes(t, perm)
-    nrows = math.prod(t.dims[m] for m in row_modes)
-    ncols = math.prod(t.dims[m] for m in col_modes) if col_modes else 1
-    ent = p.entries
-    return [list(ent[r * ncols:(r + 1) * ncols]) for r in range(nrows)]
+    pos = _gather(t.dims, tuple(row_modes + col_modes))
+    ncols = math.prod(t.dims[m] for m in col_modes)
+    get = t.entries.__getitem__
+    return [list(map(get, pos[r:r + ncols])) for r in range(0, len(pos), ncols)]
 
 
 def multilinear_rank(t):
@@ -147,21 +141,11 @@ def multilinear_rank(t):
 
 def permute_modes(t, perm):
     """New tensor s with s[i_perm[0], ..] = t[i_0, ..]: mode j of result is mode perm[j] of t."""
-    perm = list(perm)
-    dims = tuple(t.dims[p] for p in perm)
-    st = _strides(t.dims)
-    nst = [st[p] for p in perm]
-    out = [0] * len(t.entries)
-    ent = t.entries
-    ost = _strides(dims)
-    for flat in range(len(out)):
-        rem = flat
-        base = 0
-        for i in range(len(dims)):
-            q, rem = divmod(rem, ost[i])
-            base += q * nst[i]
-        out[flat] = ent[base]
-    return Tensor(dims, tuple(out))
+    perm = tuple(perm)
+    if sorted(perm) != list(range(t.order)):
+        raise ValueError(f"{perm} is not a permutation of the modes")
+    pos = _gather(t.dims, perm)
+    return Tensor(tuple(t.dims[p] for p in perm), tuple(map(t.entries.__getitem__, pos)))
 
 
 def apply_mode_map(t, matrix, mode):
@@ -169,30 +153,11 @@ def apply_mode_map(t, matrix, mode):
     d = t.dims[mode]
     if any(len(row) != d for row in matrix):
         raise ValueError("matrix shape does not match mode dimension")
-    flat = flattening(t, mode)
-    new = mat_mul(matrix, flat)
-    ndim = len(matrix)
-    dims = list(t.dims)
-    dims[mode] = ndim
-    # un-flatten: new[r][col] -> entries
-    other = [m for m in range(len(t.dims)) if m != mode]
-    out = zero_tensor(dims).entries
-    out = list(out)
-    st = _strides(tuple(dims))
-    ost = [1] * len(other)
-    for i in range(len(other) - 2, -1, -1):
-        ost[i] = ost[i + 1] * dims[other[i + 1]]
-    ncols = len(new[0]) if new else 0
-    for col in range(ncols):
-        rem = col
-        base = 0
-        for i, m in enumerate(other):
-            q, rem = divmod(rem, ost[i])
-            base += q * st[m]
-        sm = st[mode]
-        for r in range(ndim):
-            out[base + r * sm] = new[r][col]
-    return Tensor(tuple(dims), tuple(out))
+    new = mat_mul(matrix, flattening(t, mode))
+    # new is the result with `mode` moved first; move it back into place
+    others = t.dims[:mode] + t.dims[mode + 1:]
+    moved = Tensor((len(matrix),) + others, tuple(x for row in new for x in row))
+    return permute_modes(moved, [*range(1, mode + 1), 0, *range(mode + 1, t.order)])
 
 
 @dataclass(frozen=True)
@@ -337,7 +302,9 @@ def tensor_to_json(t):
 def tensor_from_json(obj):
     if not isinstance(obj, dict) or "dims" not in obj or "entries" not in obj:
         raise ValueError("tensor JSON must have 'dims' and 'entries'")
-    dims = tuple(int(d) for d in obj["dims"])
+    dims = obj["dims"]
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+        raise ValueError("tensor JSON dims must be a list of integers")
     entries = tuple(parse_scalar(e) for e in obj["entries"])
     return Tensor(dims, entries)
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from border3.classifier import (
     GREATER_THAN_3, UNKNOWN, classify, orbit_dimension,
@@ -60,11 +61,36 @@ def test_stabilizer_and_orbit_dimensions():
         orbit_dimension(zero_tensor((2, 2, 2)))
 
 
-def test_stabilizer_dimension_is_gl_invariant():
-    rng = random.Random(101)
-    t = orbit_representative(37)
-    g = random_gl_tuple((3, 3, 3), rng)
-    assert stabilizer_dimension(apply_gl(t, g)) == 8
+_SIGMA3_STABILIZER_N4 = {"i": 9, "ii": 10, "iii": 11, "iv": 13}  # 3n-3 .. 3n+1
+
+
+@st.composite
+def _stabilizer_cases(draw):
+    """(tensor, expected stabilizer dimension or None) before a GL move."""
+    source = draw(st.sampled_from(("orbit", "sigma3", "small")))
+    if source == "orbit":
+        k = draw(st.sampled_from(ORBIT_IDS))
+        return orbit_representative(k), ORBIT_INFO[k]["stabilizer_dim"]
+    if source == "sigma3":
+        kind = draw(st.sampled_from(sorted(_SIGMA3_STABILIZER_N4)))
+        return sigma3_point(kind, 4, factor=2), _SIGMA3_STABILIZER_N4[kind]
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4).map(tuple)
+                .filter(lambda d: any(x > 1 for x in d)))
+    t = zero_tensor(dims)
+    for _ in range(draw(st.integers(1, 3))):
+        t = t + rank_one([draw(st.lists(st.integers(-2, 2), min_size=d,
+                                        max_size=d)) for d in dims])
+    return t, None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_stabilizer_cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_stabilizer_dimension_is_gl_invariant(case, seed):
+    t, expected = case
+    sd = stabilizer_dimension(t)
+    assert expected is None or sd == expected
+    moved = apply_gl(t, random_gl_tuple(t.dims, random.Random(seed)))
+    assert stabilizer_dimension(moved) == sd
 
 
 def test_sigma3_normal_forms_classify_correctly_n3():

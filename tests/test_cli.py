@@ -3,6 +3,7 @@ import io
 import json
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +304,43 @@ def test_oversized_input_is_a_usage_error(capsys, monkeypatch, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["rank", "--field", "2"], ["stabilizer"], ["strassen"],
+])
+@pytest.mark.parametrize("blob", [
+    {"dims": [2.9, True], "entries": ["1", "2"]},
+    {"dims": "33", "entries": ["1"] * 9},
+    {"dims": [2.0, 2], "entries": ["1"] * 4},
+    {"dims": ["2", "2"], "entries": ["1"] * 4},
+])
+def test_non_integer_dims_are_a_usage_error(capsys, monkeypatch, argv, blob):
+    code, out, err = run_cli(capsys, argv, stdin=json.dumps(blob),
+                             monkeypatch=monkeypatch)
+    assert code == 1 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model, width, extra", [
+    ({"kind": "segre", "dims": [200, 200, 200]}, 597, {}),
+    ({"kind": "segre", "dims": [2] * 7}, 7, {}),
+    ({"kind": "grassmann", "k": 5, "n": 100}, 475, {}),
+    ({"kind": "lagrangian", "k": 7}, 28, {}),
+    ({"kind": "spinor", "k": 10 ** 18}, 1, {}),
+    ({"kind": "segre", "dims": [3, 3, 3]}, 6, {"prec": 10 ** 9}),
+    ({"kind": "segre", "dims": [3, 3, 3]}, 6, {"max_prec": 10 ** 9}),
+], ids=["segre-200^3", "segre-2^7", "grassmann-5-100", "lagrangian-7",
+        "spinor-10^18", "prec", "max_prec"])
+def test_limit_refuses_oversized_models_at_once(capsys, monkeypatch, model, width, extra):
+    curves = [[[0] * width], [[0] * width, [1] * width], [[1] * width]]
+    stdin = json.dumps({"model": model, "curves": curves, **extra})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["limit"], stdin=stdin, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "capped at" in err
+
+
 def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
     assert cli._build_parser() is cli._build_parser()
     cli._build_parser.cache_clear()
@@ -367,9 +405,65 @@ def _tensor_texts(draw):
     return json.dumps(obj)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from(_FUZZ_VERBS), _tensor_texts())
-def test_cli_fuzz_exits_with_a_documented_code(argv, text):
+_HUGE = st.sampled_from([10 ** 6, 10 ** 9, 10 ** 18, 10 ** 40])
+
+# model JSON small enough to run
+_SMALL_MODELS = (
+    [{"kind": "segre", "dims": d}
+     for d in ([3, 3, 3], [2, 2], [2, 3, 2], [1, 3], [2, 2, 2, 2])]
+    + [{"kind": "grassmann", "k": k, "n": n} for k, n in ((1, 3), (2, 4), (2, 5))]
+    + [{"kind": "lagrangian", "k": k} for k in (1, 2, 3)]
+    + [{"kind": "spinor", "k": k} for k in (2, 4, 5)])
+
+
+@st.composite
+def _limit_texts(draw):
+    """Limit configs: small valid ones (some with wrong curve lengths), huge
+    models or truncations, malformed models and curves, or non-JSON."""
+    kind = draw(st.sampled_from(("valid", "huge", "malformed", "text")))
+    if kind == "text":
+        return draw(st.one_of(st.text(max_size=12), st.sampled_from(
+            ["[]", "null", '{"model": {"kind": "segre"}', '{"curves": []}'])))
+    if kind == "malformed":
+        model = draw(st.one_of(_json_atoms, st.fixed_dictionaries({
+            "kind": st.one_of(_json_atoms, st.sampled_from(
+                ["segre", "grassmann", "lagrangian", "spinor", "flag"])),
+            "dims": st.one_of(_json_atoms, st.lists(_json_atoms, max_size=3)),
+            "k": _json_atoms, "n": _json_atoms})))
+        curves = draw(st.one_of(
+            _json_atoms, st.lists(_json_atoms, max_size=3),
+            st.lists(st.lists(st.one_of(_json_atoms, st.lists(_json_atoms, max_size=3)),
+                              max_size=2), max_size=4)))
+        return json.dumps({"model": model, "curves": curves})
+    model = draw(st.sampled_from(_SMALL_MODELS))
+    width = cli._model_from_json(model).tangent_dim
+    cfg = {"model": model}
+    if kind == "huge":
+        key = draw(st.sampled_from(("dims", "k", "n", "prec", "max_prec")))
+        if key == "dims":
+            cfg["model"] = {"kind": "segre", "dims": draw(st.lists(
+                _HUGE | st.integers(1, 3), min_size=1, max_size=3))}
+        elif key in ("k", "n"):
+            cfg["model"] = {
+                "kind": draw(st.sampled_from(("grassmann", "lagrangian", "spinor"))),
+                "k": draw(_HUGE | st.integers(1, 12)), "n": draw(_HUGE)}
+            cfg["model"][key] = draw(_HUGE)
+        else:
+            cfg[key] = draw(_HUGE)
+    else:
+        width += draw(st.sampled_from([0, 0, 0, -1, 1]))
+    entry = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-3"]))
+    cfg["curves"] = draw(st.lists(st.lists(
+        st.lists(entry, min_size=max(width, 0), max_size=max(width, 0)),
+        min_size=1, max_size=3), min_size=3, max_size=3))
+    return json.dumps(cfg)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(st.sampled_from(_FUZZ_VERBS), _tensor_texts()),
+                 st.tuples(st.just(["limit"]), _limit_texts())))
+def test_cli_fuzz_exits_with_a_documented_code(case):
+    argv, text = case
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(text)

@@ -109,7 +109,14 @@ def test_model_dimensions():
     assert l.ambient_dim == 14 and l.tangent_dim == 6 and l.base_degree == 3
     s = spinor_model(6)
     assert s.ambient_dim == 32 and s.tangent_dim == 15 and s.base_degree == 3
-    assert lagrangian_model(4).ambient_dim == sum(1 for _ in lagrangian_model(4).ambient_slots())
+    models = ([segre_model(d) for d in [(1,), (2, 3), (3, 3, 3), (2, 1, 4, 2)]]
+              + [grassmann_model(k, n) for n in range(2, 9) for k in range(1, n)]
+              + [lagrangian_model(k) for k in range(1, 7)]
+              + [spinor_model(k) for k in range(1, 10)])
+    for model in models:
+        assert model.ambient_dim == len(model.ambient_slots())
+    assert segre_model((2, 3)).ambient_slots() == [
+        (0, (0, 0)), (1, (0, 1)), (1, (0, 2)), (1, (1, 0)), (2, (1, 1)), (2, (1, 2))]
     with pytest.raises(ValueError):
         CominusculeModel("grassmann", k=3, n=3)
     with pytest.raises(ValueError):

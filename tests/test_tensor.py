@@ -1,6 +1,8 @@
 import json
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -77,6 +79,69 @@ def test_apply_mode_map_and_gl():
     t = random_tensor((3, 3, 3), rng)
     g = random_gl_tuple((3, 3, 3), rng)
     assert multilinear_rank(apply_gl(t, g)) == multilinear_rank(t)
+
+
+@st.composite
+def _reshape_case(draw):
+    """A tensor with 1-5 modes of size 1-4 and arguments for every reshape."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    t = make_tensor(dims, draw(st.lists(st.integers(-9, 9), min_size=math.prod(dims),
+                                        max_size=math.prod(dims))))
+    n = len(dims)
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    mode = draw(st.integers(0, n - 1))
+    matrix = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dims[mode],
+                                    max_size=dims[mode]), min_size=1, max_size=4))
+    rows = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return t, order, blocks, mode, matrix, rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_reshape_case())
+def test_reshapes_match_their_index_definitions(case):
+    """Every reshape against its definition by index: row-major means the
+    order in which itertools.product lists the index tuples."""
+    t, order, blocks, mode, matrix, rows = case
+    dims, n = t.dims, t.order
+    cells = list(product(*map(range, dims)))
+
+    def ranges(modes):
+        return product(*(range(dims[m]) for m in modes))
+
+    def merge(modes_a, a, modes_b, b):
+        idx = [0] * n
+        for m, i in zip(modes_a + modes_b, a + b):
+            idx[m] = i
+        return tuple(idx)
+
+    p = permute_modes(t, order)
+    assert p.dims == tuple(dims[m] for m in order)
+    assert all(p[tuple(idx[m] for m in order)] == t[idx] for idx in cells)
+
+    g = group_modes(t, blocks)
+    assert g.dims == tuple(math.prod(dims[m] for m in b) for b in blocks)
+    labels = [{sub: k for k, sub in enumerate(ranges(b))} for b in blocks]
+    for idx in cells:
+        gidx = tuple(lab[tuple(idx[m] for m in b)] for lab, b in zip(labels, blocks))
+        assert g[gidx] == t[idx]
+
+    cols = [m for m in range(n) if m not in rows]
+    expected = [[t[merge(rows, r, cols, c)] for c in ranges(cols)] for r in ranges(rows)]
+    assert grouped_flattening(t, rows) == expected
+    assert grouped_flattening(t, rows[::-1]) == expected
+
+    others = [m for m in range(n) if m != mode]
+    assert flattening(t, mode) == [[t[merge([mode], (i,), others, c)] for c in ranges(others)]
+                                   for i in range(dims[mode])]
+
+    s = apply_mode_map(t, matrix, mode)
+    assert s.dims == dims[:mode] + (len(matrix),) + dims[mode + 1:]
+    for idx in product(*map(range, s.dims)):
+        assert s[idx] == sum(
+            matrix[idx[mode]][j] * t[idx[:mode] + (j,) + idx[mode + 1:]]
+            for j in range(dims[mode]))
 
 
 def test_slices_roundtrip():
