@@ -6,16 +6,20 @@ Matrices are lists of rows; scalars are ``int`` or ``fractions.Fraction``
 (mixed freely -- results of divisions are normalised back to ``int`` when
 possible so the common all-integer paths stay fast).
 
-Elimination does work only on nonzero entries: ``rref`` skips the zeros of
-each pivot row when scaling it and when subtracting it, and ``Echelon``
-keeps its rows sparse, as dicts of their nonzero entries, because the
-Macaulay matrices it reduces hold a few nonzeros in hundreds of columns.
+``rref`` over Q eliminates on integers: it clears each row's denominators,
+keeps every entry an integer (a minor of that matrix, up to a deferred
+scaling) by dividing exactly by an earlier pivot (Bareiss), and divides
+each row once at the end, so no ``Fraction`` is made before the result.  ``Echelon`` keeps its
+rows sparse, as dicts of their nonzero entries, because the Macaulay
+matrices it reduces hold a few nonzeros in hundreds of columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
+from operator import attrgetter
 
 
 def _norm(x):
@@ -60,46 +64,106 @@ def mat_mul(a, b):
     return out
 
 
+_denominator = attrgetter("denominator")
+
+
 def rref(a, q=None):
     """Reduced row echelon form over Q, or over GF(q) for a prime q.
 
-    Returns (rows, pivot_columns).  Over GF(q) the entries are integers
-    read modulo q, and the rows returned hold residues 0..q-1.  Work is done
-    only where the pivot row is nonzero: its zeros are neither scaled nor
-    subtracted, and a pivot already equal to 1 is not scaled at all.
+    Returns (rows, pivot_columns).  Over Q the elimination runs on ints
+    (fraction-free Gauss-Jordan, Bareiss 1968).  Each row is first scaled by
+    the lcm of its denominators, which leaves the RREF unchanged.  At a
+    pivot p, with p_prev the pivot before it, every other row becomes
+    (p * row - row[c] * pivot_row) // p_prev; by Sylvester's identity the
+    entries are then minors of the scaled matrix, so the division is exact.
+    A row with a zero in the pivot column would only be scaled by
+    p / p_prev, so that scaling is deferred: each row keeps the pivot b it
+    was last reduced at, stands for itself times p_prev / b, and is reduced
+    as (p * row - row[c] * pivot_row) // b when it next has a nonzero in
+    the pivot column (a pivot row is first scaled up to date).  Only those
+    rows are touched, and when b == p only the pivot row's nonzeros are
+    subtracted.  Scaling keeps zeros zero, so the pivots are the textbook
+    ones.  At the end each row is divided by its own b, which makes its
+    pivot 1: an entry is an int when it divides evenly and a Fraction
+    otherwise.
+
+    Over GF(q) the entries are integers read modulo q, and the rows
+    returned hold residues 0..q-1.
     """
-    if q is None:
-        rows, norm = mat_copy(a), _norm
-    else:
-        rows, norm = [[x % q for x in row] for row in a], q.__rmod__  # x % q
+    if q is not None:
+        return _rref_mod(a, q)
+    rows = []
+    for row in a:
+        den = lcm(*map(_denominator, row))
+        rows.append([x.numerator * (den // x.denominator) for x in row]
+                    if den != 1 else list(map(int, row)))
     if not rows:
         return [], []
-    ncols = len(rows[0])
     pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
+    prev = 1
+    base = [1] * len(rows)
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        base[r], base[piv] = base[piv], base[r]
+        prow = rows[r]
+        if base[r] != prev:
+            prow = rows[r] = [x * prev // base[r] for x in prow]
+        p = prow[c]
+        support = [(j, y) for j, y in enumerate(prow) if y]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or not f:
+                continue
+            b = base[i]
+            if b == p:
+                for j, y in support:
+                    row[j] -= f * y // p
+            else:
+                rows[i] = [(p * x - f * y) // b for x, y in zip(row, prow)]
+            base[i] = p
+        base[r] = p
+        pivots.append(c)
+        prev = p
+        if len(pivots) == len(rows):
+            break
+    for row, b in zip(rows, base[:len(pivots)]):
+        for j, x in enumerate(row):
+            if x:
+                quo, rem = divmod(x, b)
+                row[j] = Fraction(x, b) if rem else quo
+    return rows, pivots
+
+
+def _rref_mod(a, q):
+    """``rref`` over GF(q).  A pivot row is scaled to a leading 1 (unless its
+    pivot is 1 already), and its zeros are never subtracted."""
+    rows = [[x % q for x in row] for row in a]
+    if not rows:
+        return [], []
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
-        inv = div(1, prow[c]) if q is None else pow(prow[c], q - 2, q)
+        inv = pow(prow[c], q - 2, q)
         if inv != 1:
-            prow = rows[r] = [norm(x * inv) if x else 0 for x in prow]
+            prow = rows[r] = [x * inv % q if x else 0 for x in prow]
         support = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(len(rows)):
             row = rows[i]
             f = row[c]
             if i != r and f:
                 for j, y in support:
-                    row[j] = norm(row[j] - f * y)
+                    row[j] = (row[j] - f * y) % q
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
     return rows, pivots
 

@@ -81,16 +81,17 @@ def _stabilizer_matrix(t):
 
 def stabilizer_dimension(t):
     """dim of {Gamma in gl(d_1) + ... + gl(d_n) : Gamma . T = 0} (Leibniz action)."""
-    m = _stabilizer_matrix(t)
-    total = sum(d * d for d in t.dims)
-    return total - rank(m)
+    return sum(d * d for d in t.dims) - rank(_stabilizer_matrix(t))
 
 
-def orbit_dimension(t):
-    """Dimension of the projective GL-orbit of [T]."""
+def orbit_dimension(t, stabilizer_dim=None):
+    """Dimension of the projective GL-orbit of [T]: the sum of d_m^2, less the
+    stabilizer dimension (computed unless given), less 1 for scaling."""
     if t.is_zero():
         raise ValueError("the zero tensor has no projective orbit")
-    return rank(_stabilizer_matrix(t)) - 1
+    if stabilizer_dim is None:
+        stabilizer_dim = stabilizer_dimension(t)
+    return sum(d * d for d in t.dims) - stabilizer_dim - 1
 
 
 # ---- concise 3x3x3 decisions ----

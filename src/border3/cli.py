@@ -126,24 +126,38 @@ def _cmd_strassen(args):
     return 0
 
 
+def _json_int(obj, key, default=None):
+    """obj[key] (or the default), which must be a JSON integer: a float, a
+    boolean or a string is refused rather than truncated or read as 1."""
+    x = obj.get(key, default)
+    if type(x) is not int:
+        raise ValueError(f"{key!r} must be an integer, not {x!r}")
+    return x
+
+
 def _model_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("model must be an object with a 'kind'")
     kind = obj.get("kind")
     if kind == "segre":
-        return segre_model(tuple(int(d) for d in obj["dims"]))
+        dims = obj["dims"]
+        if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+            raise ValueError("segre dims must be a list of integers")
+        return segre_model(tuple(dims))
     if kind == "grassmann":
-        return grassmann_model(int(obj["k"]), int(obj["n"]))
+        return grassmann_model(_json_int(obj, "k"), _json_int(obj, "n"))
     if kind == "lagrangian":
-        return lagrangian_model(int(obj["k"]))
+        return lagrangian_model(_json_int(obj, "k"))
     if kind == "spinor":
-        return spinor_model(int(obj["k"]))
+        return spinor_model(_json_int(obj, "k"))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
 def _curve_from_json(obj):
     if not isinstance(obj, list) or not obj:
         raise ValueError("a curve is a nonempty list of coefficient vectors")
+    if not all(isinstance(vec, list) for vec in obj):
+        raise ValueError("each coefficient vector of a curve must be a list")
     return [tuple(parse_scalar(x) for x in vec) for vec in obj]
 
 
@@ -152,8 +166,8 @@ def _cmd_limit(args):
         cfg = json.loads(_read_text(args.config))
         model = _model_from_json(cfg["model"])
         curves = [_curve_from_json(c) for c in cfg["curves"]]
-        prec = int(cfg.get("prec", 8))
-        max_prec = int(cfg.get("max_prec", 64))
+        prec = _json_int(cfg, "prec", 8)
+        max_prec = _json_int(cfg, "max_prec", 64)
         result = chart_limit_plane(model, curves, prec=prec, max_prec=max_prec)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
             OverflowError) as exc:
@@ -206,10 +220,11 @@ def _cmd_rank(args):
 def _cmd_stabilizer(args):
     t = _load_tensor_arg(args.tensor)
     try:
+        stab = stabilizer_dimension(t)
         out = {
             "dims": list(t.dims),
-            "stabilizer_dim": stabilizer_dimension(t),
-            "orbit_dim": orbit_dimension(t),
+            "stabilizer_dim": stab,
+            "orbit_dim": orbit_dimension(t, stab),
         }
     except ValueError as exc:
         raise _UsageError(str(exc))

@@ -8,10 +8,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from border3 import cli
+from border3 import classifier, cli
 from border3.cli import main
 from border3.normal_forms import ORBIT_IDS, ORBIT_INFO, orbit_representative
-from border3.tensor import dumps_tensor, loads_tensor, tensor_from_json, tensor_to_json
+from border3.tensor import (
+    apply_gl, dumps_tensor, loads_tensor, random_gl_tuple, tensor_from_json,
+    tensor_to_json,
+)
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -180,9 +183,28 @@ def test_stabilizer_verb(capsys, monkeypatch):
         assert report["orbit_dim"] == ORBIT_INFO[oid]["orbit_dim"]
     blob = dumps_tensor(loads_tensor(
         json.dumps({"dims": [2, 2], "entries": ["0"] * 4})))
-    code, _, err = run_cli(capsys, ["stabilizer"], stdin=blob,
+    code, out, err = run_cli(capsys, ["stabilizer"], stdin=blob,
+                             monkeypatch=monkeypatch)
+    assert code == 1 and not out
+    assert err == "error: the zero tensor has no projective orbit\n"
+
+
+@pytest.mark.parametrize("oid, stab, orbit", [
+    (34, 10, 16), (35, 10, 16), (36, 10, 16), (37, 8, 18), (38, 7, 19),
+    (39, 6, 20),
+])
+def test_stabilizer_verb_builds_one_matrix(capsys, monkeypatch, oid, stab, orbit):
+    builds = []
+    build = classifier._stabilizer_matrix
+    monkeypatch.setattr(classifier, "_stabilizer_matrix",
+                        lambda t: builds.append(t) or build(t))
+    t = apply_gl(orbit_representative(oid),
+                 random_gl_tuple((3, 3, 3), random.Random(oid)))
+    code, out, _ = run_cli(capsys, ["stabilizer"], stdin=dumps_tensor(t),
                            monkeypatch=monkeypatch)
-    assert code == 1 and err
+    assert code == 0 and len(builds) == 1
+    assert json.loads(out) == {"dims": [3, 3, 3], "stabilizer_dim": stab,
+                               "orbit_dim": orbit}
 
 
 def _limit_config(curves, **extra):
@@ -341,6 +363,54 @@ def test_limit_refuses_oversized_models_at_once(capsys, monkeypatch, model, widt
     assert "capped at" in err
 
 
+def _first_axes(width):
+    """Three one-term curves: the origin and the first two tangent axes."""
+    return [[[int(j == i) for j in range(width)]] for i in (-1, 0, 1)]
+
+
+# each config is read with exit 0 when its numbers are truncated by int()
+@pytest.mark.parametrize("cfg", [
+    {"model": {"kind": "segre", "dims": [2.9, True, 3.5]}, "curves": _first_axes(3)},
+    {"model": {"kind": "segre", "dims": [2.0, 2, 2]}, "curves": _first_axes(3)},
+    {"model": {"kind": "segre", "dims": ["2", "2", "2"]}, "curves": _first_axes(3)},
+    {"model": {"kind": "segre", "dims": "222"}, "curves": _first_axes(3)},
+    {"model": {"kind": "grassmann", "k": 2.0, "n": 4}, "curves": _first_axes(4)},
+    {"model": {"kind": "grassmann", "k": 2, "n": "4"}, "curves": _first_axes(4)},
+    {"model": {"kind": "lagrangian", "k": 2.5}, "curves": _first_axes(3)},
+    {"model": {"kind": "spinor", "k": "4"}, "curves": _first_axes(6)},
+    {"model": {"kind": "segre", "dims": [2, 2, 2]}, "curves": _first_axes(3),
+     "prec": "8"},
+    {"model": {"kind": "segre", "dims": [2, 2, 2]}, "curves": _first_axes(3),
+     "prec": 8.5},
+    {"model": {"kind": "segre", "dims": [2, 2, 2]}, "curves": _first_axes(3),
+     "max_prec": 9.7},
+    {"model": {"kind": "segre", "dims": [2, 2, 2]}, "curves": _first_axes(3),
+     "max_prec": True},
+], ids=["segre-float-bool", "segre-2.0", "segre-strings", "segre-string",
+        "grassmann-k", "grassmann-n", "lagrangian-k", "spinor-k", "prec-string",
+        "prec-float", "max_prec-float", "max_prec-bool"])
+def test_non_integer_limit_numbers_are_a_usage_error(capsys, monkeypatch, cfg):
+    code, out, err = run_cli(capsys, ["limit"], stdin=json.dumps(cfg),
+                             monkeypatch=monkeypatch)
+    assert code == 1 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "integer" in err
+
+
+@pytest.mark.parametrize("curves", [
+    [["000"], ["100"], ["010"]],
+    [[[0, 0, 0]], ["100"], [[0, 1, 0]]],
+    [[[0, 0, 0]], [[1, 0, 0]], [{"0": 0, "1": 1, "2": 0}]],
+], ids=["strings", "one-string", "object"])
+def test_curve_vectors_must_be_lists(capsys, monkeypatch, curves):
+    cfg = {"model": {"kind": "segre", "dims": [2, 2, 2]}, "curves": curves}
+    code, out, err = run_cli(capsys, ["limit"], stdin=json.dumps(cfg),
+                             monkeypatch=monkeypatch)
+    assert code == 1 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "must be a list" in err
+
+
 def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
     assert cli._build_parser() is cli._build_parser()
     cli._build_parser.cache_clear()
@@ -419,8 +489,9 @@ _SMALL_MODELS = (
 @st.composite
 def _limit_texts(draw):
     """Limit configs: small valid ones (some with wrong curve lengths), huge
-    models or truncations, malformed models and curves, or non-JSON."""
-    kind = draw(st.sampled_from(("valid", "huge", "malformed", "text")))
+    models or truncations, non-integer model or truncation numbers, string
+    coefficient vectors, malformed models and curves, or non-JSON."""
+    kind = draw(st.sampled_from(("valid", "huge", "loose", "malformed", "text")))
     if kind == "text":
         return draw(st.one_of(st.text(max_size=12), st.sampled_from(
             ["[]", "null", '{"model": {"kind": "segre"}', '{"curves": []}'])))
@@ -450,12 +521,28 @@ def _limit_texts(draw):
             cfg["model"][key] = draw(_HUGE)
         else:
             cfg[key] = draw(_HUGE)
+    elif kind == "loose":
+        loose = st.sampled_from([2.0, 2.9, 3.5, True, False, "3", "8", 9.7])
+        key = draw(st.sampled_from(("dims", "k", "n", "prec", "max_prec")))
+        if key == "dims":
+            dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+            dims[draw(st.integers(0, len(dims) - 1))] = draw(loose)
+            cfg["model"] = {"kind": "segre", "dims": dims}
+        elif key in ("k", "n"):
+            cfg["model"] = {
+                "kind": draw(st.sampled_from(("grassmann", "lagrangian", "spinor"))),
+                "k": draw(st.integers(1, 4)), "n": draw(st.integers(2, 6))}
+            cfg["model"][key] = draw(loose)
+        else:
+            cfg[key] = draw(loose)
     else:
         width += draw(st.sampled_from([0, 0, 0, -1, 1]))
     entry = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-3"]))
-    cfg["curves"] = draw(st.lists(st.lists(
-        st.lists(entry, min_size=max(width, 0), max_size=max(width, 0)),
-        min_size=1, max_size=3), min_size=3, max_size=3))
+    vector = st.lists(entry, min_size=max(width, 0), max_size=max(width, 0))
+    if kind == "loose":
+        vector |= st.text("0123-/", min_size=1, max_size=max(width, 1))
+    cfg["curves"] = draw(st.lists(st.lists(vector, min_size=1, max_size=3),
+                                  min_size=3, max_size=3))
     return json.dumps(cfg)
 
 
