@@ -34,10 +34,6 @@ def div(a, b):
     return _norm(Fraction(a) / Fraction(b))
 
 
-def mat_copy(a):
-    return [list(row) for row in a]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -181,33 +177,6 @@ def inverse(a):
     return [row[n:] for row in rows]
 
 
-def det(a):
-    """Determinant by Gaussian elimination with exact ``Fraction`` division
-    (small matrices); the product of the pivots, signed by the row swaps."""
-    n = len(a)
-    rows = mat_copy(a)
-    sign = 1
-    d = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        d = d * p
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = div(rows[i][c], p)
-                rows[i] = [_norm(x - f * y) for x, y in zip(rows[i], rows[c])]
-    return _norm(sign * d)
-
-
 def _axpy(v, f, row):
     """v += f * row on sparse {column: value} dicts, dropping cancelled entries."""
     for c, y in row.items():
@@ -292,13 +261,6 @@ class Echelon:
         if self._reduce(v, combo):
             return None
         return [_norm(-combo.get(j, 0)) for j in range(self._ninserted)]
-
-
-def span_dim(vectors):
-    e = Echelon()
-    for v in vectors:
-        e.add(v)
-    return e.dim
 
 
 def span_basis(vectors):

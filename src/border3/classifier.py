@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._linalg import Echelon, _norm, det, inverse, mat_mul, rank, rref, transpose
+from ._linalg import Echelon, _norm, inverse, mat_mul, rank, rref, transpose
 from .equations import LinePattern, cubic_line_pattern, slice_det_cubic, strassen_equations
 from .normal_forms import ORBIT_INFO
 from .tensor import (
@@ -126,8 +126,10 @@ def _decide_concise_333(core):
 
 # ---- border-rank-2 rank decision ----
 
-def _pencil_root_structure(sq):
-    """'distinct' | 'double' | None for the slice pencil of an all-2s concise core."""
+def _pencil_rank(sq, kept):
+    """(rank, witness phrase) of an all-2s concise core from its slice pencil:
+    rank 2 when the pencil meets two distinct product points, and rank
+    len(kept), the number of factors the core keeps, when it is tangent."""
     f0 = flattening(sq, 0)
     shape = sq.dims[1:]
     t0 = Tensor(shape if shape else (1,), tuple(f0[0]))
@@ -145,16 +147,13 @@ def _pencil_root_structure(sq):
                       - a0[0][c2] * a1[1][c1] - a1[0][c2] * a0[1][c1])
                 if qa or qb or qc:
                     forms.append((qa, qb, qc))
-    if not forms:
-        return None
-    base = forms[0]
-    for f in forms[1:]:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if base[i] * f[j] != base[j] * f[i]:
-                    return None
-    a, b, c = base
-    return "double" if b * b - 4 * a * c == 0 else "distinct"
+    if not forms or any(forms[0][i] * f[j] != forms[0][j] * f[i]
+                        for f in forms[1:] for i, j in ((0, 1), (0, 2), (1, 2))):
+        return None, "slice pencil analysis inconclusive"
+    a, b, c = forms[0]
+    if b * b - 4 * a * c:
+        return 2, "slice pencil meets two distinct product points"
+    return len(kept), "slice pencil is tangent (double product point)"
 
 
 # ---- partitions for the n >= 4 screens ----
@@ -224,22 +223,11 @@ def classify(t):
 
     if m == 3:
         if all(d <= 2 for d in sq.dims):
-            root = _pencil_root_structure(sq)
-            support = tuple(k + 1 for k in kept)
-            if root == "distinct":
-                return ClassificationReport(
-                    dims, 2, rank=2, core_dims=core_dims, sigma2_support=support,
-                    witnesses=("all-2s concise core; slice pencil meets two distinct "
-                               "product points",))
-            if root == "double":
-                return ClassificationReport(
-                    dims, 2, rank=len(kept), core_dims=core_dims, sigma2_support=support,
-                    witnesses=("all-2s concise core; slice pencil is tangent "
-                               "(double product point)",))
+            rk, w = _pencil_rank(sq, kept)
             return ClassificationReport(
-                dims, 2, rank=None, core_dims=core_dims, sigma2_support=support,
-                witnesses=("all-2s concise core, but the slice pencil analysis "
-                           "was inconclusive",))
+                dims, 2, rank=rk, core_dims=core_dims,
+                sigma2_support=tuple(k + 1 for k in kept),
+                witnesses=(f"all-2s concise core; {w}",))
         if sq.dims == (3, 3, 3):
             res, data = _decide_concise_333(sq)
             if res == "gt3":
@@ -279,20 +267,11 @@ def classify(t):
             if r > 2:
                 bip_ok2 = False
     if bip_ok2:
-        root = _pencil_root_structure(sq) if all(d == 2 for d in sq.dims) else None
-        support = tuple(k + 1 for k in kept)
         if all(d == 2 for d in sq.dims):
-            if root == "distinct":
-                rk = 2
-                w = "slice pencil meets two distinct product points"
-            elif root == "double":
-                rk = len(kept)
-                w = "slice pencil is tangent (double product point)"
-            else:
-                rk = None
-                w = "slice pencil analysis inconclusive"
+            rk, w = _pencil_rank(sq, kept)
             return ClassificationReport(
-                dims, 2, rank=rk, core_dims=core_dims, sigma2_support=support,
+                dims, 2, rank=rk, core_dims=core_dims,
+                sigma2_support=tuple(k + 1 for k in kept),
                 witnesses=("every bipartition flattening has rank <= 2, which cuts "
                            "out border rank <= 2 set-theoretically", w))
         return ClassificationReport(
@@ -440,7 +419,7 @@ def scheme_intersection_check(t, mode=0):
     ell0 = None
     for cand in _L0_CANDIDATES:
         mm = mult_op(cand)
-        if det(mm) != 0:
+        if rank(mm) == 3:
             m0, ell0 = mm, cand
             break
     if m0 is None:
@@ -450,7 +429,7 @@ def scheme_intersection_check(t, mode=0):
     for v1, v2 in combinations(range(3), 2):
         e1 = tuple(1 if i == v1 else 0 for i in range(3))
         e2 = tuple(1 if i == v2 else 0 for i in range(3))
-        if det([list(ell0), list(e1), list(e2)]) != 0:
+        if rank([list(ell0), list(e1), list(e2)]) == 3:
             pair = (e1, e2)
             break
     n1 = mat_mul(inv0, mult_op(pair[0]))

@@ -27,6 +27,10 @@ from .normal_forms import (
 from .rank_oracle import GreaterThan, SearchSpaceError, rank_over_field
 from .tensor import loads_tensor, parse_scalar, scalar_str, tensor_to_json
 
+# largest stabilizer matrix (entries x sum of d^2) the stabilizer verb builds:
+# sigma3 points with 7 factors (137,781 cells) pass, a 20x20 matrix does not
+MAX_STABILIZER_CELLS = 150_000
+
 
 class _UsageError(Exception):
     pass
@@ -219,6 +223,10 @@ def _cmd_rank(args):
 
 def _cmd_stabilizer(args):
     t = _load_tensor_arg(args.tensor)
+    cells = len(t.entries) * sum(d * d for d in t.dims)
+    if cells > MAX_STABILIZER_CELLS:
+        raise _UsageError(f"stabilizer matrix capped at {MAX_STABILIZER_CELLS} "
+                          f"cells; this tensor needs {cells}")
     try:
         stab = stabilizer_dimension(t)
         out = {

@@ -9,6 +9,12 @@ The quartics exist only as this numeric evaluation.  Their Jacobian is taken
 from the same block function by polarization: each block is linear in Y and
 Z and quadratic in X, so every partial derivative is one or two exact
 evaluations of the block at a unit-matrix displacement.
+
+The slice cubic det(s S0 + t S1 + u S2) splits into lines in one of four
+ways (zero, a cube, a square times a line, squarefree), and linear algebra
+tells them apart: the rank of its three partials is 1 for a cube and 3 for
+a squarefree cubic, and at rank 2 the cubic is a cone over a binary cubic,
+whose discriminant says whether a line repeats.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from ._linalg import _norm, rank, span_dim
-from .polytools import bivariate_is_constant, gcd_bivariate, pclean
+from ._linalg import _norm, rank, rref
 from .tensor import _gather, multilinear_rank, slice_matrices
 
 _COF_INDEX = ((1, 2), (0, 2), (0, 1))
@@ -191,59 +196,34 @@ def _cubic_partials(d):
     return out
 
 
-def _is_cube_of_linear_form(d):
-    """A nonzero cubic is a perfect cube iff its three partials span a line."""
-    partials = _cubic_partials(d)
-    monos = sorted({e for p in partials for e in p})
-    rows = [[p.get(e, 0) for e in monos] for p in partials]
-    return span_dim(rows) == 1
-
-
-def _dehomogenize(d, var):
-    """Drop one variable (set it to 1); remaining two keep their order."""
-    keep = [v for v in range(3) if v != var]
-    out = {}
-    for e, c in d.items():
-        key = (e[keep[0]], e[keep[1]])
-        out[key] = out.get(key, 0) + c
-    return pclean(out)
-
-
-def _cubic_is_squarefree(d):
-    """No repeated linear factor (cubics of interest split into lines)."""
-    for var in range(3):
-        if any(e[var] for e in d):
-            break
-    # multiplicity of the coordinate line {var = 0}
-    mult = min(e[var] for e in d)
-    if mult >= 2:
-        return False
-    red = {tuple(x - (mult if v == var else 0) for v, x in enumerate(e)): c
-           for e, c in d.items()}
-    f = _dehomogenize(red, var)
-    g = f
-    for w in (0, 1):
-        fw = pclean({(e[0] - (1 if w == 0 else 0), e[1] - (1 if w == 1 else 0)): e[w] * c
-                     for e, c in f.items() if e[w]})
-        g = gcd_bivariate(g, fw)
-    if not bivariate_is_constant(g):
-        return False
-    # a repeated factor could still pair the coordinate line with itself only,
-    # which mult < 2 already excludes; remaining case: coordinate line times a
-    # repeated factor was handled by the dehomogenised gcd above
-    return True
-
-
 def cubic_line_pattern(cubic):
-    """Classify det-slice cubics: zero, a cube, a square times a line, or squarefree."""
+    """Classify det-slice cubics: zero, a cube, a square times a line, or squarefree.
+
+    Read off the rank of the three partials of F.  Rank 1: F is the cube of
+    a linear form.  Rank 3: F is squarefree, since F = L^2 M would put every
+    partial in L*<L, M>.  Rank 2: some v != 0 has sum_i v_i dF/dx_i = 0, so
+    F is a cone with vertex v; taking v_f = 1 at the free column f of the
+    rref, F(x) = G(x - x_f v) with G the binary cubic F|_{x_f = 0}, and F
+    has a repeated line exactly when G has a repeated root, that is when
+    its discriminant is 0.
+    """
     d = cubic.as_dict()
     if not d:
         return LinePattern.IDENTICALLY_ZERO
-    if _is_cube_of_linear_form(d):
+    partials = _cubic_partials(d)
+    monos = sorted({e for p in partials for e in p})
+    _, pivots = rref([[p.get(e, 0) for p in partials] for e in monos])
+    if len(pivots) == 1:
         return LinePattern.TRIPLE_LINE
-    if _cubic_is_squarefree(d):
+    if len(pivots) == 3:
         return LinePattern.SQUAREFREE
-    return LinePattern.DOUBLE_LINE_PLUS_LINE
+    f = next(v for v in range(3) if v not in pivots)
+    # G = a u^3 + b u^2 w + c u w^2 + e w^3 in the pivot variables (u, w)
+    g = {m[pivots[0]]: x for m, x in d.items() if not m[f]}
+    a, b, c, e = (g.get(k, 0) for k in (3, 2, 1, 0))
+    disc = (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * e - 27 * a * a * e * e
+            + 18 * a * b * c * e)
+    return LinePattern.SQUAREFREE if disc else LinePattern.DOUBLE_LINE_PLUS_LINE
 
 
 def subspace_membership(t, bounds):

@@ -314,14 +314,22 @@ def test_zero_denominator_is_a_usage_error(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     ["classify"], ["rank", "--field", "2"], ["stabilizer"], ["strassen"],
-    ["limit"], ["generate", "--type", "i", "--n", "13"],
+    ["limit"], ["generate", "--type", "i", "--n", "13"], ["stabilizer", "-"],
 ])
 def test_oversized_input_is_a_usage_error(capsys, monkeypatch, argv):
     if argv == ["limit"]:
         stdin = _limit_config([[[0] * 6]], prec=float("inf"))
+    elif argv == ["stabilizer", "-"]:
+        # 900 entries pass the entry guard, but the stabilizer matrix would
+        # have 900 * 1800 cells; building and ranking it takes minutes
+        rng = random.Random(30)
+        stdin = json.dumps({"dims": [30, 30],
+                            "entries": [str(rng.randint(-9, 9)) for _ in range(900)]})
     else:
         stdin = json.dumps({"dims": [1000, 1000, 10], "entries": []})
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and not out
     assert err.startswith("error:") and err.count("\n") == 1
 

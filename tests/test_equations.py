@@ -9,9 +9,10 @@ from border3.equations import (
     strassen_equations, strassen_jacobian_rank, subspace_membership,
 )
 from border3.normal_forms import ORBIT_IDS, orbit_representative
+from border3.polytools import bivariate_is_constant, gcd_bivariate, padd, pclean, pmul
 from border3.tensor import (
-    Tensor, make_tensor, random_gl_tuple, random_tensor, rank_one, apply_gl,
-    zero_tensor,
+    Tensor, make_tensor, random_gl_tuple, random_tensor, random_unimodular,
+    rank_one, apply_gl, zero_tensor,
 )
 
 
@@ -158,6 +159,131 @@ def test_cubic_line_pattern_directly():
     # smooth cubic (Fermat): squarefree though irreducible
     assert cubic_line_pattern(mk({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})) \
         is LinePattern.SQUAREFREE
+
+
+# ---- line patterns against the dehomogenise-and-gcd decision ----------------
+
+def _reference_line_pattern(f):
+    """Zero; a cube when the three partials span one line; otherwise
+    squarefree exactly when, with the first variable v that occurs set to 1,
+    the cubic and its two partials have a constant gcd over Q.  Setting
+    x_v = 1 loses only the line x_v = 0, which repeats when x_v^2 divides f.
+    """
+    if not f:
+        return LinePattern.IDENTICALLY_ZERO
+    partials = [{tuple(x - (w == v) for w, x in enumerate(e)): e[v] * c
+                 for e, c in f.items() if e[v]} for v in range(3)]
+    monos = sorted({e for p in partials for e in p})
+    if rank([[p.get(e, 0) for e in monos] for p in partials]) == 1:
+        return LinePattern.TRIPLE_LINE
+    v = next(v for v in range(3) if any(e[v] for e in f))
+    if min(e[v] for e in f) >= 2:
+        return LinePattern.DOUBLE_LINE_PLUS_LINE
+    keep = [w for w in range(3) if w != v]
+    g = {}
+    for e, c in f.items():
+        key = (e[keep[0]], e[keep[1]])
+        g[key] = g.get(key, 0) + c
+    g = pclean(g)
+    h = g
+    for w in (0, 1):
+        h = gcd_bivariate(h, {(e[0] - (w == 0), e[1] - (w == 1)): e[w] * c
+                              for e, c in g.items() if e[w]})
+    if bivariate_is_constant(h):
+        return LinePattern.SQUAREFREE
+    return LinePattern.DOUBLE_LINE_PLUS_LINE
+
+
+def _linear(v):
+    return pclean({tuple(int(i == j) for j in range(3)): x for i, x in enumerate(v)})
+
+
+def _product(polys):
+    out = {(0, 0, 0): 1}
+    for p in polys:
+        out = pmul(out, p)
+    return out
+
+
+def _moved(f, m):
+    """f(m x): each variable x_i becomes the linear form of row i of m."""
+    rows = [_linear(row) for row in m]
+    out = {}
+    for e, c in f.items():
+        out = padd(out, _product([{(0, 0, 0): c}] + [rows[i] for i in range(3)
+                                                     for _ in range(e[i])]))
+    return out
+
+
+def _distinct_lines(forms):
+    """Number of pairwise non-proportional nonzero vectors among forms."""
+    reps = []
+    for v in forms:
+        if not any(all(v[i] * r[j] == v[j] * r[i] for i in range(3) for j in range(3))
+                   for r in reps):
+            reps.append(v)
+    return len(reps)
+
+
+_forms = st.lists(st.integers(-4, 4), min_size=3, max_size=3).filter(any)
+_TERNARY_QUADRICS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+_TERNARY_CUBICS = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
+
+
+@st.composite
+def _cubics(draw):
+    """(cubic as an exponent dict, number of distinct lines when the cubic
+    was built as a product of three linear forms, else None)."""
+    kind = draw(st.sampled_from(("general", "repeated", "proportional", "concurrent",
+                                 "cube", "conic_line", "binary", "dense")))
+    lines = None
+    if kind in ("general", "repeated", "proportional", "concurrent", "cube"):
+        a, b = draw(_forms), draw(_forms)
+        if kind == "general":
+            forms = [a, b, draw(_forms)]
+        elif kind == "repeated":
+            forms = [a, a, b]
+        elif kind == "proportional":
+            k = draw(st.sampled_from((-3, -2, 2, 3)))
+            forms = [a, [k * x for x in a], b]
+        elif kind == "concurrent":
+            # three lines through the point where a and b vanish
+            forms = []
+            for _ in range(3):
+                p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+                forms.append([p * x + q * y for x, y in zip(a, b)] if p or q else a)
+            forms = [v if any(v) else a for v in forms]
+        else:
+            forms = [a, a, a]
+        f = _product(_linear(v) for v in forms)
+        lines = _distinct_lines(forms)
+    elif kind == "conic_line":
+        quad = pclean(dict(zip(_TERNARY_QUADRICS, draw(
+            st.lists(st.integers(-3, 3), min_size=6, max_size=6)))))
+        f = pmul(quad, _linear(draw(_forms)))
+    elif kind == "binary":
+        a, b = _linear(draw(_forms)), _linear(draw(_forms))
+        f = {}
+        for k, c in enumerate(draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))):
+            f = padd(f, _product([{(0, 0, 0): c}] + [a] * (3 - k) + [b] * k))
+    else:
+        f = pclean(dict(zip(_TERNARY_CUBICS, draw(
+            st.lists(st.integers(-5, 5), min_size=10, max_size=10)))))
+    if draw(st.booleans()):
+        f = _moved(f, random_unimodular(3, random.Random(draw(st.integers(0, 10 ** 6)))))
+    scale = draw(st.sampled_from((1, 1, -1, Fraction(3, 7), Fraction(-5, 2))))
+    return {e: scale * c for e, c in f.items()}, lines
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_cubics())
+def test_cubic_line_pattern_matches_gcd_reference(case):
+    f, lines = case
+    got = cubic_line_pattern(TernaryCubic.from_dict(f))
+    assert got is _reference_line_pattern(f)
+    if lines is not None:
+        assert got is (LinePattern.TRIPLE_LINE, LinePattern.DOUBLE_LINE_PLUS_LINE,
+                       LinePattern.SQUAREFREE)[lines - 1]
 
 
 def test_subspace_membership():

@@ -35,13 +35,14 @@ from border3.limits import (
     second_order_offset,
 )
 from border3.normal_forms import (
+    generic_det,
     grassmann_model,
     lagrangian_model,
     segre_model,
     segre_tensor_from_ambient,
     spinor_model,
 )
-from border3._linalg import det, rank
+from border3._linalg import rank
 from border3.equations import strassen_equations
 
 
@@ -594,18 +595,18 @@ def test_limit_plane_matches_direct_wedge():
                     r1, r2, r3 = coeff(ambs[0], a), coeff(ambs[1], b), \
                         coeff(ambs[2], c)
                     for ti, (i, j, l) in enumerate(triples):
-                        wedge[ti] += det([[r1[i], r1[j], r1[l]],
-                                          [r2[i], r2[j], r2[l]],
-                                          [r3[i], r3[j], r3[l]]])
+                        wedge[ti] += generic_det([[r1[i], r1[j], r1[l]],
+                                                  [r2[i], r2[j], r2[l]],
+                                                  [r3[i], r3[j], r3[l]]])
             if any(wedge):
                 lead = (k, wedge)
                 break
         assert lead is not None and lead[0] == res.leading_order
         # the plane's Pluecker vector must be proportional to the lead wedge
         basis = [list(r) for r in res.plane]
-        pluecker = [det([[basis[0][i], basis[0][j], basis[0][l]],
-                         [basis[1][i], basis[1][j], basis[1][l]],
-                         [basis[2][i], basis[2][j], basis[2][l]]])
+        pluecker = [generic_det([[basis[0][i], basis[0][j], basis[0][l]],
+                                 [basis[1][i], basis[1][j], basis[1][l]],
+                                 [basis[2][i], basis[2][j], basis[2][l]]])
                     for (i, j, l) in triples]
         wi = next(i for i, x in enumerate(lead[1]) if x)
         assert pluecker[wi] != 0

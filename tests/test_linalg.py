@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from border3._linalg import (
-    Echelon, det, inverse, mat_mul, rank, rref, span_basis, span_dim,
-)
+from border3._linalg import Echelon, inverse, mat_mul, rank, rref, span_basis
 from border3.classifier import _stabilizer_matrix
 from border3.normal_forms import ORBIT_IDS, orbit_representative
 from border3.tensor import apply_gl, random_gl_tuple
@@ -25,29 +23,10 @@ def test_inverse_roundtrip():
     for _ in range(20):
         n = rng.randint(1, 4)
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if det(a) == 0:
+        if rank(a) < n:
             continue
         inv = inverse(a)
         assert mat_mul(a, inv) == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def test_det_matches_cofactor_expansion():
-    def naive(a):
-        n = len(a)
-        if n == 1:
-            return a[0][0]
-        total = 0
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for row in a[1:]]
-            total += (-1) ** j * a[0][j] * naive(minor)
-        return total
-
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        a = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
-             for _ in range(n)]
-        assert det(a) == naive(a)
 
 
 def test_echelon_tracks_coordinates():
@@ -68,7 +47,6 @@ def test_echelon_tracks_coordinates():
 
 
 def test_span_helpers():
-    assert span_dim([[1, 0], [0, 1], [1, 1]]) == 2
     assert span_basis([[2, 0], [0, 3]]) == [[1, 0], [0, 1]]
 
 
