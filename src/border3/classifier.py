@@ -8,7 +8,9 @@ human-readable witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from ._linalg import Echelon, _norm, inverse, mat_mul, rank, rref, transpose
@@ -127,9 +129,14 @@ def _decide_concise_333(core):
 # ---- border-rank-2 rank decision ----
 
 def _pencil_rank(sq, kept):
-    """(rank, witness phrase) of an all-2s concise core from its slice pencil:
-    rank 2 when the pencil meets two distinct product points, and rank
-    len(kept), the number of factors the core keeps, when it is tangent."""
+    """(rank over Q, witness phrase) of an all-2s concise core from its slice
+    pencil, whose product points are the roots of a binary quadratic form
+    with discriminant disc.  Rank 2 needs two rational product points, so it
+    holds when disc is a nonzero square in Q.  A tangent pencil (disc = 0)
+    has rank len(kept), the number of factors the core keeps.  Otherwise the
+    two product points are conjugate over Q(sqrt(disc)): a 2x2x2 core then
+    has rank 3, as every 2x2x2 tensor has rank at most 3, and for 4 or more
+    factors no upper bound is known here, so the rank is None."""
     f0 = flattening(sq, 0)
     shape = sq.dims[1:]
     t0 = Tensor(shape if shape else (1,), tuple(f0[0]))
@@ -151,9 +158,16 @@ def _pencil_rank(sq, kept):
                         for f in forms[1:] for i, j in ((0, 1), (0, 2), (1, 2))):
         return None, "slice pencil analysis inconclusive"
     a, b, c = forms[0]
-    if b * b - 4 * a * c:
+    disc = Fraction(b * b - 4 * a * c)
+    if not disc:
+        return len(kept), "slice pencil is tangent (double product point)"
+    # disc = p/q in lowest terms is a square iff p and q are squares
+    p, q = disc.numerator, disc.denominator
+    if p > 0 and math.isqrt(p) ** 2 == p and math.isqrt(q) ** 2 == q:
         return 2, "slice pencil meets two distinct product points"
-    return len(kept), "slice pencil is tangent (double product point)"
+    return (3 if len(kept) == 3 else None,
+            f"slice pencil meets two product points, conjugate over "
+            f"Q(sqrt({p * q})) and not rational")
 
 
 # ---- partitions for the n >= 4 screens ----

@@ -170,9 +170,7 @@ def _cmd_limit(args):
         cfg = json.loads(_read_text(args.config))
         model = _model_from_json(cfg["model"])
         curves = [_curve_from_json(c) for c in cfg["curves"]]
-        prec = _json_int(cfg, "prec", 8)
-        max_prec = _json_int(cfg, "max_prec", 64)
-        result = chart_limit_plane(model, curves, prec=prec, max_prec=max_prec)
+        result = chart_limit_plane(model, curves)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
             OverflowError) as exc:
         raise _UsageError(f"bad limit config: {exc}")
@@ -275,7 +273,7 @@ def _build_parser():
 
     p = sub.add_parser("limit", help="limit plane of three curves from a JSON config")
     p.add_argument("config", nargs="?", default="-",
-                   help="config JSON: model, curves, optional prec/max_prec")
+                   help="config JSON: model and three curves")
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("rank", help="exact rank over a small finite field")

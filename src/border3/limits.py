@@ -2,9 +2,13 @@
 
 Curves on a cominuscule chart are pushed through the model's embedding with
 exact rational coefficients.  The limit at t=0 of the moving span of three
-curve points is computed by valuation-aware row reduction, and colliding
-configurations are classified by how the limit plane meets the affine
-tangent space at the collision point.
+curve points is computed by one valuation row reduction of the polynomial
+rows modulo t^D.  Row operations keep the triple wedge, a polynomial of
+degree below D = 1 + the sum of the row degrees, so no coefficient past t^D
+can change a row order or a leading vector, and a row vanishing modulo t^D
+proves the wedge identically zero.  Colliding configurations are classified
+by how the limit plane meets the affine tangent space at the collision
+point.
 """
 
 from __future__ import annotations
@@ -18,15 +22,11 @@ from ._linalg import Echelon, _norm, rank, span_basis
 from .normal_forms import segre_model
 
 MAX_AMBIENT = 64  # widest ambient space limit_plane reduces in
-MAX_PREC = 1024  # deepest truncation limit_plane accepts: series are dense
+MAX_PREC = 1024  # largest wedge degree bound D that limit_plane reduces modulo t^D
 
 
 class PrecisionError(RuntimeError):
     """A computation needs more series terms than are tracked."""
-
-
-class _DependentRows(PrecisionError):
-    """A row vanished to the working truncation order during reduction."""
 
 
 class ScalarSeries:
@@ -53,10 +53,6 @@ class ScalarSeries:
     @classmethod
     def constant(cls, c, prec):
         return cls((c,), prec)
-
-    @classmethod
-    def variable(cls, prec):
-        return cls((0, 1), prec)
 
     def coeff(self, k):
         if not 0 <= k < self.prec:
@@ -133,27 +129,6 @@ class ScalarSeries:
         for _ in range(e):
             out = out * self
         return out
-
-    def shift(self, k):
-        """Multiply by t**k (k >= 0), truncating."""
-        if k < 0:
-            raise ValueError("negative shifts are not defined on truncated series")
-        return ScalarSeries((0,) * k + self.coeffs, self.prec)
-
-    def inverse(self):
-        """Multiplicative inverse; the constant term must be nonzero."""
-        a0 = self.coeffs[0]
-        if not a0:
-            raise ValueError("series with zero constant term has no inverse")
-        inv0 = _norm(Fraction(1, 1) / Fraction(a0))
-        out = [inv0] + [0] * (self.prec - 1)
-        for n in range(1, self.prec):
-            acc = 0
-            for j in range(1, n + 1):
-                if self.coeffs[j]:
-                    acc += self.coeffs[j] * out[n - j]
-            out[n] = _norm(-acc * Fraction(inv0))
-        return ScalarSeries(tuple(out), self.prec)
 
     def compose(self, inner):
         """Substitute t -> inner(t); inner must vanish at 0."""
@@ -372,89 +347,74 @@ def _poly_data(curve):
     return [tuple(v) for v in curve]
 
 
-def _reduce_rows(rows, prec):
-    """Valuation echelon of series rows: leading vectors and their orders."""
-    for _ in range(3 * prec + 12):
-        orders = []
-        for r in rows:
-            ros = [p.order() for p in r]
-            ros = [o for o in ros if o is not None]
-            if not ros:
-                raise _DependentRows("rows are dependent to the truncation order")
-            orders.append(min(ros))
-        idx = sorted(range(len(rows)), key=lambda i: orders[i])
+def _order(row, start=0):
+    """Index of the first nonzero coefficient vector from start on, or None."""
+    return next((k for k in range(start, len(row)) if any(row[k])), None)
+
+
+def _reduce_rows(rows, bound):
+    """Valuation echelon of polynomial rows modulo t^bound.
+
+    Each row is a list of coefficient vectors, index k holding the t^k
+    vector.  A row whose leading vector depends on the leading vectors of
+    rows of no larger order loses it to t-shifted copies of them, which
+    strictly raises its order.  Orders stay below bound, so the loop ends
+    within 3 * bound passes.  Returns the (order, leading vector) pairs by
+    increasing order, or None when a row vanishes modulo t^bound.
+    """
+    rows = [list(r[:bound]) for r in rows]
+    orders = [_order(r) for r in rows]
+    while None not in orders:
+        idx = sorted(range(len(rows)), key=orders.__getitem__)
         ech = Echelon()
         inserted = []
-        clean = True
         for i in idx:
-            lead = [p.coeffs[orders[i]] for p in rows[i]]
+            lead = rows[i][orders[i]]
             if ech.add(lead):
                 inserted.append(i)
                 continue
-            coeffs = ech.coords_in(lead)
-            for j, c in zip(inserted, coeffs):
+            row = rows[i]
+            for j, c in zip(inserted, ech.coords_in(lead)):
                 if c:
                     sh = orders[i] - orders[j]
-                    rows[i] = [
-                        a - c * b.shift(sh) for a, b in zip(rows[i], rows[j])
-                    ]
-            clean = False
+                    src = rows[j][:bound - sh]
+                    row.extend([(0,) * len(lead)] * (sh + len(src) - len(row)))
+                    for k, v in enumerate(src, sh):
+                        row[k] = tuple(_norm(a - c * b) for a, b in zip(row[k], v))
+            orders[i] = _order(row, orders[i] + 1)
             break
-        if clean:
-            return [(orders[i], [p.coeffs[orders[i]] for p in rows[i]]) for i in idx]
-    raise PrecisionError("row reduction did not stabilise")
+        else:
+            return [(orders[i], rows[i][orders[i]]) for i in idx]
+    return None
 
 
-def limit_plane(c1, c2, c3, prec=8, max_prec=64):
+def limit_plane(c1, c2, c3):
     """Limit at t=0 of the span of three moving ambient points.
 
     Curves may be VectorSeries or sequences of ambient coefficient vectors;
-    either way the data is read as an exact polynomial curve.  The working
-    truncation starts at prec and doubles up to max_prec when the reduction
-    needs more terms.  The triple wedge of polynomial rows is a polynomial
-    of degree at most the sum of the row degrees, so once the truncation
-    passes that bound a vanishing wedge is certain and the result is
-    returned with the degenerate flag instead of a plane.
+    either way the data is read as an exact polynomial curve.  Row
+    operations keep the triple wedge of the rows, a polynomial of degree
+    below D = 1 + the sum of the row degrees, and the wedge vanishes to at
+    least the sum of the row orders.  So one reduction modulo t^D decides:
+    a row vanishing modulo t^D makes the wedge identically zero, and the
+    result is flagged degenerate; otherwise every order and leading vector
+    below t^D is exact, and the leading vectors span the limit plane.
     """
     polys = [_poly_data(c) for c in (c1, c2, c3)]
-    widths = {len(data[0]) for data in polys}
+    widths = {len(v) for data in polys for v in data}
     if len(widths) != 1:
         raise ValueError("curves must share an ambient dimension")
-    (width,) = widths
-    if width > MAX_AMBIENT:
+    if widths.pop() > MAX_AMBIENT:
         raise ValueError(f"ambient dimension capped at {MAX_AMBIENT}")
-    if max(prec, max_prec) > MAX_PREC:
-        raise ValueError(f"truncation order capped at {MAX_PREC}")
     degree_bound = sum(len(data) - 1 for data in polys) + 1
-    # never truncate the polynomial data itself, only the series tail
-    p = max(prec, max(len(data) for data in polys))
-    max_prec = max(max_prec, p)
-    while True:
-        try:
-            rows = [list(VectorSeries.from_polynomial(d, p).parts) for d in polys]
-            leads = _reduce_rows(rows, p)
-        except _DependentRows:
-            if p >= degree_bound:
-                return LimitPlaneResult((), (), None, degenerate=True)
-            if p >= max_prec:
-                raise ValueError(
-                    f"wedge vanishes to truncation {max_prec}; deciding "
-                    f"degeneracy needs truncation {degree_bound}"
-                )
-            p = min(2 * p, max_prec)
-            continue
-        except PrecisionError:
-            if p >= max_prec:
-                raise ValueError(
-                    f"curves do not span a plane within truncation order {max_prec}"
-                )
-            p = min(2 * p, max_prec)
-            continue
-        orders = tuple(o for o, _ in leads)
-        basis = tuple(tuple(r) for r in span_basis([v for _, v in leads]))
-        if len(basis) != 3:
-            raise ValueError("reduced leading vectors do not span a plane")
-        return LimitPlaneResult(basis, orders, sum(orders))
+    if degree_bound > MAX_PREC:
+        raise ValueError(f"truncation order capped at {MAX_PREC}")
+    leads = _reduce_rows(polys, degree_bound)
+    if leads is None:
+        return LimitPlaneResult((), (), None, degenerate=True)
+    orders = tuple(o for o, _ in leads)
+    basis = tuple(tuple(r) for r in span_basis([v for _, v in leads]))
+    return LimitPlaneResult(basis, orders, sum(orders))
 
 
 def _ambient_polynomial(model, data):
@@ -464,8 +424,13 @@ def _ambient_polynomial(model, data):
     return amb.polynomial_coefficients()
 
 
-def chart_limit_plane(model, curves, prec=8, max_prec=64):
-    """Limit plane of three chart curves pushed through the model map."""
+def chart_limit_plane(model, curves):
+    """Limit plane of three chart curves pushed through the model map.
+
+    A chart curve of degree d embeds to degree at most d * base_degree, so
+    the wedge bound of limit_plane is checked against the cap before any
+    curve is embedded.
+    """
     curves = list(curves)
     if len(curves) != 3:
         raise ValueError("a limit plane needs exactly three curves")
@@ -473,8 +438,10 @@ def chart_limit_plane(model, curves, prec=8, max_prec=64):
     # evaluating its closed form (2^(k-1) for a spinor)
     if model.tangent_dim >= MAX_AMBIENT or model.ambient_dim > MAX_AMBIENT:
         raise ValueError(f"ambient dimension capped at {MAX_AMBIENT}")
-    amb = [_ambient_polynomial(model, _poly_data(c)) for c in curves]
-    return limit_plane(*amb, prec=prec, max_prec=max_prec)
+    polys = [_poly_data(c) for c in curves]
+    if sum(len(data) - 1 for data in polys) * model.base_degree + 1 > MAX_PREC:
+        raise ValueError(f"truncation order capped at {MAX_PREC}")
+    return limit_plane(*(_ambient_polynomial(model, data) for data in polys))
 
 
 @dataclass(frozen=True)
@@ -504,7 +471,7 @@ def _segre_single_block(model, u):
     return hit
 
 
-def limit_analysis(model, curves, prec=8, max_prec=64):
+def limit_analysis(model, curves):
     """Classify the limit plane of three colliding chart curves.
 
     Three distinct limit points give tag "i".  Two distinct limit points
@@ -518,7 +485,7 @@ def limit_analysis(model, curves, prec=8, max_prec=64):
     if len(curves) != 3:
         raise ValueError("a limit plane needs exactly three curves")
     polys = [_poly_data(c) for c in curves]
-    plane = chart_limit_plane(model, polys, prec=prec, max_prec=max_prec)
+    plane = chart_limit_plane(model, polys)
     consts = [tuple(_norm(x) for x in data[0]) for data in polys]
     distinct = []
     for c in consts:
@@ -903,11 +870,9 @@ def limit_config_curves(cfg):
     return (x, y, z)
 
 
-def limit_config_plane(cfg, prec=8, max_prec=64):
+def limit_config_plane(cfg):
     """Limit plane of the configuration's three embedded curves."""
-    return chart_limit_plane(
-        cfg.model, limit_config_curves(cfg), prec=prec, max_prec=max_prec
-    )
+    return chart_limit_plane(cfg.model, limit_config_curves(cfg))
 
 
 def limit_type(cfg):

@@ -131,6 +131,31 @@ def test_sigma2_rank2_vs_tangent_disambiguation():
     assert classify(w).rank == 3
 
 
+def test_pencil_rank_names_its_field():
+    # slices I and M: det(s I + t M) is s^2 + t^2, and s^2 - 2 t^2 with roots
+    # +-sqrt(2); neither pencil meets a rational product point
+    for m, disc in (([[0, -1], [1, 0]], -4), ([[0, 2], [1, 0]], 8)):
+        t = make_tensor((2, 2, 2), [1, 0, 0, 1] + [x for row in m for x in row])
+        for u in (t, apply_gl(t, random_gl_tuple(t.dims, random.Random(disc)))):
+            rep = classify(u)
+            assert rep.border_rank_class == 2 and rep.rank == 3
+            assert f"Q(sqrt({disc}))" in rep.witnesses[0]
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(3, 4).flatmap(lambda n: st.lists(
+    st.lists(st.lists(_rationals, min_size=2, max_size=2), min_size=n, max_size=n),
+    min_size=2, max_size=2)))
+def test_two_rational_rank_one_terms_keep_rank_two(terms):
+    t = rank_one(terms[0]) + rank_one(terms[1])
+    rep = classify(t)
+    assert rep.border_rank_class in (0, 1, 2)
+    assert rep.rank == rep.border_rank_class
+
+
 def test_greater_than_3_detection():
     rng = random.Random(103)
     hits = 0

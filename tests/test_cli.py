@@ -255,13 +255,17 @@ def test_limit_verb_seed_determinism(capsys, monkeypatch):
 
 def test_limit_verb_degenerate_and_bad_config(capsys, monkeypatch):
     zero = [0] * 6
-    curve = [zero, [1, 2, 0, 1, 0, 1]]
-    cfg = _limit_config([curve, curve, curve])
-    code, out, _ = run_cli(capsys, ["limit"], stdin=cfg, monkeypatch=monkeypatch)
-    assert code == 0
-    report = json.loads(out)
-    assert report["degenerate"] is True
-    assert report["plane"] == [] and report["sample"] is None
+    rng = random.Random(31)
+    # three identical curves: the wedge is identically zero, at any degree
+    tall = [zero] + [[rng.randint(-3, 3) for _ in range(6)] for _ in range(9)]
+    for curve in ([zero, [1, 2, 0, 1, 0, 1]], tall):
+        cfg = _limit_config([curve, curve, curve])
+        code, out, _ = run_cli(capsys, ["limit"], stdin=cfg,
+                               monkeypatch=monkeypatch)
+        assert code == 0
+        report = json.loads(out)
+        assert report["degenerate"] is True
+        assert report["plane"] == [] and report["sample"] is None
     bad = [
         "not json",
         json.dumps({"model": {"kind": "mystery"}, "curves": [[zero]] * 3}),
@@ -318,7 +322,9 @@ def test_zero_denominator_is_a_usage_error(capsys, monkeypatch, argv):
 ])
 def test_oversized_input_is_a_usage_error(capsys, monkeypatch, argv):
     if argv == ["limit"]:
-        stdin = _limit_config([[[0] * 6]], prec=float("inf"))
+        # the wedge degree bound is 3 * 999 + 1; embedding the long curve
+        # alone takes seconds
+        stdin = _limit_config([[[0] * 6], [[1] * 6] * 1000, [[0] * 6, [1] * 6]])
     elif argv == ["stabilizer", "-"]:
         # 900 entries pass the entry guard, but the stabilizer matrix would
         # have 900 * 1800 cells; building and ranking it takes minutes
@@ -350,19 +356,19 @@ def test_non_integer_dims_are_a_usage_error(capsys, monkeypatch, argv, blob):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("model, width, extra", [
-    ({"kind": "segre", "dims": [200, 200, 200]}, 597, {}),
-    ({"kind": "segre", "dims": [2] * 7}, 7, {}),
-    ({"kind": "grassmann", "k": 5, "n": 100}, 475, {}),
-    ({"kind": "lagrangian", "k": 7}, 28, {}),
-    ({"kind": "spinor", "k": 10 ** 18}, 1, {}),
-    ({"kind": "segre", "dims": [3, 3, 3]}, 6, {"prec": 10 ** 9}),
-    ({"kind": "segre", "dims": [3, 3, 3]}, 6, {"max_prec": 10 ** 9}),
+@pytest.mark.parametrize("model, width, length", [
+    ({"kind": "segre", "dims": [200, 200, 200]}, 597, 2),
+    ({"kind": "segre", "dims": [2] * 7}, 7, 2),
+    ({"kind": "grassmann", "k": 5, "n": 100}, 475, 2),
+    ({"kind": "lagrangian", "k": 7}, 28, 2),
+    ({"kind": "spinor", "k": 10 ** 18}, 1, 2),
+    ({"kind": "segre", "dims": [3, 3, 3]}, 6, 400),
 ], ids=["segre-200^3", "segre-2^7", "grassmann-5-100", "lagrangian-7",
-        "spinor-10^18", "prec", "max_prec"])
-def test_limit_refuses_oversized_models_at_once(capsys, monkeypatch, model, width, extra):
-    curves = [[[0] * width], [[0] * width, [1] * width], [[1] * width]]
-    stdin = json.dumps({"model": model, "curves": curves, **extra})
+        "spinor-10^18", "long-curve"])
+def test_limit_refuses_oversized_models_at_once(capsys, monkeypatch, model, width, length):
+    curves = [[[0] * width], [[0] * width] + [[1] * width] * (length - 1),
+              [[1] * width]]
+    stdin = json.dumps({"model": model, "curves": curves})
     start = time.perf_counter()
     code, out, err = run_cli(capsys, ["limit"], stdin=stdin, monkeypatch=monkeypatch)
     assert time.perf_counter() - start < 1.0
@@ -386,17 +392,8 @@ def _first_axes(width):
     {"model": {"kind": "grassmann", "k": 2, "n": "4"}, "curves": _first_axes(4)},
     {"model": {"kind": "lagrangian", "k": 2.5}, "curves": _first_axes(3)},
     {"model": {"kind": "spinor", "k": "4"}, "curves": _first_axes(6)},
-    {"model": {"kind": "segre", "dims": [2, 2, 2]}, "curves": _first_axes(3),
-     "prec": "8"},
-    {"model": {"kind": "segre", "dims": [2, 2, 2]}, "curves": _first_axes(3),
-     "prec": 8.5},
-    {"model": {"kind": "segre", "dims": [2, 2, 2]}, "curves": _first_axes(3),
-     "max_prec": 9.7},
-    {"model": {"kind": "segre", "dims": [2, 2, 2]}, "curves": _first_axes(3),
-     "max_prec": True},
 ], ids=["segre-float-bool", "segre-2.0", "segre-strings", "segre-string",
-        "grassmann-k", "grassmann-n", "lagrangian-k", "spinor-k", "prec-string",
-        "prec-float", "max_prec-float", "max_prec-bool"])
+        "grassmann-k", "grassmann-n", "lagrangian-k", "spinor-k"])
 def test_non_integer_limit_numbers_are_a_usage_error(capsys, monkeypatch, cfg):
     code, out, err = run_cli(capsys, ["limit"], stdin=json.dumps(cfg),
                              monkeypatch=monkeypatch)
@@ -497,8 +494,9 @@ _SMALL_MODELS = (
 @st.composite
 def _limit_texts(draw):
     """Limit configs: small valid ones (some with wrong curve lengths), huge
-    models or truncations, non-integer model or truncation numbers, string
-    coefficient vectors, malformed models and curves, or non-JSON."""
+    models or curves too long for the wedge degree cap, non-integer model
+    numbers, string coefficient vectors, malformed models and curves, or
+    non-JSON."""
     kind = draw(st.sampled_from(("valid", "huge", "loose", "malformed", "text")))
     if kind == "text":
         return draw(st.one_of(st.text(max_size=12), st.sampled_from(
@@ -517,8 +515,9 @@ def _limit_texts(draw):
     model = draw(st.sampled_from(_SMALL_MODELS))
     width = cli._model_from_json(model).tangent_dim
     cfg = {"model": model}
+    long = None
     if kind == "huge":
-        key = draw(st.sampled_from(("dims", "k", "n", "prec", "max_prec")))
+        key = draw(st.sampled_from(("dims", "k", "n", "curve")))
         if key == "dims":
             cfg["model"] = {"kind": "segre", "dims": draw(st.lists(
                 _HUGE | st.integers(1, 3), min_size=1, max_size=3))}
@@ -528,21 +527,19 @@ def _limit_texts(draw):
                 "k": draw(_HUGE | st.integers(1, 12)), "n": draw(_HUGE)}
             cfg["model"][key] = draw(_HUGE)
         else:
-            cfg[key] = draw(_HUGE)
+            long = draw(st.integers(1025, 3000))
     elif kind == "loose":
         loose = st.sampled_from([2.0, 2.9, 3.5, True, False, "3", "8", 9.7])
-        key = draw(st.sampled_from(("dims", "k", "n", "prec", "max_prec")))
+        key = draw(st.sampled_from(("dims", "k", "n")))
         if key == "dims":
             dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
             dims[draw(st.integers(0, len(dims) - 1))] = draw(loose)
             cfg["model"] = {"kind": "segre", "dims": dims}
-        elif key in ("k", "n"):
+        else:
             cfg["model"] = {
                 "kind": draw(st.sampled_from(("grassmann", "lagrangian", "spinor"))),
                 "k": draw(st.integers(1, 4)), "n": draw(st.integers(2, 6))}
             cfg["model"][key] = draw(loose)
-        else:
-            cfg[key] = draw(loose)
     else:
         width += draw(st.sampled_from([0, 0, 0, -1, 1]))
     entry = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-3"]))
@@ -551,6 +548,8 @@ def _limit_texts(draw):
         vector |= st.text("0123-/", min_size=1, max_size=max(width, 1))
     cfg["curves"] = draw(st.lists(st.lists(vector, min_size=1, max_size=3),
                                   min_size=3, max_size=3))
+    if long:
+        cfg["curves"][0] += [cfg["curves"][0][-1]] * long
     return json.dumps(cfg)
 
 

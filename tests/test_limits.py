@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fractions import Fraction
 from itertools import combinations
@@ -46,11 +47,8 @@ from border3._linalg import rank
 from border3.equations import strassen_equations
 
 
-def rand_series(rng, prec, unit=False):
-    coeffs = [rng.randint(-4, 4) for _ in range(prec)]
-    if unit:
-        coeffs[0] = rng.choice([1, -1, 2, -2, 3])
-    return ScalarSeries(tuple(coeffs), prec)
+def rand_series(rng, prec):
+    return ScalarSeries(tuple(rng.randint(-4, 4) for _ in range(prec)), prec)
 
 
 def rand_curve(rng, dim, deg, order=1):
@@ -65,14 +63,13 @@ def test_scalar_series_arithmetic():
     s = ScalarSeries((1, 2), 4)
     assert s.coeffs == (1, 2, 0, 0)
     assert ScalarSeries((1, 2, 3, 4), 2).coeffs == (1, 2)
-    t = ScalarSeries.variable(4)
+    t = ScalarSeries((0, 1), 4)
     assert (s + t).coeffs == (1, 3, 0, 0)
     assert (s - 1).coeffs == (0, 2, 0, 0)
     assert (3 * t).coeffs == (0, 3, 0, 0)
     assert (s * t).coeffs == (0, 1, 2, 0)
     assert (-s).coeffs == (-1, -2, 0, 0)
     assert (t ** 3).coeffs == (0, 0, 0, 1)
-    assert t.shift(2).coeffs == (0, 0, 0, 1)
     assert t.order() == 1
     assert ScalarSeries.constant(0, 3).order() is None
     assert s.coeff(1) == 2
@@ -86,18 +83,14 @@ def test_scalar_series_arithmetic():
 def test_scalar_series_inverse_and_compose():
     rng = random.Random(201)
     one = ScalarSeries.constant(1, 6)
-    t = ScalarSeries.variable(6)
+    t = ScalarSeries((0, 1), 6)
     for _ in range(25):
-        u = rand_series(rng, 6, unit=True)
-        assert u * u.inverse() == one
         f = rand_series(rng, 6)
         g = rand_series(rng, 6)
         h = rand_series(rng, 6) * t  # vanishes at 0
         assert f.compose(t) == f
         assert (f * g).compose(h) == f.compose(h) * g.compose(h)
         assert (f + g).compose(h) == f.compose(h) + g.compose(h)
-    with pytest.raises(ValueError):
-        t.inverse()
     with pytest.raises(ValueError):
         t.compose(one)
 
@@ -328,10 +321,15 @@ def test_limit_plane_error_and_degenerate_paths():
         res.sample((1, 2, 3))
     ana = limit_analysis(model, [(zero, u), (zero, u), (zero, u)])
     assert ana.tag == "degenerate"
-    # a vanishing wedge beyond the truncation cap is an error, never a guess
+    # identical curves of degree 30: the wedge is identically zero
     tall = [[1, 2], [0, 1]] + [[3, 5]] * 29
-    with pytest.raises(ValueError):
-        limit_plane(tall, tall, tall, max_prec=64)
+    res = limit_plane(tall, tall, tall)
+    assert res.degenerate and res.orders == () and res.leading_order is None
+    # a wedge degree bound over the cap is refused, never truncated
+    with pytest.raises(ValueError, match="capped at"):
+        limit_plane([[1, 2]] * 1000, tall, tall)
+    with pytest.raises(ValueError, match="capped at"):
+        chart_limit_plane(model, [(zero,) + (u,) * 400, (zero, u), (u,)])
     # ambient dimensions above the wedge guard are rejected
     wide = [[1] * 65]
     with pytest.raises(ValueError):
@@ -563,6 +561,61 @@ def test_limit_config_planes_classify_to_expected_strata():
         assert rep.border_rank_class <= 2
 
 
+def _pmul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+_PERMS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+          ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
+
+
+def _direct_wedge(ambs):
+    """Pluecker coordinates of r1 ^ r2 ^ r3 as polynomials in t, one per
+    column triple, by the Leibniz expansion of each 3x3 minor."""
+    width = len(ambs[0][0])
+    cols = [[[v[i] for v in data] for i in range(width)] for data in ambs]
+    triples = list(combinations(range(width), 3))
+    wedge = []
+    for trip in triples:
+        total = [0] * (sum(len(data) for data in ambs) - 2)
+        for perm, sign in _PERMS:
+            prod = _pmul(_pmul(cols[0][trip[perm[0]]], cols[1][trip[perm[1]]]),
+                         cols[2][trip[perm[2]]])
+            for k, x in enumerate(prod):
+                total[k] += sign * x
+        wedge.append(total)
+    return triples, wedge
+
+
+def _assert_matches_direct_wedge(ambs, res):
+    """The wedge's valuation is leading_order, its lowest coefficient is
+    proportional to the plane's Pluecker vector, and it is the zero
+    polynomial exactly when the result is degenerate."""
+    triples, wedge = _direct_wedge(ambs)
+    lead = next((k for k in range(len(wedge[0])) if any(w[k] for w in wedge)),
+                None)
+    assert res.degenerate == (lead is None)
+    if lead is None:
+        assert res.plane == () and res.leading_order is None
+        return
+    assert res.leading_order == lead == sum(res.orders)
+    low = [w[lead] for w in wedge]
+    basis = [list(r) for r in res.plane]
+    pluecker = [generic_det([[basis[0][i], basis[0][j], basis[0][l]],
+                             [basis[1][i], basis[1][j], basis[1][l]],
+                             [basis[2][i], basis[2][j], basis[2][l]]])
+                for (i, j, l) in triples]
+    wi = next(i for i, x in enumerate(low) if x)
+    assert pluecker[wi] != 0
+    scale = Fraction(low[wi]) / Fraction(pluecker[wi])
+    assert all(Fraction(w) == scale * Fraction(p) for w, p in zip(low, pluecker))
+
+
 def test_limit_plane_matches_direct_wedge():
     model = segre_model((2, 2, 2))
     rng = random.Random(214)
@@ -577,42 +630,71 @@ def test_limit_plane_matches_direct_wedge():
         if res.degenerate:
             continue
         done += 1
-        degs = [len(a) - 1 for a in ambs]
-        width = len(ambs[0][0])
+        _assert_matches_direct_wedge(ambs, res)
 
-        def coeff(data, k):
-            return data[k] if k < len(data) else (0,) * width
 
-        triples = list(combinations(range(width), 3))
-        lead = None
-        for k in range(sum(degs) + 1):
-            wedge = [0] * len(triples)
-            for a in range(min(k, degs[0]) + 1):
-                for b in range(min(k - a, degs[1]) + 1):
-                    c = k - a - b
-                    if c > degs[2]:
-                        continue
-                    r1, r2, r3 = coeff(ambs[0], a), coeff(ambs[1], b), \
-                        coeff(ambs[2], c)
-                    for ti, (i, j, l) in enumerate(triples):
-                        wedge[ti] += generic_det([[r1[i], r1[j], r1[l]],
-                                                  [r2[i], r2[j], r2[l]],
-                                                  [r3[i], r3[j], r3[l]]])
-            if any(wedge):
-                lead = (k, wedge)
-                break
-        assert lead is not None and lead[0] == res.leading_order
-        # the plane's Pluecker vector must be proportional to the lead wedge
-        basis = [list(r) for r in res.plane]
-        pluecker = [generic_det([[basis[0][i], basis[0][j], basis[0][l]],
-                                 [basis[1][i], basis[1][j], basis[1][l]],
-                                 [basis[2][i], basis[2][j], basis[2][l]]])
-                    for (i, j, l) in triples]
-        wi = next(i for i, x in enumerate(lead[1]) if x)
-        assert pluecker[wi] != 0
-        scale = Fraction(lead[1][wi]) / Fraction(pluecker[wi])
-        assert all(Fraction(w) == scale * Fraction(p)
-                   for w, p in zip(lead[1], pluecker))
+def _poly_combination(pairs, width):
+    """sum of g_i(t) * r_i(t) over (g_i, r_i) pairs, as coefficient vectors."""
+    n = max(len(g) + len(r) - 1 for g, r in pairs)
+    out = [[0] * width for _ in range(n)]
+    for g, r in pairs:
+        for i in range(width):
+            for k, x in enumerate(_pmul(g, [v[i] for v in r])):
+                out[k][i] += x
+    return out
+
+
+@st.composite
+def _high_order_triples(draw):
+    """Curve triples whose wedge vanishes to high order or identically:
+    r2 = g(t) r1 (+ t^k w), and r3 random, a polynomial combination of r1
+    and r2 (+ t^m u), or a copy of r1 or r2.  Degree bounds reach about 100."""
+    width = draw(st.integers(3, 4))
+    small = st.integers(-2, 2)
+
+    def curve(max_deg, max_order=0):
+        order = draw(st.integers(0, max_order))
+        size = draw(st.integers(1, max_deg + 1))
+        vecs = draw(st.lists(st.lists(small, min_size=width, max_size=width),
+                             min_size=size, max_size=size))
+        if not any(vecs[0]):
+            vecs[0][draw(st.integers(0, width - 1))] = 1
+        return [[0] * width for _ in range(order)] + vecs
+
+    def scalar_poly(max_deg):
+        size = draw(st.integers(1, max_deg + 1))
+        g = draw(st.lists(small, min_size=size, max_size=size))
+        return g if any(g) else g + [1]
+
+    def plus_monomial_times_curve(r, max_shift):
+        shift = draw(st.integers(0, max_shift))
+        return _poly_combination([([1], r), ([0] * shift + [1], curve(2))], width)
+
+    r1 = curve(5, 2)
+    r2 = _poly_combination([(scalar_poly(30), r1)], width)
+    if draw(st.integers(0, 3)):
+        r2 = plus_monomial_times_curve(r2, 40)
+    kind = draw(st.sampled_from(("random", "random", "combination", "copy")))
+    if kind == "random":
+        r3 = curve(20, 3)
+    elif kind == "combination":
+        r3 = _poly_combination([(scalar_poly(10), r1), (scalar_poly(10), r2)],
+                               width)
+        if draw(st.booleans()):
+            r3 = plus_monomial_times_curve(r3, 30)
+    else:
+        r3 = [list(v) for v in draw(st.sampled_from((r1, r2)))]
+    return draw(st.permutations([r1, r2, r3]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_high_order_triples())
+# r2 = (1 + t + t^2) r1 + t^5 e2: the wedge t^5 e1^e2^e3 has its valuation
+# at the degree bound D - 1 = 5
+@example([[[1, 0, 0]], [[1, 0, 0]] * 3 + [[0, 0, 0]] * 2 + [[0, 1, 0]],
+          [[0, 0, 1]]])
+def test_limit_plane_matches_direct_wedge_at_high_order(ambs):
+    _assert_matches_direct_wedge(ambs, limit_plane(*ambs))
 
 
 def test_plane_samples_satisfy_strassen_quartics():
