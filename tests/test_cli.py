@@ -356,18 +356,21 @@ def test_non_integer_dims_are_a_usage_error(capsys, monkeypatch, argv, blob):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("model, width, length", [
-    ({"kind": "segre", "dims": [200, 200, 200]}, 597, 2),
-    ({"kind": "segre", "dims": [2] * 7}, 7, 2),
-    ({"kind": "grassmann", "k": 5, "n": 100}, 475, 2),
-    ({"kind": "lagrangian", "k": 7}, 28, 2),
-    ({"kind": "spinor", "k": 10 ** 18}, 1, 2),
-    ({"kind": "segre", "dims": [3, 3, 3]}, 6, 400),
+# prec: one long curve alone pushes the wedge degree bound (the truncation
+# order) past MAX_PREC; max_prec: each curve is under the cap, their sum is not
+@pytest.mark.parametrize("model, width, lengths", [
+    ({"kind": "segre", "dims": [200, 200, 200]}, 597, (1, 2, 1)),
+    ({"kind": "segre", "dims": [2] * 7}, 7, (1, 2, 1)),
+    ({"kind": "grassmann", "k": 5, "n": 100}, 475, (1, 2, 1)),
+    ({"kind": "lagrangian", "k": 7}, 28, (1, 2, 1)),
+    ({"kind": "spinor", "k": 10 ** 18}, 1, (1, 2, 1)),
+    ({"kind": "segre", "dims": [3, 3, 3]}, 6, (1, 400, 1)),
+    ({"kind": "segre", "dims": [3, 3, 3]}, 6, (200, 200, 200)),
 ], ids=["segre-200^3", "segre-2^7", "grassmann-5-100", "lagrangian-7",
-        "spinor-10^18", "long-curve"])
-def test_limit_refuses_oversized_models_at_once(capsys, monkeypatch, model, width, length):
-    curves = [[[0] * width], [[0] * width] + [[1] * width] * (length - 1),
-              [[1] * width]]
+        "spinor-10^18", "prec", "max_prec"])
+def test_limit_refuses_oversized_models_at_once(capsys, monkeypatch, model, width, lengths):
+    curves = [[[int(i == 2)] * width] + [[1] * width] * (n - 1)
+              for i, n in enumerate(lengths)]
     stdin = json.dumps({"model": model, "curves": curves})
     start = time.perf_counter()
     code, out, err = run_cli(capsys, ["limit"], stdin=stdin, monkeypatch=monkeypatch)
