@@ -1,14 +1,18 @@
-"""Truncated-series curves on chart models and their limit planes.
+"""Curves on chart models and their limit planes.
 
-Curves on a cominuscule chart are pushed through the model's embedding with
-exact rational coefficients.  The limit at t=0 of the moving span of three
-curve points is computed by one valuation row reduction of the polynomial
-rows modulo t^D.  Row operations keep the triple wedge, a polynomial of
-degree below D = 1 + the sum of the row degrees, so no coefficient past t^D
-can change a row order or a leading vector, and a row vanishing modulo t^D
-proves the wedge identically zero.  Colliding configurations are classified
-by how the limit plane meets the affine tangent space at the collision
-point.
+Limit planes evaluate the chart map on exact polynomials: each chart
+coordinate of a polynomial curve is a polynomial in t with exact rational
+coefficients, and the model's embedding is a polynomial in those, so no
+truncation order is chosen.  The truncated series types (ScalarSeries,
+VectorSeries) remain for the APIs that take or return truncated series.
+
+The limit at t=0 of the moving span of three curve points is computed by
+one valuation row reduction of the polynomial rows modulo t^D.  Row
+operations keep the triple wedge, a polynomial of degree below D = 1 + the
+sum of the row degrees, so no coefficient past t^D can change a row order
+or a leading vector, and a row vanishing modulo t^D proves the wedge
+identically zero.  Colliding configurations are classified by how the limit
+plane meets the affine tangent space at the collision point.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from ._linalg import Echelon, _norm, rank, span_basis
 from .normal_forms import segre_model
@@ -252,6 +257,85 @@ class VectorSeries:
         return f"VectorSeries({[p.coeffs for p in self.parts]!r})"
 
 
+class _Poly:
+    """Exact polynomial sum_k c_k t^k, index k for t^k, trailing zeros trimmed.
+
+    A ring element for model.phi: sums and products are exact, so no
+    truncation order is tracked.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        self.coeffs = coeffs[:n]
+
+    def coeff(self, k):
+        return self.coeffs[k] if k < len(self.coeffs) else 0
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _Poly((other,))
+        elif not isinstance(other, _Poly):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return _Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __rsub__(self, other):
+        return -1 * self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            if isinstance(other, (int, Fraction)):
+                return _Poly(other * c for c in self.coeffs)
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+
+def _coefficient_vectors(values):
+    """Coefficient vectors of a vector of _Poly or scalar entries.
+
+    Entries are _norm'ed, and trailing zero vectors trimmed down to one.
+    """
+    coeffs = [v.coeffs if isinstance(v, _Poly) else (v,) for v in values]
+    vecs = list(zip_longest(*coeffs, fillvalue=0)) or [(0,) * len(coeffs)]
+    return [v if all(type(x) is int for x in v) else tuple(map(_norm, v))
+            for v in vecs]
+
+
+def _curve_data(curve):
+    """Coefficient vectors of a plain curve: nonempty, of one length."""
+    data = [tuple(v) for v in curve]
+    if not data:
+        raise ValueError("a curve needs at least one coefficient vector")
+    if any(len(v) != len(data[0]) for v in data):
+        raise ValueError("coefficient vectors must share a length")
+    return data
+
+
+def _exact_prec(model, data):
+    """A truncation order holding the chart map along a polynomial curve exactly."""
+    return max(2, (len(data) - 1) * model.base_degree + 2)
+
+
 def embed_curve(model, curve):
     """Ambient coordinates of the model chart map along a chart curve."""
     vals = model.phi(list(curve.parts))
@@ -268,15 +352,21 @@ def parameterize(model, tangent_series):
 
     The tangent series lives in the chart coordinates; the result carries the
     full ambient coordinates at the same truncation order, with every graded
-    component of the chart map evaluated exactly.
+    component of the chart map evaluated exactly.  A plain list of
+    coefficient vectors comes back at a truncation order that holds all of
+    its ambient coefficients.
     """
-    if not isinstance(tangent_series, VectorSeries):
-        data = [tuple(v) for v in tangent_series]
-        p = max(2, (len(data) - 1) * model.base_degree + 2)
-        tangent_series = VectorSeries.from_polynomial(data, p)
-    if len(tangent_series) != model.tangent_dim:
+    if isinstance(tangent_series, VectorSeries):
+        width, data = len(tangent_series), None
+    else:
+        data = _curve_data(tangent_series)
+        width = len(data[0])
+    if width != model.tangent_dim:
         raise ValueError("tangent series has wrong length for the model chart")
-    return embed_curve(model, tangent_series)
+    if data is None:
+        return embed_curve(model, tangent_series)
+    return VectorSeries.from_polynomial(_ambient_polynomial(model, data),
+                                        _exact_prec(model, data))
 
 
 def affine_tangent_frame(model, chart_point):
@@ -286,18 +376,17 @@ def affine_tangent_frame(model, chart_point):
         raise ValueError("chart point has wrong length")
     frame = [[_norm(x) for x in model.phi(cp)]]
     for j in range(model.tangent_dim):
-        v = [ScalarSeries((cp[i], 1 if i == j else 0), 2) for i in range(len(cp))]
-        amb = model.phi(v)
-        frame.append([a.coeff(1) if isinstance(a, ScalarSeries) else 0 for a in amb])
+        v = [_Poly((cp[i], 1 if i == j else 0)) for i in range(len(cp))]
+        frame.append([_norm(a.coeff(1)) if isinstance(a, _Poly) else 0
+                      for a in model.phi(v)])
     return frame
 
 
 def second_order_offset(model, chart_point, direction):
     """s^2 coefficient vector of the chart map along chart_point + s*direction."""
     cp, u = list(chart_point), list(direction)
-    v = [ScalarSeries((cp[i], u[i], 0), 3) for i in range(len(cp))]
-    amb = model.phi(v)
-    return [a.coeff(2) if isinstance(a, ScalarSeries) else 0 for a in amb]
+    amb = model.phi([_Poly((cp[i], u[i])) for i in range(len(cp))])
+    return [_norm(a.coeff(2)) if isinstance(a, _Poly) else 0 for a in amb]
 
 
 def second_fundamental_vanishes(model, chart_point, direction):
@@ -419,9 +508,8 @@ def limit_plane(c1, c2, c3):
 
 def _ambient_polynomial(model, data):
     """Exact ambient polynomial data of a polynomial chart curve."""
-    p = max(2, (len(data) - 1) * model.base_degree + 2)
-    amb = embed_curve(model, VectorSeries.from_polynomial(data, p))
-    return amb.polynomial_coefficients()
+    data = _curve_data(data)
+    return _coefficient_vectors(model.phi([_Poly(col) for col in zip(*data)]))
 
 
 def chart_limit_plane(model, curves):
@@ -511,14 +599,14 @@ def limit_analysis(model, curves):
         return LimitAnalysis(plane, "degenerate", 1, None, None)
     # relative direction of the collision: lowest-order pairwise difference
     best = None
-    wp = max(len(d) for d in polys) + 1
+    zero = (0,) * model.tangent_dim
     for i in range(3):
         for j in range(i + 1, 3):
-            diff = VectorSeries.from_polynomial(polys[i], wp) - \
-                VectorSeries.from_polynomial(polys[j], wp)
-            o = diff.order()
+            diff = [tuple(_norm(a - b) for a, b in zip(x, y)) for x, y in
+                    zip_longest(polys[i], polys[j], fillvalue=zero)]
+            o = _order(diff)
             if o is not None and (best is None or o < best[0]):
-                best = (o, diff.leading_vector())
+                best = (o, diff[o])
     if best is None:
         raise ValueError("curves are identical")
     u = best[1]
@@ -743,14 +831,9 @@ def fubini_series(model, tangent_series, s):
     """
     if s < 2:
         raise ValueError("fundamental forms start at degree 2")
-    if not isinstance(tangent_series, VectorSeries):
-        data = [tuple(v) for v in tangent_series]
-        tangent_series = VectorSeries.from_polynomial(data, max(2, len(data)))
-    if len(tangent_series) != model.tangent_dim:
-        raise ValueError("tangent series has wrong length for the model chart")
-    amb = embed_curve(model, tangent_series)
+    amb = parameterize(model, tangent_series)
     block = set(model.slot_block(s))
-    zero = ScalarSeries.constant(0, tangent_series.prec)
+    zero = ScalarSeries.constant(0, amb.prec)
     return VectorSeries(
         amb.parts[i] if i in block else zero for i in range(model.ambient_dim)
     )
@@ -784,7 +867,8 @@ def curve_taylor_consistency(model, curve, max_block=None):
     vector, and the next coefficient must match its first polarisation.
     """
     if not isinstance(curve, VectorSeries):
-        curve = VectorSeries.from_polynomial(list(curve), 8)
+        data = list(curve)
+        curve = VectorSeries.from_polynomial(data, _exact_prec(model, data))
     m = curve.order()
     if m is None or m < 1:
         raise ValueError("curve must vanish at t=0")
@@ -851,23 +935,19 @@ class LimitConfig:
 
 
 def limit_config_curves(cfg):
-    """The three chart tangent curves of a colliding configuration."""
-    pv = cfg.v.polynomial_coefficients()
-    pw = cfg.w.polynomial_coefficients()
-    pl = list(cfg.lam.coeffs)
-    while len(pl) > 1 and not pl[-1]:
-        pl.pop()
-    p = max(8, cfg.k + len(pv) + len(pl), cfg.l + len(pw)) + 1
-    v = VectorSeries.from_polynomial(pv, p)
-    w = VectorSeries.from_polynomial(pw, p)
-    lam = ScalarSeries(tuple(pl), p)
-    tk = ScalarSeries((0,) * cfg.k + (1,), p)
-    tl = ScalarSeries((0,) * cfg.l + (1,), p)
-    width = len(v)
-    x = VectorSeries.from_polynomial([(0,) * width], p)
-    y = v.scale_series(tk)
-    z = v.scale_series(lam * tk) + w.scale_series(tl)
-    return (x, y, z)
+    """The three chart curves of a colliding configuration.
+
+    Returns three lists of chart coefficient vectors (index i for t^i):
+    0, t^k * v and lam * t^k * v + t^l * w, with v, w and lam read as the
+    polynomials their tracked coefficients spell.
+    """
+    v = [_Poly((0,) * cfg.k + col)
+         for col in zip(*cfg.v.polynomial_coefficients())]
+    w = [_Poly((0,) * cfg.l + col)
+         for col in zip(*cfg.w.polynomial_coefficients())]
+    lam = _Poly(cfg.lam.coeffs)
+    return ([(0,) * len(v)], _coefficient_vectors(v),
+            _coefficient_vectors([lam * a + b for a, b in zip(v, w)]))
 
 
 def limit_config_plane(cfg):

@@ -1,5 +1,7 @@
 """Tests for series curves, limit planes, and curve families."""
 
+import io
+import json
 import random
 
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from fractions import Fraction
 from itertools import combinations
 
+from border3 import limits
 from border3.classifier import classify
+from border3.cli import main
 from border3.limits import (
     CurveFamily,
     LimitConfig,
@@ -16,6 +20,7 @@ from border3.limits import (
     PrecisionError,
     ScalarSeries,
     VectorSeries,
+    _ambient_polynomial,
     affine_tangent_frame,
     chart_limit_plane,
     curve_taylor_consistency,
@@ -711,3 +716,158 @@ def test_plane_samples_satisfy_strassen_quartics():
             pt = res.sample([rng.randint(1, 9) for _ in range(3)])
             t = segre_tensor_from_ambient(model, pt)
             assert all(x == 0 for x in strassen_equations(t))
+
+
+# -- exact polynomial evaluation of the chart map ----------------------------
+
+_KIND_MODELS = (segre_model((2, 3, 3)), grassmann_model(2, 5),
+                lagrangian_model(3), spinor_model(6))
+_ENTRIES = st.one_of(st.integers(-3, 3),
+                     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+def _typed(vectors):
+    return [[(type(x), x) for x in v] for v in vectors]
+
+
+def _exact_prec(model, data):
+    return (len(data) - 1) * model.base_degree + 2
+
+
+@st.composite
+def _chart_curves(draw):
+    model = draw(st.sampled_from(_KIND_MODELS))
+    n = model.tangent_dim
+    vec = st.lists(_ENTRIES, min_size=n, max_size=n).map(tuple)
+    return model, draw(st.lists(vec, min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_chart_curves())
+def test_ambient_polynomial_matches_series_embedding(case):
+    model, data = case
+    series = VectorSeries.from_polynomial(data, _exact_prec(model, data))
+    want = embed_curve(model, series).polynomial_coefficients()
+    assert _typed(_ambient_polynomial(model, data)) == _typed(want)
+
+
+def _series_config_curves(cfg):
+    """The configuration's three chart curves built from truncated series."""
+    pv = cfg.v.polynomial_coefficients()
+    pw = cfg.w.polynomial_coefficients()
+    pl = list(cfg.lam.coeffs)
+    while len(pl) > 1 and not pl[-1]:
+        pl.pop()
+    p = max(8, cfg.k + len(pv) + len(pl), cfg.l + len(pw)) + 1
+    v = VectorSeries.from_polynomial(pv, p)
+    w = VectorSeries.from_polynomial(pw, p)
+    lam = ScalarSeries(tuple(pl), p)
+    tk = ScalarSeries((0,) * cfg.k + (1,), p)
+    tl = ScalarSeries((0,) * cfg.l + (1,), p)
+    zero = VectorSeries.from_polynomial([(0,) * len(v)], p)
+    return (zero, v.scale_series(tk),
+            v.scale_series(lam * tk) + w.scale_series(tl))
+
+
+@st.composite
+def _configs(draw):
+    model = draw(st.sampled_from(_KIND_MODELS))
+    n = model.tangent_dim
+
+    def series():
+        vecs = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n),
+                             min_size=1, max_size=3))
+        if not any(vecs[0]):
+            vecs[0][draw(st.integers(0, n - 1))] = 1
+        return VectorSeries.from_polynomial(vecs, 6)
+
+    k = draw(st.integers(0, 3))
+    l = k + draw(st.integers(0, 3))
+    lam = draw(st.lists(_ENTRIES, min_size=1, max_size=4))
+    return LimitConfig(model, k, l, series(), series(), ScalarSeries(lam, 6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_configs())
+def test_limit_config_plane_matches_series_construction(cfg):
+    series_curves = _series_config_curves(cfg)
+    want = [c.polynomial_coefficients() for c in series_curves]
+    assert [_typed(c) for c in limit_config_curves(cfg)] == \
+        [_typed(c) for c in want]
+    assert limit_config_plane(cfg) == chart_limit_plane(cfg.model, series_curves)
+
+
+def test_limit_paths_build_no_truncated_series(capsys, monkeypatch):
+    model = segre_model((3, 3, 3))
+    fam = secant_curve_family("iii", model, random.Random(216))
+    p = 6
+    cfg = LimitConfig(model, 1, 2,
+                      VectorSeries.from_polynomial([(1, 2, 1, 1, 1, -1)], p),
+                      VectorSeries.from_polynomial([(1, 1, 2, 1, 1, 2)], p),
+                      ScalarSeries((3, 1), p))
+    want_family = chart_limit_plane(model, fam.curves)
+    want_cfg = limit_config_plane(cfg)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a truncated series was built on a limit path")
+
+    monkeypatch.setattr(ScalarSeries, "__init__", refuse)
+    assert chart_limit_plane(model, fam.curves) == want_family
+    assert limit_analysis(model, fam.curves).tag == "iii"
+    assert limit_config_plane(cfg) == want_cfg
+    for curves, want in ((fam.curves, want_family),
+                         (limit_config_curves(cfg), want_cfg)):
+        text = json.dumps({"model": {"kind": "segre", "dims": [3, 3, 3]},
+                           "curves": [[[str(x) for x in v] for v in c]
+                                      for c in curves]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["limit"]) == 0
+        assert json.loads(capsys.readouterr().out)["orders"] == list(want.orders)
+    # empty curves and ragged coefficient vectors are still refused
+    zero = (0,) * 6
+    with pytest.raises(ValueError, match="at least one coefficient vector"):
+        chart_limit_plane(model, [[], [zero], [zero]])
+    with pytest.raises(ValueError, match="must share a length"):
+        chart_limit_plane(model, [[zero, (1,) * 5], [zero], [zero]])
+    for curves in ([[], [zero], [zero]], [[zero, (1,) * 5], [zero], [zero]]):
+        text = json.dumps({"model": {"kind": "segre", "dims": [3, 3, 3]},
+                           "curves": curves})
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["limit"]) == 1
+        assert capsys.readouterr().err
+
+
+def test_fubini_series_on_plain_lists_keeps_every_block():
+    # (t, t, 0) on the 2x2x2 chart: the degree-2 block starts at t^2, which
+    # a truncation at the number of coefficient vectors cut off
+    model = segre_model((2, 2, 2))
+    data = [(0, 0, 0), (1, 1, 0)]
+    got = fubini_series(model, data, 2)
+    assert got.order() == 2
+    assert got.prec == _exact_prec(model, data)
+    want = fubini_series(model, VectorSeries.from_polynomial(data, 6), 2)
+    assert got.polynomial_coefficients() == want.polynomial_coefficients()
+    rng = random.Random(217)
+    for model in _KIND_MODELS:
+        data = rand_curve(rng, model.tangent_dim, deg=3, order=1)
+        series = VectorSeries.from_polynomial(data, _exact_prec(model, data))
+        for s in range(2, model.base_degree + 1):
+            assert fubini_series(model, data, s) == fubini_series(model, series, s)
+
+
+def test_taylor_consistency_reads_whole_plain_curves(monkeypatch):
+    model = segre_model((2, 2, 2))
+    assert curve_taylor_consistency(model, [(0, 0, 0)] * 8 + [(1, 1, 0)])
+    precs = []
+    embed = limits.embed_curve
+
+    def spy(model, curve):
+        precs.append(curve.prec)
+        return embed(model, curve)
+
+    monkeypatch.setattr(limits, "embed_curve", spy)
+    rng = random.Random(218)
+    for model in (segre_model((3, 3, 3)), grassmann_model(3, 6)):
+        data = rand_curve(rng, model.tangent_dim, deg=9, order=3)
+        assert curve_taylor_consistency(model, data)
+        assert precs.pop() == _exact_prec(model, data)
