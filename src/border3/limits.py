@@ -25,6 +25,7 @@ from itertools import zip_longest
 
 from ._linalg import Echelon, _norm, rank, span_basis
 from .normal_forms import segre_model
+from .polytools import uadd, umul, uscale, utrim
 
 MAX_AMBIENT = 64  # widest ambient space limit_plane reduces in
 MAX_PREC = 1024  # largest wedge degree bound D that limit_plane reduces modulo t^D
@@ -258,20 +259,24 @@ class VectorSeries:
 
 
 class _Poly:
-    """Exact polynomial sum_k c_k t^k, index k for t^k, trailing zeros trimmed.
+    """Exact polynomial sum_k c_k t^k: a ring element for model.phi.
 
-    A ring element for model.phi: sums and products are exact, so no
-    truncation order is tracked.
+    Holds a polytools coefficient list (index k for t^k, trailing zeros
+    trimmed, integral Fractions as int).  Sums and products are exact, so
+    no truncation order is tracked.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        n = len(coeffs)
-        while n and not coeffs[n - 1]:
-            n -= 1
-        self.coeffs = coeffs[:n]
+        self.coeffs = utrim([_norm(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, coeffs):
+        """The _Poly of a trimmed, _norm'ed coefficient list, taken as is."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     def coeff(self, k):
         return self.coeffs[k] if k < len(self.coeffs) else 0
@@ -281,10 +286,7 @@ class _Poly:
             other = _Poly((other,))
         elif not isinstance(other, _Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return _Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return _Poly._of(uadd(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -295,17 +297,11 @@ class _Poly:
         return -1 * self + other
 
     def __mul__(self, other):
-        if not isinstance(other, _Poly):
-            if isinstance(other, (int, Fraction)):
-                return _Poly(other * c for c in self.coeffs)
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _Poly(out)
+        if isinstance(other, _Poly):
+            return _Poly._of(umul(self.coeffs, other.coeffs))
+        if isinstance(other, (int, Fraction)):
+            return _Poly._of(uscale(self.coeffs, other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -313,12 +309,10 @@ class _Poly:
 def _coefficient_vectors(values):
     """Coefficient vectors of a vector of _Poly or scalar entries.
 
-    Entries are _norm'ed, and trailing zero vectors trimmed down to one.
+    Trailing zero vectors are trimmed down to one.
     """
-    coeffs = [v.coeffs if isinstance(v, _Poly) else (v,) for v in values]
-    vecs = list(zip_longest(*coeffs, fillvalue=0)) or [(0,) * len(coeffs)]
-    return [v if all(type(x) is int for x in v) else tuple(map(_norm, v))
-            for v in vecs]
+    coeffs = [v.coeffs if isinstance(v, _Poly) else (_norm(v),) for v in values]
+    return list(zip_longest(*coeffs, fillvalue=0)) or [(0,) * len(coeffs)]
 
 
 def _curve_data(curve):
@@ -352,21 +346,15 @@ def parameterize(model, tangent_series):
 
     The tangent series lives in the chart coordinates; the result carries the
     full ambient coordinates at the same truncation order, with every graded
-    component of the chart map evaluated exactly.  A plain list of
-    coefficient vectors comes back at a truncation order that holds all of
-    its ambient coefficients.
+    component of the chart map evaluated exactly.
     """
-    if isinstance(tangent_series, VectorSeries):
-        width, data = len(tangent_series), None
-    else:
-        data = _curve_data(tangent_series)
-        width = len(data[0])
-    if width != model.tangent_dim:
+    if not isinstance(tangent_series, VectorSeries):
+        data = [tuple(v) for v in tangent_series]
+        p = _exact_prec(model, data)
+        tangent_series = VectorSeries.from_polynomial(data, p)
+    if len(tangent_series) != model.tangent_dim:
         raise ValueError("tangent series has wrong length for the model chart")
-    if data is None:
-        return embed_curve(model, tangent_series)
-    return VectorSeries.from_polynomial(_ambient_polynomial(model, data),
-                                        _exact_prec(model, data))
+    return embed_curve(model, tangent_series)
 
 
 def affine_tangent_frame(model, chart_point):
@@ -377,7 +365,7 @@ def affine_tangent_frame(model, chart_point):
     frame = [[_norm(x) for x in model.phi(cp)]]
     for j in range(model.tangent_dim):
         v = [_Poly((cp[i], 1 if i == j else 0)) for i in range(len(cp))]
-        frame.append([_norm(a.coeff(1)) if isinstance(a, _Poly) else 0
+        frame.append([a.coeff(1) if isinstance(a, _Poly) else 0
                       for a in model.phi(v)])
     return frame
 
@@ -386,7 +374,7 @@ def second_order_offset(model, chart_point, direction):
     """s^2 coefficient vector of the chart map along chart_point + s*direction."""
     cp, u = list(chart_point), list(direction)
     amb = model.phi([_Poly((cp[i], u[i])) for i in range(len(cp))])
-    return [_norm(a.coeff(2)) if isinstance(a, _Poly) else 0 for a in amb]
+    return [a.coeff(2) if isinstance(a, _Poly) else 0 for a in amb]
 
 
 def second_fundamental_vanishes(model, chart_point, direction):

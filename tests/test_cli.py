@@ -258,8 +258,12 @@ def test_limit_verb_degenerate_and_bad_config(capsys, monkeypatch):
     rng = random.Random(31)
     # three identical curves: the wedge is identically zero, at any degree
     tall = [zero] + [[rng.randint(-3, 3) for _ in range(6)] for _ in range(9)]
-    for curve in ([zero, [1, 2, 0, 1, 0, 1]], tall):
-        cfg = _limit_config([curve, curve, curve])
+    # 1x1x1 Segre is a point with a chart of width 0: all three curves stay
+    # at its one ambient point, so they span a line and the wedge is zero
+    point = json.dumps({"model": {"kind": "segre", "dims": [1, 1, 1]},
+                        "curves": [[[]]] * 3})
+    cfgs = [_limit_config([c, c, c]) for c in ([zero, [1, 2, 0, 1, 0, 1]], tall)]
+    for cfg in cfgs + [point]:
         code, out, _ = run_cli(capsys, ["limit"], stdin=cfg,
                                monkeypatch=monkeypatch)
         assert code == 0

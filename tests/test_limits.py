@@ -730,10 +730,6 @@ def _typed(vectors):
     return [[(type(x), x) for x in v] for v in vectors]
 
 
-def _exact_prec(model, data):
-    return (len(data) - 1) * model.base_degree + 2
-
-
 @st.composite
 def _chart_curves(draw):
     model = draw(st.sampled_from(_KIND_MODELS))
@@ -746,7 +742,7 @@ def _chart_curves(draw):
 @given(_chart_curves())
 def test_ambient_polynomial_matches_series_embedding(case):
     model, data = case
-    series = VectorSeries.from_polynomial(data, _exact_prec(model, data))
+    series = VectorSeries.from_polynomial(data, limits._exact_prec(model, data))
     want = embed_curve(model, series).polynomial_coefficients()
     assert _typed(_ambient_polynomial(model, data)) == _typed(want)
 
@@ -844,13 +840,13 @@ def test_fubini_series_on_plain_lists_keeps_every_block():
     data = [(0, 0, 0), (1, 1, 0)]
     got = fubini_series(model, data, 2)
     assert got.order() == 2
-    assert got.prec == _exact_prec(model, data)
+    assert got.prec == limits._exact_prec(model, data)
     want = fubini_series(model, VectorSeries.from_polynomial(data, 6), 2)
     assert got.polynomial_coefficients() == want.polynomial_coefficients()
     rng = random.Random(217)
     for model in _KIND_MODELS:
         data = rand_curve(rng, model.tangent_dim, deg=3, order=1)
-        series = VectorSeries.from_polynomial(data, _exact_prec(model, data))
+        series = VectorSeries.from_polynomial(data, limits._exact_prec(model, data))
         for s in range(2, model.base_degree + 1):
             assert fubini_series(model, data, s) == fubini_series(model, series, s)
 
@@ -870,4 +866,4 @@ def test_taylor_consistency_reads_whole_plain_curves(monkeypatch):
     for model in (segre_model((3, 3, 3)), grassmann_model(3, 6)):
         data = rand_curve(rng, model.tangent_dim, deg=9, order=3)
         assert curve_taylor_consistency(model, data)
-        assert precs.pop() == _exact_prec(model, data)
+        assert precs.pop() == limits._exact_prec(model, data)
