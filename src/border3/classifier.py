@@ -113,10 +113,22 @@ def _orbit_from_patterns(pats):
 
 
 def _decide_concise_333(core):
-    """('gt3', witness) / ('orbit', k) / ('unknown', witness) for concise cores."""
+    """('gt3', witness) / ('orbit', k) / ('unknown', witness) for concise cores.
+
+    The decision runs on den * core, with den the lcm of the entries'
+    denominators, so on integers.  That changes no verdict: the quartics are
+    homogeneous of degree 4, so each one vanishes on den * core exactly when
+    it vanishes on core, and the slice cubics of den * core are den^3 times
+    those of core, with the same line patterns.  A nonzero quartic value v of
+    den * core is v / den^4 on core, and the witness quotes that value.
+    """
+    den = math.lcm(*(x.denominator for x in core.entries))
+    if den != 1:
+        core = den * core
     vals = strassen_equations(core)
     for i, v in enumerate(vals):
         if v:
+            v = _norm(Fraction(v, den ** 4))
             return ("gt3", f"degree-4 commutation equation {i} is nonzero ({v})")
     pats = [cubic_line_pattern(slice_det_cubic(core, m)) for m in range(3)]
     k = _orbit_from_patterns(pats)

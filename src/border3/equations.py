@@ -10,7 +10,8 @@ from the same block function by polarization: each block is linear in Y and
 Z and quadratic in X, so every partial derivative is one or two exact
 evaluations of the block at a unit-matrix displacement.
 
-The slice cubic det(s S0 + t S1 + u S2) splits into lines in one of four
+The slice cubic det(s S0 + t S1 + u S2), whose coefficients are sums of
+mixed determinants of the slices' rows, splits into lines in one of four
 ways (zero, a cube, a square times a line, squarefree), and linear algebra
 tells them apart: the rank of its three partials is 1 for a cube and 3 for
 a squarefree cubic, and at rank 2 the cubic is a cone over a binary cubic,
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from itertools import product
 
 from ._linalg import _norm, rank, rref
 from .tensor import _gather, multilinear_rank, slice_matrices
@@ -115,7 +116,7 @@ def strassen_jacobian_rank(t):
     """Rank of the 27x27 Jacobian of the quartic system at t."""
     # the quartics are homogeneous, so clearing denominators scales the
     # Jacobian by a nonzero constant: same rank, integer arithmetic
-    den = math.lcm(*(Fraction(x).denominator for x in t.entries))
+    den = math.lcm(*(x.denominator for x in t.entries))
     return rank(_jacobian(den * t))
 
 
@@ -147,32 +148,53 @@ class TernaryCubic:
         return _norm(total)
 
 
+def _mixed_terms():
+    """The 27 ways to take row 0 from slice a, row 1 from slice b and row 2
+    from slice c, as (a, 3b + c) pairs grouped by the exponent of (s, t, u)
+    they feed: how often each slice is used."""
+    groups = {}
+    for a, b, c in product(range(3), repeat=3):
+        e = tuple((a, b, c).count(v) for v in range(3))
+        groups.setdefault(e, []).append((a, 3 * b + c))
+    return tuple(sorted((e, tuple(ts)) for e, ts in groups.items()))
+
+
+_MIXED_TERMS = _mixed_terms()
+
+
 def slice_det_cubic(t, mode):
-    """det(s*S0 + t*S1 + u*S2) for the slices along a mode of a 3x3x3 tensor."""
+    """det(s*S0 + t*S1 + u*S2) for the slices along a mode of a 3x3x3 tensor.
+
+    The determinant is linear in each row, so the coefficient of s^i t^j u^k
+    is the sum of the mixed determinants det(row 0 of S_a, row 1 of S_b,
+    row 2 of S_c) over the assignments (a, b, c) that use slice 0 i times,
+    slice 1 j times and slice 2 k times.  Each is row 0 of S_a dotted with
+    the cross product of the other two rows.  The cubic of c*T is c^3 times
+    that of T, so a caller that only reads its line pattern may clear the
+    denominators of T first and work on integers.
+    """
     if t.dims != (3, 3, 3):
         raise ValueError("slice determinants are defined for dims (3, 3, 3)")
-    s0, s1, s2 = slice_matrices(t, mode)
-    # entry (r,c) is the linear form s0[r][c]*s + s1[r][c]*t + s2[r][c]*u
-    lin = [[(s0[r][c], s1[r][c], s2[r][c]) for c in range(3)] for r in range(3)]
-    out = {}
-    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        # product of three linear forms
-        prod = {(0, 0, 0): sign}
-        for r in range(3):
-            f = lin[r][perm[r]]
-            nxt = {}
-            for e, c in prod.items():
-                for v in range(3):
-                    if f[v]:
-                        e2 = list(e)
-                        e2[v] += 1
-                        e2 = tuple(e2)
-                        nxt[e2] = nxt.get(e2, 0) + c * f[v]
-            prod = nxt
-        for e, c in prod.items():
-            out[e] = out.get(e, 0) + c
-    return TernaryCubic.from_dict({e: _norm(c) for e, c in out.items() if c})
+    slices = slice_matrices(t, mode)
+    first = [m[0] for m in slices]
+    # cross[3b + c] = (row 1 of S_b) x (row 2 of S_c)
+    cross = []
+    for m in slices:
+        y0, y1, y2 = m[1]
+        for n in slices:
+            z0, z1, z2 = n[2]
+            cross.append((y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0))
+    coeffs = []
+    for e, terms in _MIXED_TERMS:
+        c = 0
+        for a, bc in terms:
+            x0, x1, x2 = first[a]
+            w0, w1, w2 = cross[bc]
+            c += x0 * w0 + x1 * w1 + x2 * w2
+        if c:
+            coeffs.append((e, _norm(c)))
+    # _MIXED_TERMS is sorted, so these are already in from_dict's order
+    return TernaryCubic(tuple(coeffs))
 
 
 class LinePattern(Enum):

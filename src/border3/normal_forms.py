@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 import math
 
@@ -235,16 +236,21 @@ class CominusculeModel:
 
     def ambient_slots(self):
         """Slot labels in ambient order, each tagged with its form degree s."""
+        return self._slots
+
+    @cached_property
+    def _slots(self):
+        # built once per model: phi reads the slots on every evaluation
         if self.kind == "segre":
-            return [(sum(1 for x in idx if x), idx)
-                    for idx in product(*map(range, self.dims))]
+            return tuple((sum(1 for x in idx if x), idx)
+                         for idx in product(*map(range, self.dims)))
         if self.kind == "grassmann":
             out = []
             for s in range(self.k + 1):
                 for rs in combinations(range(self.k), s):
                     for cs in combinations(range(self.n - self.k), s):
                         out.append((s, (rs, cs)))
-            return out
+            return tuple(out)
         if self.kind == "lagrangian":
             out = []
             for s in range(self.k + 1):
@@ -252,12 +258,12 @@ class CominusculeModel:
                 for i, rs in enumerate(subs):
                     for cs in subs[i:]:
                         out.append((s, (rs, cs)))
-            return out
+            return tuple(out)
         out = []
         for s in range(0, self.k + 1, 2):
             for sub in combinations(range(self.k), s):
                 out.append((s // 2, sub))
-        return out
+        return tuple(out)
 
     @property
     def ambient_dim(self):

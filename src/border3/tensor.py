@@ -276,7 +276,12 @@ def random_tensor(dims, rng, lo=-9, hi=9):
 # ---- scalar and JSON conventions ----
 
 def parse_scalar(s):
-    """Accept int, 'p', or 'p/q' strings; exact."""
+    """Accept int, 'p', or 'p/q' strings; exact.
+
+    A plain integer string is read by int(); any other string goes through
+    Fraction, except exponent notation, whose exponent could make the
+    number arbitrarily long.
+    """
     if isinstance(s, bool):
         raise ValueError("boolean is not a scalar")
     if isinstance(s, int):
@@ -284,6 +289,12 @@ def parse_scalar(s):
     if isinstance(s, Fraction):
         return _norm(s)
     if isinstance(s, str):
+        digits = s[1:] if s[:1] == "-" else s
+        if digits.isdigit() and digits.isascii():
+            return int(s)
+        if "e" in s or "E" in s:
+            raise ValueError(f"scalar {s!r} uses exponent notation; "
+                             "write it as 'p' or 'p/q'")
         try:
             return _norm(Fraction(s))
         except ZeroDivisionError:

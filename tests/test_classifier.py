@@ -1,18 +1,23 @@
 import random
+import re
+from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from border3 import classifier
 from border3.classifier import (
     GREATER_THAN_3, UNKNOWN, classify, orbit_dimension,
     scheme_intersection_check, stabilizer_dimension,
 )
+from border3.equations import cubic_line_pattern, slice_det_cubic, strassen_equations
 from border3.normal_forms import (
     ORBIT_IDS, ORBIT_INFO, orbit_representative, sigma2_point, sigma3_point,
 )
 from border3.tensor import (
-    apply_gl, basis_tensor, make_tensor, random_gl_tuple, random_tensor,
-    rank_one, zero_tensor,
+    apply_gl, basis_tensor, concise_core, make_tensor, random_gl_tuple,
+    random_tensor, rank_one, squeeze, zero_tensor,
 )
 
 
@@ -154,6 +159,53 @@ def test_two_rational_rank_one_terms_keep_rank_two(terms):
     rep = classify(t)
     assert rep.border_rank_class in (0, 1, 2)
     assert rep.rank == rep.border_rank_class
+
+
+def _decide_unscaled(core):
+    """The concise 3x3x3 decision on the core as given, without clearing
+    its denominators first."""
+    for i, v in enumerate(strassen_equations(core)):
+        if v:
+            return ("gt3", f"degree-4 commutation equation {i} is nonzero ({v})")
+    pats = [cubic_line_pattern(slice_det_cubic(core, m)) for m in range(3)]
+    k = classifier._orbit_from_patterns(pats)
+    if k is None:
+        return ("unknown", "slice determinant patterns "
+                f"{[p.value for p in pats]} match no catalog row")
+    return ("orbit", k)
+
+
+_small_rationals = st.one_of(
+    st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@st.composite
+def _rational_333(draw):
+    """A sparse rational 3x3x3 tensor, or a GL-moved orbit point scaled by p/q."""
+    if draw(st.booleans()):
+        entries = draw(st.lists(_small_rationals, min_size=27, max_size=27))
+        keep = draw(st.lists(st.integers(0, 2), min_size=27, max_size=27))
+        return make_tensor((3, 3, 3), [v if k else 0 for v, k in zip(entries, keep)])
+    rep = orbit_representative(draw(st.sampled_from(ORBIT_IDS)))
+    g = random_gl_tuple((3, 3, 3), random.Random(draw(st.integers(0, 10 ** 6))))
+    scale = Fraction(draw(st.integers(-20, 20).filter(bool)), draw(st.integers(1, 20)))
+    return scale * apply_gl(rep, g)
+
+
+_QUARTIC_WITNESS = re.compile(r"degree-4 commutation equation (\d+) is nonzero \((.+)\)")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rational_333())
+def test_integer_decision_changes_no_report(t):
+    rep = classify(t).as_dict()
+    with patch.object(classifier, "_decide_concise_333", _decide_unscaled):
+        assert rep == classify(t).as_dict()
+    for w in rep["witnesses"]:
+        m = _QUARTIC_WITNESS.fullmatch(w)
+        if m:
+            core, _ = squeeze(concise_core(t).core)
+            assert m.group(2) == str(strassen_equations(core)[int(m.group(1))])
 
 
 def test_greater_than_3_detection():

@@ -346,6 +346,25 @@ def test_oversized_input_is_a_usage_error(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     ["classify"], ["rank", "--field", "2"], ["stabilizer"], ["strassen"],
+    ["limit"],
+])
+def test_exponent_notation_is_a_usage_error(capsys, monkeypatch, argv):
+    # Fraction("1e10000000") builds a ten-million-digit integer: seconds
+    if argv == ["limit"]:
+        stdin = _limit_config([[[0] * 6], [[0] * 6, ["1e10000000"] + [1] * 5],
+                               [[0] * 6, [1] * 6]])
+    else:
+        stdin = json.dumps({"dims": [1, 1, 1], "entries": ["1e10000000"]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exponent" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["rank", "--field", "2"], ["stabilizer"], ["strassen"],
 ])
 @pytest.mark.parametrize("blob", [
     {"dims": [2.9, True], "entries": ["1", "2"]},

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from border3._linalg import rank
+from border3._linalg import _norm, rank
 from border3.equations import (
     LinePattern, TernaryCubic, _jacobian, cubic_line_pattern, slice_det_cubic,
     strassen_equations, strassen_jacobian_rank, subspace_membership,
@@ -11,8 +11,8 @@ from border3.equations import (
 from border3.normal_forms import ORBIT_IDS, orbit_representative
 from border3.polytools import bivariate_is_constant, gcd_bivariate, padd, pclean, pmul
 from border3.tensor import (
-    Tensor, make_tensor, random_gl_tuple, random_tensor, random_unimodular,
-    rank_one, apply_gl, zero_tensor,
+    Tensor, make_tensor, permute_modes, random_gl_tuple, random_tensor,
+    random_unimodular, rank_one, apply_gl, slice_matrices, zero_tensor,
 )
 
 
@@ -128,6 +128,67 @@ def test_slice_det_cubic_values():
     t38 = orbit_representative(38)
     c38 = slice_det_cubic(t38, 0)
     assert c38.as_dict() == {(2, 0, 1): -1}  # det [[t,s,0],[s,0,0],[0,0,u]] = -s^2 u
+
+
+# ---- slice cubics against the expansion by products of linear forms -------
+
+def _reference_slice_det_cubic(t, mode):
+    """det(s*S0 + t*S1 + u*S2) by the Leibniz formula, each term a product
+    of three linear forms in (s, t, u) expanded through dicts."""
+    s0, s1, s2 = slice_matrices(t, mode)
+    lin = [[(s0[r][c], s1[r][c], s2[r][c]) for c in range(3)] for r in range(3)]
+    out = {}
+    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        prod = {(0, 0, 0): sign}
+        for r in range(3):
+            f = lin[r][perm[r]]
+            nxt = {}
+            for e, c in prod.items():
+                for v in range(3):
+                    if f[v]:
+                        e2 = list(e)
+                        e2[v] += 1
+                        e2 = tuple(e2)
+                        nxt[e2] = nxt.get(e2, 0) + c * f[v]
+            prod = nxt
+        for e, c in prod.items():
+            out[e] = out.get(e, 0) + c
+    return TernaryCubic.from_dict({e: _norm(c) for e, c in out.items() if c})
+
+
+@st.composite
+def _slice_tensors(draw):
+    """Integer or rational 3x3x3 tensors: dense, sparse, or with three
+    slices of ranks 0-3 (sums of outer products) along a random mode."""
+    scalars = draw(st.sampled_from((st.integers(-9, 9), _scalars)))
+    kind = draw(st.sampled_from(("dense", "sparse", "low_rank")))
+    if kind == "low_rank":
+        entries = [0] * 27
+        for a in range(3):
+            for _ in range(draw(st.integers(0, 3))):
+                x = draw(st.lists(scalars, min_size=3, max_size=3))
+                y = draw(st.lists(scalars, min_size=3, max_size=3))
+                for r in range(3):
+                    for c in range(3):
+                        entries[9 * a + 3 * r + c] += x[r] * y[c]
+        t = make_tensor((3, 3, 3), [_norm(v) for v in entries])
+        return permute_modes(t, draw(st.permutations(range(3))))
+    entries = draw(st.lists(scalars, min_size=27, max_size=27))
+    if kind == "sparse":
+        keep = draw(st.lists(st.booleans(), min_size=27, max_size=27))
+        entries = [v if k else 0 for v, k in zip(entries, keep)]
+    return make_tensor((3, 3, 3), entries)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_slice_tensors())
+def test_slice_det_cubic_matches_linear_form_expansion(t):
+    for mode in range(3):
+        got = slice_det_cubic(t, mode)
+        want = _reference_slice_det_cubic(t, mode)
+        assert got == want
+        assert [type(c) for _, c in got.coeffs] == [type(c) for _, c in want.coeffs]
 
 
 def test_patterns_are_basis_change_invariant():

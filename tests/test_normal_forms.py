@@ -123,8 +123,8 @@ def test_model_dimensions():
               + [spinor_model(k) for k in range(1, 10)])
     for model in models:
         assert model.ambient_dim == len(model.ambient_slots())
-    assert segre_model((2, 3)).ambient_slots() == [
-        (0, (0, 0)), (1, (0, 1)), (1, (0, 2)), (1, (1, 0)), (2, (1, 1)), (2, (1, 2))]
+    assert segre_model((2, 3)).ambient_slots() == (
+        (0, (0, 0)), (1, (0, 1)), (1, (0, 2)), (1, (1, 0)), (2, (1, 1)), (2, (1, 2)))
     with pytest.raises(ValueError):
         CominusculeModel("grassmann", k=3, n=3)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from border3._linalg import _norm
 from border3.normal_forms import ORBIT_IDS, orbit_representative
 from border3.tensor import (
     GLTuple, Tensor, apply_gl, apply_mode_map, basis_tensor, concise_core,
@@ -206,6 +207,36 @@ def test_parse_scalar_rejects_zero_denominator():
     for text in ("1/0", "-3/0", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_scalar(text)
+
+
+_scalar_texts = st.one_of(
+    st.text(),
+    st.text(alphabet=" +-/._0123456789٣eE", max_size=12),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(-10 ** 6, 10 ** 6)),
+    st.sampled_from(["", "-", "-0", "007", "+7", " 7", "7 ", "٣", "1_0",
+                     "1.5", "-1/2", "1/-2", "1e5", "2E-3", "1e10000000"]),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_scalar_texts)
+def test_parse_scalar_agrees_with_fraction(text):
+    """Integer strings take a shortcut that must give Fraction's answer;
+    exponent notation is the one form refused where Fraction accepts it."""
+    if "e" in text or "E" in text:
+        with pytest.raises(ValueError, match="exponent"):
+            parse_scalar(text)
+        return
+    try:
+        want = _norm(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+        return
+    got = parse_scalar(text)
+    assert got == want and type(got) is type(want)
 
 
 def test_gl_tuple_validation():
