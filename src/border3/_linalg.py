@@ -24,7 +24,8 @@ from operator import attrgetter
 
 def _norm(x):
     """Collapse integral Fractions back to int."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    # an exact type test: isinstance on an int goes through the numbers ABCs
+    if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
 

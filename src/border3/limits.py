@@ -1,10 +1,11 @@
 """Curves on chart models and their limit planes.
 
-Limit planes evaluate the chart map on exact polynomials: each chart
+The chart map is always evaluated on exact polynomials (_Poly): each chart
 coordinate of a polynomial curve is a polynomial in t with exact rational
-coefficients, and the model's embedding is a polynomial in those, so no
-truncation order is chosen.  The truncated series types (ScalarSeries,
-VectorSeries) remain for the APIs that take or return truncated series.
+coefficients, and the model's embedding is a polynomial in those.  The
+truncated series types (ScalarSeries, VectorSeries) are coefficient records
+with no arithmetic; APIs that take or return them truncate the exact
+polynomial value at the series' order.
 
 The limit at t=0 of the moving span of three curve points is computed by
 one valuation row reduction of the polynomial rows modulo t^D.  Row
@@ -36,7 +37,12 @@ class PrecisionError(RuntimeError):
 
 
 class ScalarSeries:
-    """Truncated power series sum_k c_k t^k for k < prec, exact coefficients."""
+    """Truncated power series sum_k c_k t^k for k < prec: a coefficient record.
+
+    The coefficients are exact (integral Fractions as int).  The record has
+    no arithmetic: series values are computed on exact polynomials (_Poly)
+    and truncated when a series is built.
+    """
 
     __slots__ = ("prec", "coeffs")
 
@@ -75,86 +81,6 @@ class ScalarSeries:
     def is_zero(self):
         return self.order() is None
 
-    def _coerce(self, other):
-        if isinstance(other, ScalarSeries):
-            if other.prec != self.prec:
-                raise ValueError("mixing series with different truncation orders")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ScalarSeries.constant(other, self.prec)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ScalarSeries(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)), self.prec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ScalarSeries(tuple(a - b for a, b in zip(self.coeffs, o.coeffs)), self.prec)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return ScalarSeries(tuple(-c for c in self.coeffs), self.prec)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return ScalarSeries((0,), self.prec)
-            return ScalarSeries(tuple(other * c for c in self.coeffs), self.prec)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = self.prec
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return ScalarSeries(tuple(out), n)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        out = ScalarSeries.constant(1, self.prec)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def compose(self, inner):
-        """Substitute t -> inner(t); inner must vanish at 0."""
-        inner = self._coerce(inner)
-        if inner is None or inner.coeffs[0]:
-            raise ValueError("composition needs a series vanishing at 0")
-        out = ScalarSeries.constant(self.coeffs[-1], self.prec)
-        for k in range(self.prec - 2, -1, -1):
-            out = out * inner + self.coeffs[k]
-        return out
-
-    def scaled(self, c):
-        """Reparameterize t -> c*t."""
-        f = 1
-        out = []
-        for a in self.coeffs:
-            out.append(_norm(a * f))
-            f *= c
-        return ScalarSeries(tuple(out), self.prec)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ScalarSeries.constant(other, self.prec)
@@ -190,16 +116,8 @@ class VectorSeries:
     @classmethod
     def from_polynomial(cls, coeff_vectors, prec):
         """Curve sum_k t^k * coeff_vectors[k] at the given truncation."""
-        coeff_vectors = [tuple(v) for v in coeff_vectors]
-        if not coeff_vectors:
-            raise ValueError("a curve needs at least one coefficient vector")
-        n = len(coeff_vectors[0])
-        if any(len(v) != n for v in coeff_vectors):
-            raise ValueError("coefficient vectors must share a length")
-        parts = []
-        for i in range(n):
-            parts.append(ScalarSeries(tuple(v[i] for v in coeff_vectors[:prec]), prec))
-        return cls(parts)
+        data = _curve_data(coeff_vectors)
+        return cls(ScalarSeries(col[:prec], prec) for col in zip(*data))
 
     def __len__(self):
         return len(self.parts)
@@ -224,30 +142,6 @@ class VectorSeries:
         orders = [p.order() for p in self.parts]
         orders = [o for o in orders if o is not None]
         return min(orders) if orders else None
-
-    def leading_vector(self):
-        o = self.order()
-        if o is None:
-            return None
-        return self.coeff_vector(o)
-
-    def __add__(self, other):
-        return VectorSeries(a + b for a, b in zip(self.parts, other.parts))
-
-    def __sub__(self, other):
-        return VectorSeries(a - b for a, b in zip(self.parts, other.parts))
-
-    def __rmul__(self, c):
-        return VectorSeries(c * p for p in self.parts)
-
-    def scale_series(self, s):
-        return VectorSeries(p * s for p in self.parts)
-
-    def compose(self, inner):
-        return VectorSeries(p.compose(inner) for p in self.parts)
-
-    def scaled(self, c):
-        return VectorSeries(p.scaled(c) for p in self.parts)
 
     def __eq__(self, other):
         if not isinstance(other, VectorSeries):
@@ -331,14 +225,14 @@ def _exact_prec(model, data):
 
 
 def embed_curve(model, curve):
-    """Ambient coordinates of the model chart map along a chart curve."""
-    vals = model.phi(list(curve.parts))
-    prec = curve.prec
-    parts = [
-        v if isinstance(v, ScalarSeries) else ScalarSeries.constant(v, prec)
-        for v in vals
-    ]
-    return VectorSeries(parts)
+    """Ambient coordinates of the model chart map along a chart curve.
+
+    The chart map is evaluated on the exact polynomial the curve's tracked
+    coefficients spell, then truncated at the curve's order: truncation
+    modulo t^prec is a ring homomorphism, so this is the series value.
+    """
+    return VectorSeries.from_polynomial(
+        _ambient_polynomial(model, curve.polynomial_coefficients()), curve.prec)
 
 
 def parameterize(model, tangent_series):

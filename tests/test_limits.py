@@ -52,10 +52,6 @@ from border3._linalg import rank
 from border3.equations import strassen_equations
 
 
-def rand_series(rng, prec):
-    return ScalarSeries(tuple(rng.randint(-4, 4) for _ in range(prec)), prec)
-
-
 def rand_curve(rng, dim, deg, order=1):
     vecs = [[0] * dim for _ in range(order)]
     vecs += [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(deg)]
@@ -64,40 +60,25 @@ def rand_curve(rng, dim, deg, order=1):
     return vecs
 
 
-def test_scalar_series_arithmetic():
+def test_scalar_series_records():
     s = ScalarSeries((1, 2), 4)
     assert s.coeffs == (1, 2, 0, 0)
     assert ScalarSeries((1, 2, 3, 4), 2).coeffs == (1, 2)
+    assert ScalarSeries((Fraction(4, 2), Fraction(1, 2))).coeffs == (2, Fraction(1, 2))
+    assert type(ScalarSeries((Fraction(4, 2),)).coeffs[0]) is int
     t = ScalarSeries((0, 1), 4)
-    assert (s + t).coeffs == (1, 3, 0, 0)
-    assert (s - 1).coeffs == (0, 2, 0, 0)
-    assert (3 * t).coeffs == (0, 3, 0, 0)
-    assert (s * t).coeffs == (0, 1, 2, 0)
-    assert (-s).coeffs == (-1, -2, 0, 0)
-    assert (t ** 3).coeffs == (0, 0, 0, 1)
     assert t.order() == 1
     assert ScalarSeries.constant(0, 3).order() is None
+    assert ScalarSeries.constant(0, 3).is_zero() and not t.is_zero()
+    assert ScalarSeries.constant(5, 2) == 5 and s != 1
+    assert hash(ScalarSeries((1, 2, 0), 3)) == hash(ScalarSeries((1, 2), 3))
     assert s.coeff(1) == 2
     with pytest.raises(PrecisionError):
         s.coeff(4)
     with pytest.raises(ValueError):
-        s + ScalarSeries((1,), 3)
-    assert s.scaled(2).coeffs == (1, 4, 0, 0)
-
-
-def test_scalar_series_inverse_and_compose():
-    rng = random.Random(201)
-    one = ScalarSeries.constant(1, 6)
-    t = ScalarSeries((0, 1), 6)
-    for _ in range(25):
-        f = rand_series(rng, 6)
-        g = rand_series(rng, 6)
-        h = rand_series(rng, 6) * t  # vanishes at 0
-        assert f.compose(t) == f
-        assert (f * g).compose(h) == f.compose(h) * g.compose(h)
-        assert (f + g).compose(h) == f.compose(h) + g.compose(h)
-    with pytest.raises(ValueError):
-        t.compose(one)
+        ScalarSeries((), 0)
+    with pytest.raises(AttributeError):
+        s.prec = 5
 
 
 def test_vector_series_basics():
@@ -106,17 +87,22 @@ def test_vector_series_basics():
     assert vs.polynomial_coefficients() == [(1, 0), (0, 2), (3, 0)]
     assert vs.coeff_vector(1) == (0, 2)
     assert vs.order() == 0
+    assert len(vs) == 2 and list(vs) == [vs[0], vs[1]]
+    assert vs[0].coeffs == (1, 0, 3, 0, 0)
     shifted = VectorSeries.from_polynomial([(0, 0), (0, 0), (1, 1)], 5)
     assert shifted.order() == 2
-    assert shifted.leading_vector() == (1, 1)
-    assert (vs - vs).order() is None
-    assert (2 * vs).coeff_vector(2) == (6, 0)
-    inner = ScalarSeries((0, 1, 1), 5)
-    comp = vs.compose(inner)
-    # t -> t + t^2 applied to 1 + 3t^2: 1 + 3(t + t^2)^2
-    assert comp.parts[0].coeffs == (1, 0, 3, 6, 3)
-    assert vs.scaled(-1).coeff_vector(1) == (0, -2)
+    assert VectorSeries.from_polynomial([(0, 0)], 3).order() is None
     assert VectorSeries.from_polynomial(vecs, 3).prec == 3
+    assert VectorSeries.from_polynomial(vecs, 2).polynomial_coefficients() == \
+        [(1, 0), (0, 2)]
+    assert type(VectorSeries.from_polynomial([(Fraction(6, 3),)], 1)
+                .coeff_vector(0)[0]) is int
+    with pytest.raises(ValueError, match="at least one coefficient vector"):
+        VectorSeries.from_polynomial([], 3)
+    with pytest.raises(ValueError, match="must share a length"):
+        VectorSeries.from_polynomial([(1, 0), (1,)], 3)
+    with pytest.raises(ValueError, match="share a truncation order"):
+        VectorSeries([ScalarSeries((1,), 2), ScalarSeries((1,), 3)])
 
 
 def test_embed_curve_matches_pointwise_evaluation():
@@ -268,22 +254,32 @@ def test_limit_plane_samples_classify_to_expected_orbits():
             assert (orbit, factor) in seen, (tag, factor, seen)
 
 
+def _compose(data, inner):
+    """Coefficient vectors of the curve sum_k t^k data[k] at t -> inner(t)."""
+    out = [[0] * len(data[0])]
+    power = [1]
+    for vec in data:
+        for k, c in enumerate(power):
+            if k == len(out):
+                out.append([0] * len(vec))
+            out[k] = [a + c * x for a, x in zip(out[k], vec)]
+        power = _pmul(power, inner)
+    return out
+
+
 def test_limit_plane_reparameterization_invariance():
     model = segre_model((3, 3, 3))
     rng = random.Random(208)
+    assert _compose([(1, 0), (0, 0), (3, 1)], [0, 1, 1]) == \
+        [[1, 0], [0, 0], [3, 1], [6, 2], [3, 1]]
     for tag, factor in [("ii", 1), ("iii", 1), ("iv", 2)]:
         fam = secant_curve_family(tag, model, rng, factor=factor)
         base = chart_limit_plane(model, fam.curves)
-        prec = 12
-        inner = ScalarSeries((0, 1, rng.randint(-2, 2), 1), prec)
-        reparam = []
-        for data in fam.curves:
-            vs = VectorSeries.from_polynomial(data, prec)
-            reparam.append(vs.compose(inner))
-        redone = chart_limit_plane(model, reparam)
-        assert redone.plane == base.plane
-        scaled = [VectorSeries.from_polynomial(d, prec).scaled(3)
-                  for d in fam.curves]
+        inner = [0, 1, rng.randint(-2, 2), 1]
+        reparam = [_compose(data, inner) for data in fam.curves]
+        assert chart_limit_plane(model, reparam).plane == base.plane
+        scaled = [VectorSeries.from_polynomial(_compose(data, [0, 3]), 12)
+                  for data in fam.curves]
         assert chart_limit_plane(model, scaled).plane == base.plane
 
 
@@ -738,31 +734,37 @@ def _chart_curves(draw):
     return model, draw(st.lists(vec, min_size=1, max_size=5))
 
 
+def _at(vectors, tau):
+    """The polynomial curve sum_k t^k vectors[k] evaluated at t = tau."""
+    return [sum(v[i] * tau ** k for k, v in enumerate(vectors))
+            for i in range(len(vectors[0]))]
+
+
+def _assert_interpolates(got, degree, value_at):
+    """got is a trimmed list of exact coefficient vectors of a polynomial of
+    degree <= degree that takes value_at(tau) at degree + 1 distinct
+    rationals tau, which fixes it."""
+    assert len(got) <= degree + 1
+    assert len(got) == 1 or any(got[-1])
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for v in got for x in v)
+    for j in range(degree + 1):
+        tau = Fraction(j - degree // 2, 3)
+        assert _at(got, tau) == value_at(tau)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_chart_curves())
-def test_ambient_polynomial_matches_series_embedding(case):
+@given(_chart_curves(), st.integers(1, 14))
+def test_ambient_polynomial_matches_series_embedding(case, prec):
     model, data = case
-    series = VectorSeries.from_polynomial(data, limits._exact_prec(model, data))
-    want = embed_curve(model, series).polynomial_coefficients()
-    assert _typed(_ambient_polynomial(model, data)) == _typed(want)
-
-
-def _series_config_curves(cfg):
-    """The configuration's three chart curves built from truncated series."""
-    pv = cfg.v.polynomial_coefficients()
-    pw = cfg.w.polynomial_coefficients()
-    pl = list(cfg.lam.coeffs)
-    while len(pl) > 1 and not pl[-1]:
-        pl.pop()
-    p = max(8, cfg.k + len(pv) + len(pl), cfg.l + len(pw)) + 1
-    v = VectorSeries.from_polynomial(pv, p)
-    w = VectorSeries.from_polynomial(pw, p)
-    lam = ScalarSeries(tuple(pl), p)
-    tk = ScalarSeries((0,) * cfg.k + (1,), p)
-    tl = ScalarSeries((0,) * cfg.l + (1,), p)
-    zero = VectorSeries.from_polynomial([(0,) * len(v)], p)
-    return (zero, v.scale_series(tk),
-            v.scale_series(lam * tk) + w.scale_series(tl))
+    got = _ambient_polynomial(model, data)
+    _assert_interpolates(got, (len(data) - 1) * model.base_degree,
+                         lambda tau: model.phi(_at(data, tau)))
+    # embedding a truncated curve truncates the exact ambient polynomial
+    amb = embed_curve(model, VectorSeries.from_polynomial(data, prec))
+    assert amb.prec == prec
+    want = (got + [(0,) * model.ambient_dim] * prec)[:prec]
+    assert _typed([amb.coeff_vector(k) for k in range(prec)]) == _typed(want)
 
 
 @st.composite
@@ -786,11 +788,22 @@ def _configs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_configs())
 def test_limit_config_plane_matches_series_construction(cfg):
-    series_curves = _series_config_curves(cfg)
-    want = [c.polynomial_coefficients() for c in series_curves]
-    assert [_typed(c) for c in limit_config_curves(cfg)] == \
-        [_typed(c) for c in want]
-    assert limit_config_plane(cfg) == chart_limit_plane(cfg.model, series_curves)
+    def value(series, tau):
+        return _at([series.coeff_vector(k) for k in range(series.prec)], tau)
+
+    lam = [(c,) for c in cfg.lam.coeffs]
+    curves = limit_config_curves(cfg)
+    n = cfg.model.tangent_dim
+    _assert_interpolates(curves[0], 0, lambda tau: [0] * n)
+    _assert_interpolates(curves[1], cfg.k + cfg.v.prec - 1,
+                         lambda tau: [tau ** cfg.k * x for x in value(cfg.v, tau)])
+    degree = max(cfg.k + cfg.v.prec + cfg.lam.prec - 2, cfg.l + cfg.w.prec - 1)
+    _assert_interpolates(
+        curves[2], degree,
+        lambda tau: [_at(lam, tau)[0] * tau ** cfg.k * x + tau ** cfg.l * y
+                     for x, y in zip(value(cfg.v, tau), value(cfg.w, tau))])
+    series = [VectorSeries.from_polynomial(c, len(c)) for c in curves]
+    assert limit_config_plane(cfg) == chart_limit_plane(cfg.model, series)
 
 
 def test_limit_paths_build_no_truncated_series(capsys, monkeypatch):
