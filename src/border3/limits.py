@@ -12,8 +12,14 @@ one valuation row reduction of the polynomial rows modulo t^D.  Row
 operations keep the triple wedge, a polynomial of degree below D = 1 + the
 sum of the row degrees, so no coefficient past t^D can change a row order
 or a leading vector, and a row vanishing modulo t^D proves the wedge
-identically zero.  Colliding configurations are classified by how the limit
-plane meets the affine tangent space at the collision point.
+identically zero.  The reduction runs on integers: each row is scaled once
+by the lcm of its denominators, and each update scales the row it changes
+by a positive integer.  Multiplying a row by a nonzero constant changes
+neither its order nor the direction of its leading vector, and multiplies
+the wedge by a nonzero constant, so the orders, the limit plane and the
+degeneracy verdict are those of the reduction over Q.  Colliding
+configurations are classified by how the limit plane meets the affine
+tangent space at the collision point.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
-from ._linalg import Echelon, _norm, rank, span_basis
+from ._linalg import _denominator, _norm, rank, span_basis
 from .normal_forms import segre_model
 from .polytools import uadd, umul, uscale, utrim
 
@@ -147,6 +153,9 @@ class VectorSeries:
         if not isinstance(other, VectorSeries):
             return NotImplemented
         return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
 
     def __repr__(self):
         return f"VectorSeries({[p.coeffs for p in self.parts]!r})"
@@ -315,7 +324,7 @@ class LimitPlaneResult:
 def _poly_data(curve):
     if isinstance(curve, VectorSeries):
         return curve.polynomial_coefficients()
-    return [tuple(v) for v in curve]
+    return _curve_data(curve)
 
 
 def _order(row, start=0):
@@ -323,8 +332,16 @@ def _order(row, start=0):
     return next((k for k in range(start, len(row)) if any(row[k])), None)
 
 
+def _integer_row(row):
+    """A row's coefficient vectors times the lcm of their denominators."""
+    den = math.lcm(*map(_denominator, chain.from_iterable(row)))
+    if den == 1:
+        return [list(map(int, v)) for v in row]
+    return [[x.numerator * (den // x.denominator) for x in v] for v in row]
+
+
 def _reduce_rows(rows, bound):
-    """Valuation echelon of polynomial rows modulo t^bound.
+    """Valuation echelon of polynomial rows modulo t^bound, on integers.
 
     Each row is a list of coefficient vectors, index k holding the t^k
     vector.  A row whose leading vector depends on the leading vectors of
@@ -332,26 +349,55 @@ def _reduce_rows(rows, bound):
     strictly raises its order.  Orders stay below bound, so the loop ends
     within 3 * bound passes.  Returns the (order, leading vector) pairs by
     increasing order, or None when a row vanishes modulo t^bound.
+
+    The reduction is fraction-free.  Each row is first scaled by the lcm of
+    its denominators.  A dependency s * lead_i + sum_j c_j * lead_j = 0 is
+    found by integer elimination of the at most three leading vectors and
+    made primitive with s > 0; row_i then becomes s * row_i + sum_j c_j *
+    t^(order_i - order_j) * row_j, divided by the gcd of its entries when
+    s != 1.  Every row stays a positive rational multiple of the row a
+    reduction over Q would hold: scaling a row by a nonzero constant changes
+    neither its order nor the direction of its leading vector, and scales
+    the triple wedge by a nonzero constant.
     """
-    rows = [list(r[:bound]) for r in rows]
+    rows = [_integer_row(r[:bound]) for r in rows]
     orders = [_order(r) for r in rows]
     while None not in orders:
         idx = sorted(range(len(rows)), key=orders.__getitem__)
-        ech = Echelon()
-        inserted = []
-        for i in idx:
+        ech = []  # (pivot, reduced lead, its coefficients over the leads by idx)
+        for n, i in enumerate(idx):
             lead = rows[i][orders[i]]
-            if ech.add(lead):
-                inserted.append(i)
+            vec, combo = lead, [0] * len(idx)
+            combo[n] = 1
+            for p, erow, ecombo in ech:
+                f = vec[p]
+                if f:
+                    e = erow[p]
+                    vec = [e * x - f * y for x, y in zip(vec, erow)]
+                    combo = [e * x - f * y for x, y in zip(combo, ecombo)]
+            p = next((k for k, x in enumerate(vec) if x), None)
+            if p is not None:
+                ech.append((p, vec, combo))
                 continue
-            row = rows[i]
-            for j, c in zip(inserted, ech.coords_in(lead)):
+            g = math.gcd(*combo)
+            if combo[n] < 0:
+                g = -g
+            s = combo[n] // g
+            row = rows[i] if s == 1 else [[s * a for a in v] for v in rows[i]]
+            for m in range(n):
+                c = combo[m] // g
                 if c:
+                    j = idx[m]
                     sh = orders[i] - orders[j]
                     src = rows[j][:bound - sh]
-                    row.extend([(0,) * len(lead)] * (sh + len(src) - len(row)))
+                    row.extend([[0] * len(lead)] * (sh + len(src) - len(row)))
                     for k, v in enumerate(src, sh):
-                        row[k] = tuple(_norm(a - c * b) for a, b in zip(row[k], v))
+                        row[k] = [a + c * b for a, b in zip(row[k], v)]
+            if s != 1:
+                content = math.gcd(*(a for v in row for a in v))
+                if content > 1:
+                    row = [[a // content for a in v] for v in row]
+            rows[i] = row
             orders[i] = _order(row, orders[i] + 1)
             break
         else:
@@ -369,7 +415,10 @@ def limit_plane(c1, c2, c3):
     least the sum of the row orders.  So one reduction modulo t^D decides:
     a row vanishing modulo t^D makes the wedge identically zero, and the
     result is flagged degenerate; otherwise every order and leading vector
-    below t^D is exact, and the leading vectors span the limit plane.
+    below t^D is exact, and the leading vectors span the limit plane.  The
+    reduction runs on integers and keeps each row a positive rational
+    multiple of the row a reduction over Q would hold, so it reads the same
+    orders, and the rref basis of the leading vectors' span is the same.
     """
     polys = [_poly_data(c) for c in (c1, c2, c3)]
     widths = {len(v) for data in polys for v in data}

@@ -313,21 +313,26 @@ class CominusculeModel:
         return m
 
     def phi(self, v):
-        """Full chart map on a tangent vector with ring-element entries."""
-        st = self._structure(v)
-        out = []
-        for s, label in self.ambient_slots():
-            out.append(self._slot_value(st, s, label))
-        return out
+        """Full chart map on a tangent vector with ring-element entries.
 
-    def _slot_value(self, st, s, label):
+        On a Segre chart the slots run over the index tuples in row-major
+        order, so phi is the outer product of the blocks (1, x_1, ...,
+        x_{d-1}), built factor by factor; products with the leading 1 are
+        skipped, which leaves the entries themselves.
+        """
+        st = self._structure(v)
         if self.kind == "segre":
-            prod = None
-            for mode, c in enumerate(label):
-                if c:
-                    x = st[mode][c - 1]
-                    prod = x if prod is None else prod * x
-            return 1 if prod is None else prod
+            out = [1]
+            for blk in st:
+                nxt = [1, *blk]
+                for x in out[1:]:
+                    nxt.append(x)
+                    nxt.extend([x * b for b in blk])
+                out = nxt
+            return out
+        return [self._slot_value(st, label) for _, label in self.ambient_slots()]
+
+    def _slot_value(self, st, label):
         if self.kind in ("grassmann", "lagrangian"):
             rs, cs = label
             if not rs:
@@ -344,14 +349,15 @@ class CominusculeModel:
             raise ValueError("form degree must be >= 0")
         if s > self.base_degree:
             return {}
-        st = self._structure(v)
-        out = {}
-        for i, (deg, label) in enumerate(self.ambient_slots()):
-            if deg == s:
-                val = self._slot_value(st, s, label)
-                if not isinstance(val, int) or val:
-                    out[i] = val
-        return out
+        slots = self.ambient_slots()
+        if self.kind == "segre":
+            vals = self.phi(v)
+        else:
+            st = self._structure(v)
+            vals = [self._slot_value(st, label) if deg == s else 0
+                    for deg, label in slots]
+        return {i: val for i, ((deg, _), val) in enumerate(zip(slots, vals))
+                if deg == s and (not isinstance(val, int) or val)}
 
     def base_point(self):
         """phi at the origin of the chart."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from border3 import limits
 from border3.classifier import classify
@@ -48,7 +48,7 @@ from border3.normal_forms import (
     segre_tensor_from_ambient,
     spinor_model,
 )
-from border3._linalg import rank
+from border3._linalg import Echelon, _norm, rank, span_basis
 from border3.equations import strassen_equations
 
 
@@ -517,6 +517,25 @@ def test_limit_config_validation_and_type_tree():
         LimitConfig(model, 0, 1, v, w, 3)
 
 
+def test_limit_configs_hash_by_value():
+    model = segre_model((3, 3, 3))
+    p = 6
+
+    def config(lam):
+        return LimitConfig(model, 1, 2,
+                           VectorSeries.from_polynomial([(1, 2, 1, 1, 1, -1)], p),
+                           VectorSeries.from_polynomial([(1, 1, 2, 1, 1, 2)], p),
+                           ScalarSeries(lam, p))
+
+    a, b, c = config((3, 1)), config((3, 1)), config((3, 2))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert hash(a.v) == hash(VectorSeries(a.v.parts))
+    assert {a, b, c} == {a, c} and len({a, b, c}) == 2
+    planes = {a: limit_config_plane(a)}
+    assert planes[b] == limit_config_plane(b)
+    assert c not in planes
+
+
 def test_limit_config_planes_classify_to_expected_strata():
     model = segre_model((3, 3, 3))
     rng = random.Random(213)
@@ -646,12 +665,12 @@ def _poly_combination(pairs, width):
 
 
 @st.composite
-def _high_order_triples(draw):
+def _high_order_triples(draw, small=st.integers(-2, 2)):
     """Curve triples whose wedge vanishes to high order or identically:
     r2 = g(t) r1 (+ t^k w), and r3 random, a polynomial combination of r1
-    and r2 (+ t^m u), or a copy of r1 or r2.  Degree bounds reach about 100."""
+    and r2 (+ t^m u), or a copy of r1 or r2.  Degree bounds reach about 100.
+    Entries are drawn from small."""
     width = draw(st.integers(3, 4))
-    small = st.integers(-2, 2)
 
     def curve(max_deg, max_order=0):
         order = draw(st.integers(0, max_order))
@@ -696,6 +715,152 @@ def _high_order_triples(draw):
           [[0, 0, 1]]])
 def test_limit_plane_matches_direct_wedge_at_high_order(ambs):
     _assert_matches_direct_wedge(ambs, limit_plane(*ambs))
+
+
+def _reference_reduce_rows(rows, bound):
+    """The valuation reduction over Q: a rational Echelon of the leading
+    vectors on every pass, and row updates a - c * b with rational c."""
+    rows = [list(r[:bound]) for r in rows]
+    orders = [limits._order(r) for r in rows]
+    while None not in orders:
+        idx = sorted(range(len(rows)), key=orders.__getitem__)
+        ech = Echelon()
+        inserted = []
+        for i in idx:
+            lead = rows[i][orders[i]]
+            if ech.add(lead):
+                inserted.append(i)
+                continue
+            row = rows[i]
+            for j, c in zip(inserted, ech.coords_in(lead)):
+                if c:
+                    sh = orders[i] - orders[j]
+                    src = rows[j][:bound - sh]
+                    row.extend([(0,) * len(lead)] * (sh + len(src) - len(row)))
+                    for k, v in enumerate(src, sh):
+                        row[k] = tuple(_norm(a - c * b) for a, b in zip(row[k], v))
+            orders[i] = limits._order(row, orders[i] + 1)
+            break
+        else:
+            return [(orders[i], rows[i][orders[i]]) for i in idx]
+    return None
+
+
+def _reference_limit_plane(*curves):
+    polys = [[tuple(v) for v in c] for c in curves]
+    leads = _reference_reduce_rows(polys, sum(len(c) - 1 for c in polys) + 1)
+    if leads is None:
+        return LimitPlaneResult((), (), None, degenerate=True)
+    orders = tuple(o for o, _ in leads)
+    basis = tuple(tuple(r) for r in span_basis([v for _, v in leads]))
+    return LimitPlaneResult(basis, orders, sum(orders))
+
+
+def _typed_result(res):
+    return (res.degenerate, res.orders, type(res.leading_order), res.leading_order,
+            _typed(res.plane))
+
+
+def _positive_multiple(u, v):
+    """Whether u = q * v for a rational q > 0."""
+    k = next(i for i, x in enumerate(v) if x)
+    q = Fraction(u[k]) / Fraction(v[k])
+    return q > 0 and all(a == q * b for a, b in zip(u, v))
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from((st.integers(-2, 2), _RATIONALS)).flatmap(_high_order_triples),
+       st.lists(_RATIONALS.filter(bool), min_size=3, max_size=3))
+def test_integer_reduction_matches_rational_reduction(ambs, scales):
+    got = limit_plane(*ambs)
+    assert _typed_result(got) == _typed_result(_reference_limit_plane(*ambs))
+    # every row reduces as a positive multiple of its rational counterpart,
+    # with integer entries
+    bound = sum(len(r) - 1 for r in ambs) + 1
+    leads = limits._reduce_rows(ambs, bound)
+    want = _reference_reduce_rows(ambs, bound)
+    assert (leads is None) == (want is None) == got.degenerate
+    for (o, lead), (o_want, lead_want) in zip(leads or (), want or ()):
+        assert o == o_want
+        assert all(type(x) is int for x in lead)
+        assert _positive_multiple(lead, lead_want)
+    # scaling a row by a nonzero constant moves no field
+    scaled = [[[c * x for x in v] for v in r] for c, r in zip(scales, ambs)]
+    assert _typed_result(limit_plane(*scaled)) == _typed_result(got)
+
+
+def test_limit_plane_builds_no_echelon(monkeypatch):
+    model = segre_model((3, 3, 3))
+    fam = secant_curve_family("iii", model, random.Random(219))
+    # r2 = (1 + t) r1 + t^2 e3 and r3 = 2 r1 + t^2 e2: three reduction passes
+    rows = ([(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (1, 1, 0), (0, 1, 1)],
+            [(2, 0, 0), (0, 2, 0), (0, 1, 0)])
+    want_family = chart_limit_plane(model, fam.curves)
+    want_rows = limit_plane(*rows)
+    assert want_rows.orders == (0, 2, 2)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an Echelon was built on a limit path")
+
+    monkeypatch.setattr(Echelon, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        Echelon()
+    assert limit_plane(*rows) == want_rows
+    assert chart_limit_plane(model, fam.curves) == want_family
+
+
+def _reference_segre_phi(model, v):
+    """The Segre chart map slot by slot: each slot multiplies the block
+    entries its index picks, mode by mode, and the all-zero slot is 1."""
+    blocks, pos = [], 0
+    for d in model.dims:
+        blocks.append(v[pos:pos + d - 1])
+        pos += d - 1
+    out = []
+    for idx in product(*map(range, model.dims)):
+        prod = None
+        for mode, c in enumerate(idx):
+            if c:
+                x = blocks[mode][c - 1]
+                prod = x if prod is None else prod * x
+        out.append(1 if prod is None else prod)
+    return out
+
+
+def _typed_entries(values):
+    return [(type(x), x.coeffs if isinstance(x, limits._Poly) else x)
+            for x in values]
+
+
+_POLYS = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(limits._Poly)
+
+
+@st.composite
+def _segre_points(draw):
+    model = segre_model(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
+    entries = draw(st.sampled_from((st.integers(-3, 3), _RATIONALS, _POLYS,
+                                    st.one_of(st.integers(-3, 3), _RATIONALS,
+                                              _POLYS))))
+    n = model.tangent_dim
+    return model, draw(st.lists(entries, min_size=n, max_size=n))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_segre_points())
+def test_segre_chart_map_is_the_slot_product(case):
+    model, v = case
+    want = _reference_segre_phi(model, v)
+    assert _typed_entries(model.phi(v)) == _typed_entries(want)
+    slots = model.ambient_slots()
+    for s in range(model.base_degree + 2):
+        got = model.fundamental_form_diag(s, v)
+        block = [i for i, (deg, _) in enumerate(slots) if deg == s
+                 and (not isinstance(want[i], int) or want[i])]
+        assert list(got) == block
+        assert _typed_entries(got.values()) == _typed_entries(want[i] for i in block)
 
 
 def test_plane_samples_satisfy_strassen_quartics():
@@ -832,10 +997,17 @@ def test_limit_paths_build_no_truncated_series(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["limit"]) == 0
         assert json.loads(capsys.readouterr().out)["orders"] == list(want.orders)
-    # empty curves and ragged coefficient vectors are still refused
+    # empty curves and ragged coefficient vectors are still refused, by
+    # limit_plane as by chart_limit_plane; a width-0 chart stays degenerate
     zero = (0,) * 6
     with pytest.raises(ValueError, match="at least one coefficient vector"):
         chart_limit_plane(model, [[], [zero], [zero]])
+    with pytest.raises(ValueError, match="at least one coefficient vector"):
+        limit_plane([], [(1, 0, 0)], [(0, 1, 0)])
+    with pytest.raises(ValueError, match="must share a length"):
+        limit_plane([(1, 0, 0), (1, 0)], [(1, 0, 0)], [(0, 1, 0)])
+    assert chart_limit_plane(segre_model((1, 1, 1)), [[[]]] * 3).degenerate
+    assert limit_plane([[]], [[]], [[]]).degenerate
     with pytest.raises(ValueError, match="must share a length"):
         chart_limit_plane(model, [[zero, (1,) * 5], [zero], [zero]])
     for curves in ([[], [zero], [zero]], [[zero, (1,) * 5], [zero], [zero]]):
