@@ -1,23 +1,29 @@
 """Exact linear algebra over the rationals on plain lists.
 
-``rref`` also reduces over GF(q) for a prime q, on integer residues.
+``rref`` and ``pivot_columns`` also reduce over GF(q) for a prime q, on integer
+residues.
 
 Matrices are lists of rows; scalars are ``int`` or ``fractions.Fraction``
 (mixed freely -- results of divisions are normalised back to ``int`` when
 possible so the common all-integer paths stay fast).
 
-``rref`` over Q eliminates on integers: it clears each row's denominators,
-keeps every entry an integer (a minor of that matrix, up to a deferred
-scaling) by dividing exactly by an earlier pivot (Bareiss), and divides
-each row once at the end, so no ``Fraction`` is made before the result.  ``Echelon`` keeps its
-rows sparse, as dicts of their nonzero entries, because the Macaulay
-matrices it reduces hold a few nonzeros in hundreds of columns.
+Elimination over Q runs on integers: each row's denominators are cleared,
+and every entry stays an integer (a minor of that matrix, up to a deferred
+scaling) by dividing exactly by an earlier pivot (Bareiss).  Ranks and
+pivot sets come from ``pivot_columns``, which eliminates forward only, below
+each pivot, with no reduced form, no back substitution and no ``Fraction``.
+``rref`` is for callers that read the reduced rows: it also clears above
+each pivot and divides each row once at the end, so no ``Fraction`` is made
+before the result.  ``Echelon`` keeps its rows sparse, as dicts of their
+nonzero entries, because the Macaulay matrices it reduces hold a few
+nonzeros in hundreds of columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import lcm
 from operator import attrgetter
 
@@ -64,6 +70,20 @@ def mat_mul(a, b):
 _denominator = attrgetter("denominator")
 
 
+def _integer_rows(a):
+    """The rows of a, each scaled by the lcm of its denominators."""
+    # most matrices ranked here are all-int, and one type scan of the
+    # matrix costs less than an lcm per row
+    if set(map(type, chain.from_iterable(a))) <= {int}:
+        return [list(row) for row in a]
+    rows = []
+    for row in a:
+        den = lcm(*map(_denominator, row))
+        rows.append([x.numerator * (den // x.denominator) for x in row]
+                    if den != 1 else list(map(int, row)))
+    return rows
+
+
 def rref(a, q=None):
     """Reduced row echelon form over Q, or over GF(q) for a prime q.
 
@@ -89,11 +109,7 @@ def rref(a, q=None):
     """
     if q is not None:
         return _rref_mod(a, q)
-    rows = []
-    for row in a:
-        den = lcm(*map(_denominator, row))
-        rows.append([x.numerator * (den // x.denominator) for x in row]
-                    if den != 1 else list(map(int, row)))
+    rows = _integer_rows(a)
     if not rows:
         return [], []
     pivots = []
@@ -165,8 +181,68 @@ def _rref_mod(a, q):
     return rows, pivots
 
 
+def pivot_columns(a, q=None):
+    """The pivot columns of ``rref(a, q)``, by forward elimination only.
+
+    They are the first columns, left to right, that are independent of the
+    columns before them, so no reduced form is needed to find them.  Over Q
+    each row is scaled by the lcm of its denominators, as in ``rref``, and
+    fraction-free elimination (Bareiss 1968) clears the rows below each
+    pivot and no others: with p the pivot and p_prev the one before it, a
+    row becomes (p * row - row[c] * pivot_row) // p_prev, so its entries
+    stay minors of the scaled matrix and the division is exact.  A row with
+    a zero in the pivot column c would only be scaled by p / p_prev; as in
+    ``rref`` that scaling is deferred, by the pivot b each row was last
+    reduced at, until the row is next reduced or becomes the pivot row.
+    There is no back substitution and no ``Fraction``.  Over GF(q) the rows
+    below each pivot are cleared modulo q.
+    """
+    rows = _integer_rows(a) if q is None else [[x % q for x in row] for row in a]
+    if not rows:
+        return []
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    prev = 1
+    base = [1] * nrows
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        pivots.append(c)
+        if r + 1 == nrows or c + 1 == ncols:
+            break
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        # rows below never read column c or those before it again
+        tail = prow[c + 1:]
+        p = prow[c]
+        if q is not None:
+            inv = pow(p, q - 2, q)
+            for row in rows[r + 1:]:
+                f = row[c] * inv % q
+                if f:
+                    row[c + 1:] = [(x - f * y) % q
+                                   for x, y in zip(row[c + 1:], tail)]
+            continue
+        base[r], base[piv] = base[piv], base[r]
+        if base[r] != prev:
+            p = p * prev // base[r]
+            tail = [x * prev // base[r] for x in tail]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if f:
+                b = base[i]
+                row[c + 1:] = [(p * x - f * y) // b
+                               for x, y in zip(row[c + 1:], tail)]
+                base[i] = p
+        prev = p
+    return pivots
+
+
 def rank(a):
-    return len(rref(a)[1])
+    return len(pivot_columns(a))
 
 
 def inverse(a):
@@ -194,9 +270,11 @@ class Echelon:
     add() returns True when the vector enlarged the span; contains() tests
     membership; coords_in(v) expresses v in terms of the *inserted* vectors
     when it lies in the span (used to rewrite tensors on a chosen subbasis).
-    Vectors go in and come out as dense lists, but the echelon rows and
-    their coefficient records are kept sparse, as {column: value} dicts of
-    the nonzero entries, so reduction never touches a zero.
+    A vector goes in as a dense sequence or as a {column: value} dict, which
+    a caller with a few nonzeros in many columns passes without ever
+    building the dense form.  The echelon rows and their coefficient records
+    are kept sparse, as {column: value} dicts of the nonzero entries, so
+    reduction never touches a zero; coords_in returns a dense list.
     """
 
     def __init__(self):
@@ -215,7 +293,8 @@ class Echelon:
         # can only create entries at the pivots of later rows: taking the
         # rows hit in increasing order reduces v as one pass over all rows
         # would, but visits only rows whose pivot entry may be nonzero.
-        v = {c: x for c, x in enumerate(v) if x}
+        v = {c: x for c, x in (v.items() if type(v) is dict else enumerate(v))
+             if x}
         row_at = self._row_at
         todo = [row_at[c] for c in v if c in row_at]
         heapify(todo)

@@ -77,7 +77,8 @@ def _stabilizer_matrix(t):
                 for p, v in zip(target, slices[b]):
                     col[p] = v
                 cols.append(col)
-    # rref runs over twice as fast on this tall matrix as on the wide one
+    # forward elimination of this matrix takes about 0.8 of the time of its
+    # transpose on GL-moved 3x3x3 orbit points
     return transpose(cols)
 
 

@@ -5,10 +5,11 @@ nine entries of  Z adj(X) Y - Y adj(X) Z  where (X, Y, Z) are the three slices
 of that direction and adj is the classical adjugate.  Vanishing of all 27
 values characterises border rank <= 3 for concise 3x3x3 tensors.
 
-The quartics exist only as this numeric evaluation.  Their Jacobian is taken
-from the same block function by polarization: each block is linear in Y and
-Z and quadratic in X, so every partial derivative is one or two exact
-evaluations of the block at a unit-matrix displacement.
+The quartics exist only as this numeric evaluation.  Their Jacobian is in
+closed form: each block is linear in Y and Z, so those partials are entries
+of the products of adj(X) with Y and Z, and quadratic in X, so an X-partial
+is the same block with adj(X) replaced by the four-entry change of the
+adjugate along a unit matrix.
 
 The slice cubic det(s S0 + t S1 + u S2), whose coefficients are sums of
 mixed determinants of the slices' rows, splits into lines in one of four
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from ._linalg import _norm, rank, rref
+from ._linalg import _norm, pivot_columns, rank, transpose
 from .tensor import _gather, multilinear_rank, slice_matrices
 
 _COF_INDEX = ((1, 2), (0, 2), (0, 1))
@@ -43,21 +44,17 @@ def _cofactor_matrix(x):
     return cof
 
 
-def _commutator_block(x, y, z):
-    """Nine values P[s][t] = sum_{j,k} cof(x)[j][k] (y[j][t] z[s][k] - y[s][k] z[j][t])."""
-    cof = _cofactor_matrix(x)
+def _commutator(cof, y, z):
+    """Nine values P[s][t] = sum_{j,k} cof[j][k] (y[j][t] z[s][k] - y[s][k] z[j][t]),
+    that is Z C^T Y - Y C^T Z, skipping the zeros of cof."""
+    terms = [(j, k, c) for j, row in enumerate(cof) for k, c in enumerate(row) if c]
     out = []
     for s in range(3):
+        ys, zs = y[s], z[s]
         for t in range(3):
             acc = 0
-            for j in range(3):
-                cj = cof[j]
-                yj = y[j]
-                zj = z[j]
-                for k in range(3):
-                    c = cj[k]
-                    if c:
-                        acc += c * (yj[t] * z[s][k] - y[s][k] * zj[t])
+            for j, k, c in terms:
+                acc += c * (y[j][t] * zs[k] - ys[k] * z[j][t])
             out.append(_norm(acc))
     return out
 
@@ -73,42 +70,68 @@ def strassen_equations(t):
     vals = []
     for mode in range(3):
         x, y, z = slice_matrices(t, mode)
-        vals.extend(_commutator_block(x, y, z))
+        vals.extend(_commutator(_cofactor_matrix(x), y, z))
     return vals
+
+
+def _mul3(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
+             for j in range(3)] for i in range(3)]
+
+
+def _cofactor_step(x, r, c):
+    """cof(X + E_rc) - cof(X): the adjugate is quadratic and adj(E_rc) = 0,
+    so this is the derivative along E_rc.  Only the four minors that keep
+    row r and column c change, each by the signed entry opposite (r, c)."""
+    d = [[0] * 3 for _ in range(3)]
+    for j in range(3):
+        if j == r:
+            continue
+        r2 = 3 - r - j
+        for k in range(3):
+            if k == c:
+                continue
+            c2 = 3 - c - k
+            v = x[r2][c2]
+            # the minor gains +v when (r, c) and (r2, c2) are its main
+            # diagonal, -v otherwise; the cofactor adds the sign (-1)^(j+k)
+            d[j][k] = v if ((r < r2) == (c < c2)) == ((j + k) % 2 == 0) else -v
+    return d
 
 
 def _jacobian(t):
     """The 27x27 Jacobian of the quartic system at t: rows are the quartics in
     the order of strassen_equations, columns the entries x_ijk (flat 9i+3j+k).
 
-    Each block Z adj(X) Y - Y adj(X) Z is linear in Y and Z and quadratic in
-    X, so its derivative along a unit matrix E is block(X, E, Z) or
-    block(X, Y, E) for an entry of Y or Z, and the polarization
-    block(X+E, Y, Z) - block(X, Y, Z) - block(E, Y, Z) for an entry of X;
-    the last term is zero, as the adjugate of a rank-one 3x3 matrix is.
+    Each block P = Z A Y - Y A Z, with A = adj(X), is linear in Y and Z, so
+    along a unit matrix E_rc its Y-partial Z A E_rc - E_rc A Z and its
+    Z-partial E_rc A Y - Y A E_rc are read off the products Z A, A Z, Y A
+    and A Y.  It is quadratic in X, and its X-partial is Z D Y - Y D Z with
+    D = adj(X + E_rc) - adj(X), which has four nonzero entries.
     """
     if t.dims != (3, 3, 3):
         raise ValueError("the quartic system is defined for dims (3, 3, 3)")
     jac = [[0] * 27 for _ in range(27)]
     for mode in range(3):
         x, y, z = slice_matrices(t, mode)
-        base = _commutator_block(x, y, z)
+        adj = transpose(_cofactor_matrix(x))
+        za, az, ya, ay = _mul3(z, adj), _mul3(adj, z), _mul3(y, adj), _mul3(adj, y)
+        rows = jac[9 * mode:9 * mode + 9]
         # pos[9a + 3r + c]: column of the entry with index a in `mode` and
         # (r, c) in the other two modes
         pos = _gather(t.dims, (mode, *(m for m in range(3) if m != mode)))
         for r in range(3):
             for c in range(3):
-                e = [[int((i, j) == (r, c)) for j in range(3)] for i in range(3)]
-                xe = [list(row) for row in x]
-                xe[r][c] += 1
-                cols = ([_norm(v - b) for v, b in
-                         zip(_commutator_block(xe, y, z), base)],
-                        _commutator_block(x, e, z),
-                        _commutator_block(x, y, e))
-                for a, col in enumerate(cols):
-                    v = pos[9 * a + 3 * r + c]
-                    for s, val in enumerate(col):
-                        jac[9 * mode + s][v] = val
+                dx = _commutator(_cofactor_step(x, r, c), y, z)
+                vx, vy, vz = pos[3 * r + c], pos[9 + 3 * r + c], pos[18 + 3 * r + c]
+                for s in range(3):
+                    for u in range(3):
+                        row = rows[3 * s + u]
+                        row[vx] = dx[3 * s + u]
+                        row[vy] = _norm((za[s][r] if u == c else 0)
+                                        - (az[c][u] if s == r else 0))
+                        row[vz] = _norm((ay[c][u] if s == r else 0)
+                                        - (ya[s][r] if u == c else 0))
     return jac
 
 
@@ -234,7 +257,7 @@ def cubic_line_pattern(cubic):
         return LinePattern.IDENTICALLY_ZERO
     partials = _cubic_partials(d)
     monos = sorted({e for p in partials for e in p})
-    _, pivots = rref([[p.get(e, 0) for p in partials] for e in monos])
+    pivots = pivot_columns([[p.get(e, 0) for p in partials] for e in monos])
     if len(pivots) == 1:
         return LinePattern.TRIPLE_LINE
     if len(pivots) == 3:

@@ -184,6 +184,26 @@ def generic_pfaffian(m):
 
 # ---- cominuscule coordinate models ----
 
+def _segre_outer(blocks, top=None):
+    """The outer product of the blocks (1, x_1, ..., x_{d-1}), by degree:
+    entry k lists its degree-k entries in row-major order.
+
+    It is built from the last factor to the first, so that row-major order
+    is concatenation: the entries whose first index is j come after those
+    whose first index is below j.  The only degree-0 entry is the leading
+    1, and products with it are skipped, which leaves the entries
+    themselves.  With ``top`` set, no degree above it is built.
+    """
+    parts = [[1]]
+    for blk in reversed(blocks):
+        if top is None or len(parts) <= top:
+            parts.append([])
+        # from the top degree down, so each part is read before it grows
+        for k in range(len(parts) - 2, -1, -1):
+            parts[k + 1].extend([b * x for b in blk for x in parts[k]] if k else blk)
+    return parts
+
+
 @dataclass(frozen=True)
 class CominusculeModel:
     """An affine chart of a cominuscule variety, coordinatised by minors.
@@ -317,19 +337,12 @@ class CominusculeModel:
 
         On a Segre chart the slots run over the index tuples in row-major
         order, so phi is the outer product of the blocks (1, x_1, ...,
-        x_{d-1}), built factor by factor; products with the leading 1 are
-        skipped, which leaves the entries themselves.
+        x_{d-1}), read off ``_segre_outer`` degree by degree in slot order.
         """
         st = self._structure(v)
         if self.kind == "segre":
-            out = [1]
-            for blk in st:
-                nxt = [1, *blk]
-                for x in out[1:]:
-                    nxt.append(x)
-                    nxt.extend([x * b for b in blk])
-                out = nxt
-            return out
+            parts = [iter(p) for p in _segre_outer(st)]
+            return [next(parts[deg]) for deg, _ in self._slots]
         return [self._slot_value(st, label) for _, label in self.ambient_slots()]
 
     def _slot_value(self, st, label):
@@ -349,13 +362,14 @@ class CominusculeModel:
             raise ValueError("form degree must be >= 0")
         if s > self.base_degree:
             return {}
-        slots = self.ambient_slots()
         if self.kind == "segre":
-            vals = self.phi(v)
-        else:
-            st = self._structure(v)
-            vals = [self._slot_value(st, label) if deg == s else 0
-                    for deg, label in slots]
+            part = _segre_outer(self._structure(v), s)[s]
+            return {i: x for i, x in zip(self.slot_block(s), part)
+                    if not isinstance(x, int) or x}
+        slots = self.ambient_slots()
+        st = self._structure(v)
+        vals = [self._slot_value(st, label) if deg == s else 0
+                for deg, label in slots]
         return {i: val for i, ((deg, _), val) in enumerate(zip(slots, vals))
                 if deg == s and (not isinstance(val, int) or val)}
 

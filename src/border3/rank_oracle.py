@@ -39,6 +39,8 @@ class SearchSpaceError(ValueError):
 
 def from_rational(x, q):
     """Residue of a rational number modulo the prime q."""
+    if type(x) is int:
+        return x % q
     x = Fraction(x)
     if x.denominator % q == 0:
         raise ValueError(f"denominator of {x} vanishes modulo {q}")
@@ -524,15 +526,9 @@ def macaulay_membership(target, generators, coefficient_degree_bound,
     ech = Echelon()
     meta = []
     for gi, expo, prod_poly in columns:
-        vec = [0] * len(slots)
-        for mono, c in prod_poly.items():
-            vec[slots[mono]] = c
-        ech.add(vec)
+        ech.add({slots[mono]: c for mono, c in prod_poly.items()})
         meta.append((gi, expo))
-    tvec = [0] * len(slots)
-    for mono, c in target.items():
-        tvec[slots[mono]] = c
-    coords = ech.coords_in(tvec)
+    coords = ech.coords_in({slots[mono]: c for mono, c in target.items()})
     if coords is None:
         return MembershipCertificate(False, True, coefficient_degree_bound)
     multipliers = [dict() for _ in generators]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import _norm, mat_mul, rank, rref, transpose
+from ._linalg import _norm, identity, mat_mul, pivot_columns, rank, rref, transpose
 
 MAX_ENTRIES = 10 ** 6
 
@@ -238,16 +238,22 @@ class ConciseCore:
 def concise_core(t, q=None):
     """Concise representative: restrict each mode to a pivot set of slices.
 
-    One rref per mode, of the transposed flattening: its pivot columns are
-    the slices kept, and its columns give every slice's coordinates on them.
-    With a prime q the reduction is over GF(q), reading the entries of t as
-    integers modulo q.
+    When the flattening along a mode has full row rank, its d slices are
+    independent, the mode is concise and its map is the identity.
+    Otherwise the pivot columns of the rref of the transposed flattening
+    are the slices kept, and its columns give every slice's coordinates on
+    them.  With a prime q the reduction is over GF(q), reading the entries
+    of t as integers modulo q.
     """
     core = t
     maps = []
     for mode in range(t.order):
         d = core.dims[mode]
-        rows, pivots = rref(transpose(flattening(core, mode)), q)
+        flat = flattening(core, mode)
+        if len(pivot_columns(flat, q)) == d:
+            maps.append(identity(d))
+            continue
+        rows, pivots = rref(transpose(flat), q)
         if not pivots:  # zero tensor: keep a single index to stay well-formed
             pivots, rows = [0], [[0] * d]
         maps.append(transpose(rows[:len(pivots)]))
@@ -282,24 +288,27 @@ def parse_scalar(s):
     Fraction, except exponent notation, whose exponent could make the
     number arbitrarily long.
     """
-    if isinstance(s, bool):
-        raise ValueError("boolean is not a scalar")
-    if isinstance(s, int):
-        return s
-    if isinstance(s, Fraction):
-        return _norm(s)
-    if isinstance(s, str):
-        digits = s[1:] if s[:1] == "-" else s
-        if digits.isdigit() and digits.isascii():
-            return int(s)
-        if "e" in s or "E" in s:
-            raise ValueError(f"scalar {s!r} uses exponent notation; "
-                             "write it as 'p' or 'p/q'")
-        try:
-            return _norm(Fraction(s))
-        except ZeroDivisionError:
-            raise ValueError(f"scalar {s!r} has a zero denominator") from None
-    raise ValueError(f"cannot parse scalar {s!r} exactly (floats are rejected)")
+    # JSON entries are strings: an exact type test skips the numbers ABCs
+    if type(s) is not str:
+        if isinstance(s, bool):
+            raise ValueError("boolean is not a scalar")
+        if isinstance(s, int):
+            return s
+        if isinstance(s, Fraction):
+            return _norm(s)
+        if not isinstance(s, str):
+            raise ValueError(
+                f"cannot parse scalar {s!r} exactly (floats are rejected)")
+    digits = s[1:] if s[:1] == "-" else s
+    if digits.isdigit() and digits.isascii():
+        return int(s)
+    if "e" in s or "E" in s:
+        raise ValueError(f"scalar {s!r} uses exponent notation; "
+                         "write it as 'p' or 'p/q'")
+    try:
+        return _norm(Fraction(s))
+    except ZeroDivisionError:
+        raise ValueError(f"scalar {s!r} has a zero denominator") from None
 
 
 def scalar_str(x):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -53,6 +54,68 @@ def _quartic_points(draw):
     rep = orbit_representative(draw(st.sampled_from(ORBIT_IDS)))
     g = random_gl_tuple((3, 3, 3), random.Random(draw(st.integers(0, 10 ** 6))))
     return apply_gl(rep, g)
+
+
+def _reference_jacobian(t):
+    """The Jacobian by block polarization: each block evaluated in full at
+    X + E, at Y = E and at Z = E for every unit matrix E, with the
+    adjugate's cofactors summed term by term."""
+    def block(x, y, z):
+        cof = [[(-1) ** (j + k) * (x[r0][c0] * x[r1][c1] - x[r0][c1] * x[r1][c0])
+                for k, (c0, c1) in enumerate(((1, 2), (0, 2), (0, 1)))]
+               for j, (r0, r1) in enumerate(((1, 2), (0, 2), (0, 1)))]
+        return [_norm(sum(cof[j][k] * (y[j][u] * z[s][k] - y[s][k] * z[j][u])
+                          for j in range(3) for k in range(3)))
+                for s in range(3) for u in range(3)]
+
+    jac = [[0] * 27 for _ in range(27)]
+    for mode in range(3):
+        x, y, z = slice_matrices(t, mode)
+        base = block(x, y, z)
+        others = [m for m in range(3) if m != mode]
+        for r in range(3):
+            for c in range(3):
+                e = [[int((i, j) == (r, c)) for j in range(3)] for i in range(3)]
+                xe = [list(row) for row in x]
+                xe[r][c] += 1
+                cols = ([_norm(v - b) for v, b in zip(block(xe, y, z), base)],
+                        block(x, e, z), block(x, y, e))
+                for a, col in enumerate(cols):
+                    idx = [0, 0, 0]
+                    idx[mode], idx[others[0]], idx[others[1]] = a, r, c
+                    v = 9 * idx[0] + 3 * idx[1] + idx[2]
+                    for s, val in enumerate(col):
+                        jac[9 * mode + s][v] = val
+    return jac
+
+
+@st.composite
+def _jacobian_points(draw):
+    """_quartic_points, and half of the time with one slice made singular:
+    along a drawn mode, a drawn slice becomes an outer product, or zero."""
+    t = draw(_quartic_points())
+    if draw(st.booleans()):
+        mode, k = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        u = draw(st.lists(_scalars, min_size=3, max_size=3))
+        w = draw(st.lists(_scalars, min_size=3, max_size=3))
+        entries = list(t.entries)
+        for i, j, l in product(range(3), repeat=3):
+            if (i, j, l)[mode] == k:
+                a, b = [x for m, x in enumerate((i, j, l)) if m != mode]
+                entries[9 * i + 3 * j + l] = _norm(u[a] * w[b])
+        t = make_tensor((3, 3, 3), entries)
+    return t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_jacobian_points())
+def test_jacobian_matches_block_polarization(t):
+    """The closed-form Jacobian equals the block polarization entry by entry,
+    in value and in type: an entry is an int exactly when it is integral."""
+    want = _reference_jacobian(t)
+    got = _jacobian(t)
+    assert [[(type(x), x) for x in row] for row in got] == \
+        [[(type(x), x) for x in row] for row in want]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

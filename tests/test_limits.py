@@ -850,6 +850,10 @@ def _segre_points(draw):
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_segre_points())
+@example((segre_model((1, 3, 1, 2, 3)), [2, Fraction(-1, 2), 0, limits._Poly([0, 1]), 3]))
+@example((segre_model((3, 3, 3, 3, 3)), [Fraction(k - 4, 3) if k % 3 else k - 4
+                                          for k in range(10)]))
+@example((segre_model((1, 1)), []))
 def test_segre_chart_map_is_the_slot_product(case):
     model, v = case
     want = _reference_segre_phi(model, v)

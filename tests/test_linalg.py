@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from border3._linalg import Echelon, inverse, mat_mul, rank, rref, span_basis
+from border3._linalg import (
+    Echelon, inverse, mat_mul, pivot_columns, rank, rref, span_basis,
+)
 from border3.classifier import _stabilizer_matrix
 from border3.normal_forms import ORBIT_IDS, orbit_representative
 from border3.tensor import apply_gl, random_gl_tuple
@@ -122,7 +124,7 @@ def test_rref_matches_reference_over_q(a):
 
 
 @st.composite
-def _low_rank_products(draw):
+def _low_rank_products(draw, scalars=None):
     """A B with A m x k and B k x n: rank at most k, up to 10 x 12, with
     integer and Fraction factors, some columns set to zero, and sparse
     factors half of the time.  The fraction-free elimination divides by
@@ -131,7 +133,8 @@ def _low_rank_products(draw):
     zeros make rows skip pivots and swap into place."""
     m, n = draw(st.integers(1, 10)), draw(st.integers(1, 12))
     k = draw(st.integers(1, min(m, n)))
-    scalars = draw(st.sampled_from([st.integers(-9, 9), _SCALARS]))
+    if scalars is None:
+        scalars = draw(st.sampled_from([st.integers(-9, 9), _SCALARS]))
     if draw(st.booleans()):
         scalars = st.one_of(st.just(0), st.just(0), scalars)
     a = [[draw(scalars) for _ in range(k)] for _ in range(m)]
@@ -139,6 +142,37 @@ def _low_rank_products(draw):
     zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
     return [[0 if j in zero_cols else sum(a[i][t] * b[t][j] for t in range(k))
              for j in range(n)] for i in range(m)]
+
+
+@st.composite
+def _pivot_cases(draw, scalars=_SCALARS):
+    """Matrices of every shape the forward elimination treats apart: empty,
+    one row, one column, zero rows and columns, and low-rank products."""
+    kind = draw(st.sampled_from(("any", "low", "row", "col", "empty")))
+    if kind == "any":
+        return draw(_matrices(scalars))
+    if kind == "low":
+        return draw(_low_rank_products(scalars))
+    if kind == "empty":
+        return draw(st.sampled_from(([], [[]], [[], []])))
+    n = draw(st.integers(1, 8))
+    cells = st.one_of(st.just(0), scalars)
+    if kind == "row":
+        return [draw(st.lists(cells, min_size=n, max_size=n))]
+    return [[x] for x in draw(st.lists(cells, min_size=n, max_size=n))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_pivot_cases())
+def test_pivot_columns_match_rref_over_q(a):
+    assert pivot_columns(a) == rref(a)[1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=_pivot_cases(scalars=st.integers(-6, 6)))
+def test_pivot_columns_match_rref_over_gf(q, a):
+    assert pivot_columns(a, q) == rref(a, q)[1]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

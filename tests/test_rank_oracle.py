@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from colex_reference import colex_rank_over_field
-from border3._linalg import rref
+from border3 import rank_oracle
+from border3._linalg import Echelon, rref
 from border3.normal_forms import (
     ORBIT_IDS, ORBIT_INFO, SIGMA3_KINDS, orbit_representative, sigma2_point,
     sigma3_point,
@@ -360,6 +361,41 @@ def test_pencil_targets_need_quadratic_multipliers():
         for h, g in zip(cert.multipliers, gens):
             total = padd(total, pmul(h, g))
         assert pis_zero(psub(total, target))
+
+
+class _DenseEchelon(Echelon):
+    """An Echelon fed dense vectors, as macaulay_membership fed it before it
+    passed its sparse {column: value} columns."""
+
+    @staticmethod
+    def _dense(v):
+        if type(v) is not dict:
+            return v
+        out = [0] * (max(v, default=-1) + 1)
+        for c, x in v.items():
+            out[c] = x
+        return out
+
+    def add(self, v):
+        return super().add(self._dense(v))
+
+    def coords_in(self, v):
+        return super().coords_in(self._dense(v))
+
+
+def test_pencil_certificates_match_dense_columns(monkeypatch):
+    gens = list(perturbed_pencil_minors().values())
+    want = {}
+    with monkeypatch.context() as m:
+        m.setattr(rank_oracle, "Echelon", _DenseEchelon)
+        for i, target in enumerate(perturbed_pencil_targets()):
+            for bound in (0, 1, 2):
+                want[i, bound] = macaulay_membership(target, gens, bound)
+    for i, target in enumerate(perturbed_pencil_targets()):
+        for bound in (0, 1, 2):
+            got = macaulay_membership(target, gens, bound)
+            assert got == want[i, bound]
+            assert repr(got) == repr(want[i, bound])
 
 
 def test_pencil_certificate_matches_hand_identity():

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from border3._linalg import _norm
+from border3._linalg import _norm, rref, transpose
 from border3.normal_forms import ORBIT_IDS, orbit_representative
 from border3.tensor import (
     GLTuple, Tensor, apply_gl, apply_mode_map, basis_tensor, concise_core,
@@ -177,6 +177,62 @@ def test_concise_core_embeds_back(t):
     cc = concise_core(t)
     assert cc.embed() == t
     assert cc.core.dims == multilinear_rank(t)
+
+
+def _reference_concise_core(t, q=None):
+    """concise_core by one rref per mode, with the map read off its rows."""
+    core, maps = t, []
+    for mode in range(t.order):
+        d = core.dims[mode]
+        rows, pivots = rref(transpose(flattening(core, mode)), q)
+        if not pivots:
+            pivots, rows = [0], [[0] * d]
+        maps.append(transpose(rows[:len(pivots)]))
+        if len(pivots) < d:
+            sel = [[1 if j == p else 0 for j in range(d)] for p in pivots]
+            core = apply_mode_map(core, sel, mode)
+    return core, maps
+
+
+def _typed(values):
+    return [(type(x), x) for x in values]
+
+
+@st.composite
+def _concise_core_cases(draw):
+    """Concise, non-concise and zero tensors, with int or Fraction entries."""
+    kind = draw(st.sampled_from(("moved", "sum", "dense", "zero")))
+    if kind == "moved":
+        return draw(_moved_orbit_or_short_sum())
+    dims = draw(st.sampled_from([(3, 3, 3), (1, 3, 2), (4, 2, 3), (2, 2, 2, 2)]))
+    if kind == "zero":
+        return zero_tensor(dims)
+    scalars = st.one_of(st.integers(-3, 3),
+                        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+    if kind == "dense":
+        n = math.prod(dims)
+        return make_tensor(dims, draw(st.lists(scalars, min_size=n, max_size=n)))
+    t = zero_tensor(dims)
+    for _ in range(draw(st.integers(1, 3))):
+        t = t + rank_one([draw(st.lists(scalars, min_size=d, max_size=d))
+                          for d in dims])
+    return t
+
+
+@pytest.mark.parametrize("q", [None, 2, 3, 5])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=_concise_core_cases())
+def test_concise_core_matches_rref_alone(q, t):
+    """Concise modes skip the rref; the core and maps must not change, in
+    value or type, over Q and over GF(q)."""
+    if q is not None:  # GF(q) reads integer entries
+        t = make_tensor(t.dims, [Fraction(x).numerator for x in t.entries])
+    cc = concise_core(t, q)
+    core, maps = _reference_concise_core(t, q)
+    assert cc.core.dims == core.dims
+    assert _typed(cc.core.entries) == _typed(core.entries)
+    assert [[_typed(row) for row in m] for m in cc.maps] == \
+        [[_typed(row) for row in m] for m in maps]
 
 
 def test_concise_core_of_concise_tensor_is_identity_shaped():
