@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 import math
+from operator import mul
 
-from .tensor import Tensor, basis_tensor, zero_tensor
+from .tensor import Tensor, _strides, zero_tensor
 
 SIGMA3_KINDS = ("i", "ii", "iii", "iv")
 
@@ -57,10 +58,13 @@ def _normal_form_terms(kind, n, J=(), factor=1):
 
 
 def _sum_of_basis(dims, idxs):
-    t = zero_tensor(dims)
+    """The sum of the basis tensors at the multi-indices idxs."""
+    zero = zero_tensor(dims)
+    st = _strides(zero.dims)
+    entries = list(zero.entries)
     for idx in idxs:
-        t = t + basis_tensor(dims, idx)
-    return t
+        entries[sum(map(mul, idx, st))] += 1
+    return Tensor(zero.dims, tuple(entries))
 
 
 def sigma2_point(n, J=None, dims=None):

@@ -7,11 +7,15 @@ for lower-bound arguments.  Everything is exact.
 
 The finite-field search shares its set-up with the structural classifier:
 the tensor's residues mod q are cut to a concise core by
-``tensor.concise_core`` over GF(q), which eliminates with ``_linalg.rref``,
-the same code that serves the classifier over Q.  The search is its own:
-it walks the subspaces of the quotient by the slice span that rank-one
-candidates span, each once, in a fixed order, and ``tests/colex_reference.py``
-keeps the older colex search over candidate subsets to check it against.
+``tensor.concise_core`` over GF(q), which finds the slices to keep with
+``_linalg.pivot_columns``, the same code that serves the classifier over Q.
+The search is its own: it walks the subspaces of the quotient by the slice
+span that rank-one candidates span, each once, in a fixed order.  Each
+candidate's projection is read from a table built once per head of
+candidates (its vectors in every mode but the last).
+``tests/colex_reference.py`` keeps the older colex search over candidate
+subsets to check the search against, and ``tests/projection_reference.py``
+the projection of one candidate at a time.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import add
 
 from ._linalg import Echelon, _norm, rref
 from .normal_forms import (_ORBIT_TERMS, ORBIT_IDS, _normal_form_terms,
                            orbit_representative, sigma2_point, sigma3_point)
 from .polytools import monomial, padd, pis_zero, pmul, psub
 from .tensor import (Tensor, concise_core, flattening, multilinear_rank,
-                     rank_one, squeeze, zero_tensor)
+                     squeeze, zero_tensor)
 
 _PRIMES = (2, 3, 5)
 
@@ -73,6 +78,31 @@ def _rank_one_candidates(dims, q):
     return tuple(cands)
 
 
+@lru_cache(maxsize=32)
+def _candidate_positions(dims, q):
+    """Where each candidate's lift and its multiples sit in _lift_tables.
+
+    A candidate is a (x) b, with its head a the outer product of its
+    projective vectors in every mode but the last, and b its vector in the
+    last mode.  Returns the distinct heads, and for each candidate of
+    _rank_one_candidates(dims, q), in that order, the positions of the
+    lifts of c * (a (x) b) = a (x) cb for c = 1, ..., q - 1.
+    """
+    last = dims[-1]
+    size = q ** last
+    heads, index = {}, []
+    for cand in _rank_one_candidates(dims, q):
+        rows = [cand[i:i + last] for i in range(0, len(cand), last)]
+        # the first nonzero row is b, and the column at b's leading 1 is a
+        b = next(row for row in rows if any(row))
+        lead = next(j for j, x in enumerate(b) if x)
+        h = heads.setdefault(tuple(row[lead] for row in rows), len(heads))
+        index.append(tuple(
+            h * size + sum(c * x % q * q ** j for j, x in enumerate(b))
+            for c in range(1, q)))
+    return tuple(heads), tuple(index)
+
+
 @dataclass(frozen=True)
 class GreaterThan:
     """Search verdict: the rank exceeds the stated bound."""
@@ -104,7 +134,7 @@ def _prepare_span_search(t, q):
         raise SearchSpaceError(
             f"{n_cands} rank-one candidates exceed the search budget")
     slice_rows = flattening(core, mode0)
-    return None, (slice_rows, _rank_one_candidates(rest, q), max(dims))
+    return None, (slice_rows, rest, max(dims))
 
 
 # -- quotient-space search ----------------------------------------------------
@@ -180,7 +210,35 @@ class _Quotient:
     root: tuple
 
 
-def _project_candidates(slice_rows, cands, q):
+def _lift_tables(heads, units, last, q, over, top):
+    """The lifts of a (x) b for every head a and every b in F_q^last.
+
+    Concatenated per head, in the order of heads; b sits at offset
+    sum_j b_j q^j.  The lift is linear, so a head's table is grown one
+    coordinate j at a time: its entries so far, plus c times the lift of
+    a (x) e_j for c = 1, ..., q - 1, one packed addition each.
+    """
+    out = []
+    for a in heads:
+        table = [0]
+        for j in range(last):
+            e = 0
+            for i, x in enumerate(a):
+                if x:
+                    s = e + units[i * last + j][x]
+                    e = s - (((s + over) & top) >> 3) * q
+            layer = table
+            for _ in range(1, q):
+                layer = [s - (((s + over) & top) >> 3) * q
+                         for s in map(e.__add__, layer)]
+                table += layer
+        out += table
+    return out
+
+
+def _project_candidates(slice_rows, dims, q):
+    """The _Quotient of the candidates _rank_one_candidates(dims, q) by the
+    span of slice_rows; each lift is read from _lift_tables."""
     basis, pivots = rref(slice_rows, q)
     k = len(pivots)  # the slices of a concise core are independent
     n = len(basis[0])
@@ -189,39 +247,41 @@ def _project_candidates(slice_rows, cands, q):
     low = (1 << shift) - 1
     over, top = _pack([8 - q] * n), _pack([8] * n)
     qs = (top - over) & low  # q in every field of the S part: qs - x = -x
-    # the lift is linear, so tabulate it on the multiples of unit vectors
-    units = []
-    for c in range(n):
-        coords = [int(c == p) for p in pivots]
-        image = [(int(c == f) - sum(a * r[f] for a, r in zip(coords, basis)))
-                 % q for f in free]
-        units.append(_multiples(_pack(coords + image), q, over, top))
-    gens, extra, spans, where = [], [], [], {}
+    # the lift of a unit vector: a pivot column's is its S coordinate and
+    # minus its rref row in the free columns, a free column's is its image
+    units = [None] * n
+    for i, c in enumerate(pivots):
+        image = _pack([-basis[i][f] % q for f in free])
+        units[c] = _multiples(1 << 4 * i | image << shift, q, over, top)
+    for i, c in enumerate(free):
+        units[c] = _multiples(1 << 4 * (k + i), q, over, top)
+    heads, index = _candidate_positions(dims, q)
+    lifts = _lift_tables(heads, units, dims[-1], q, over, top)
+    gens, where, spans, extra = [], {}, {}, {}
     root = _ZERO_SPACE
-    for cand in cands:
-        v = 0
-        for c, x in enumerate(cand):
-            if x:
-                s = v + units[c][x]
-                v = s - (((s + over) & top) >> 3) * q
-        hit = where.get(v >> shift)
+    for pos in index:
+        v = lifts[pos[0]]
+        image = v >> shift
+        hit = where.get(image)
         if hit is not None:
             p, part = hit
-            diff = _gf_add(v & low, qs - part, q, over, top)
-            grown = _grow(spans[p], diff, q, over, top)
-            if grown is not spans[p]:
-                spans[p] = grown
-                extra[p].append(diff)
-        elif v >> shift:
-            for m in _multiples(v, q, over, top)[1:]:
-                where[m >> shift] = (len(gens), m & low)
+            s = (v & low) + qs - part
+            diff = s - (((s + over) & top) >> 3) * q
+            span = spans.get(p, _ZERO_SPACE)
+            if not span[0] >> diff & 1:
+                spans[p] = _grow(span, diff, q, over, top)
+                extra.setdefault(p, []).append(diff)
+        elif image:
+            g = len(gens)
+            for i in pos:
+                m = lifts[i]
+                where[m >> shift] = (g, m & low)
             gens.append(v)
-            spans.append(_ZERO_SPACE)
-            extra.append([])
         else:
             root = _grow(root, v, q, over, top)
     return _Quotient(q, k, over, top, tuple(gens), where,
-                     tuple(map(tuple, extra)), root)
+                     tuple(tuple(extra.get(p, ())) for p in range(len(gens))),
+                     root)
 
 
 def _quotient_search(qt, j):
@@ -292,17 +352,19 @@ def rank_over_field(t, q, r_max=6, jobs=1):
     GreaterThan(r_max) when no r <= r_max works.  With jobs > 1 each r is
     searched in its own worker process, and the smallest r found wins.
     """
-    if q not in _PRIMES:
-        raise ValueError(f"search primes are {_PRIMES}")
-    if not isinstance(r_max, int) or not 1 <= r_max <= 6:
-        raise ValueError("r_max must be an integer between 1 and 6")
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError("jobs must be a positive integer")
+    # exact type tests: 2.0 == 2 and True == 1 would pass a comparison
+    if type(q) is not int or q not in _PRIMES:
+        raise ValueError(f"search primes are {_PRIMES}, not {q!r}")
+    if type(r_max) is not int or not 1 <= r_max <= 6:
+        raise ValueError(
+            f"r_max must be an integer between 1 and 6, not {r_max!r}")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, not {jobs!r}")
     decided, ctx = _prepare_span_search(t, q)
     if ctx is None:
         return decided
-    slice_rows, cands, low = ctx
-    qt = _project_candidates(slice_rows, cands, q)
+    slice_rows, rest, low = ctx
+    qt = _project_candidates(slice_rows, rest, q)
     sizes = range(low, r_max + 1)
     if jobs > 1 and len(sizes) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -330,10 +392,15 @@ class Decomposition:
     terms: tuple  # (coefficient, per-mode vectors) pairs
 
     def tensor(self):
-        acc = zero_tensor(self.dims)
+        acc = list(zero_tensor(self.dims).entries)
         for coeff, vectors in self.terms:
-            acc = acc + rank_one([list(v) for v in vectors], coeff)
-        return acc
+            if tuple(map(len, vectors)) != self.dims:
+                raise ValueError("dimension mismatch")
+            term = [coeff]
+            for v in vectors:
+                term = [a * x for a in term for x in v]
+            acc = list(map(add, acc, term))
+        return Tensor(self.dims, tuple(map(_norm, acc)))
 
     def verify(self, target):
         return self.dims == target.dims and self.tensor() == target

@@ -14,9 +14,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from ._linalg import _norm, identity, mat_mul, pivot_columns, rank, rref, transpose
+from ._linalg import _norm, mat_mul, pivot_columns, rank, rref, transpose
 
 MAX_ENTRIES = 10 ** 6
 
@@ -222,11 +222,47 @@ def group_modes(t, partition):
     return Tensor(dims, p.entries)
 
 
+@lru_cache(maxsize=256)
+def _slice_gather(dims, mode, keep):
+    """Flat positions of the entries of a dims-shaped tensor whose index
+    along mode lies in keep, in the row-major order of the tensor that
+    keeps just those slices, in the order of keep."""
+    order = (mode,) + tuple(m for m in range(len(dims)) if m != mode)
+    pos = _gather(dims, order)
+    size = len(pos) // dims[mode]
+    kept = [x for p in keep for x in pos[p * size:(p + 1) * size]]
+    # kept reads the slices with mode first; move mode back into place
+    back = _gather(tuple(len(keep) if m == mode else dims[m] for m in order),
+                   (*range(1, mode + 1), 0, *range(mode + 1, len(dims))))
+    return tuple(kept[i] for i in back)
+
+
 @dataclass(frozen=True)
 class ConciseCore:
-    """T = (maps[0] (x) ... (x) maps[n-1]) . core with full-column-rank maps."""
+    """T = (maps[0] (x) ... (x) maps[n-1]) . core with full-column-rank maps.
+
+    The maps are computed when first read, from the tensor and the field.
+    """
     core: Tensor
-    maps: tuple  # maps[i]: dims[i] x core.dims[i]
+    tensor: Tensor
+    q: int | None = None
+
+    @cached_property
+    def maps(self):
+        """maps[i]: dims[i] x core.dims[i], the columns of the rref of the
+        tensor's transposed mode-i flattening (one zero column for zero).
+
+        Restricting a mode to a spanning set of its slices leaves the column
+        space of every other mode's flattening unchanged, so these are the
+        maps of the core's modes however the earlier modes were restricted.
+        """
+        maps = []
+        for mode, d in enumerate(self.tensor.dims):
+            flat = flattening(self.tensor, mode)
+            rows, pivots = rref(transpose(flat), self.q)
+            maps.append(transpose(rows[:len(pivots)]) if pivots
+                        else [[0] for _ in range(d)])
+        return tuple(maps)
 
     def embed(self):
         out = self.core
@@ -238,29 +274,28 @@ class ConciseCore:
 def concise_core(t, q=None):
     """Concise representative: restrict each mode to a pivot set of slices.
 
-    When the flattening along a mode has full row rank, its d slices are
-    independent, the mode is concise and its map is the identity.
-    Otherwise the pivot columns of the rref of the transposed flattening
-    are the slices kept, and its columns give every slice's coordinates on
-    them.  With a prime q the reduction is over GF(q), reading the entries
-    of t as integers modulo q.
+    Mode by mode: when the flattening of the core so far has full row rank,
+    its d slices are independent and the mode is concise.  Otherwise the
+    slices kept are the pivot columns of the transposed flattening, the
+    first slices, in order, independent of the slices before them, and the
+    core is restricted to them by one gather (a zero tensor keeps slice 0,
+    to stay well-formed).  Kept entries are normalized as a restriction by
+    a 0/1 matrix would leave them: integral Fractions become ints.  With a
+    prime q the pivots are found over GF(q), reading the entries of t as
+    integers modulo q.  The maps (``ConciseCore.maps``) are computed only
+    when read.
     """
     core = t
-    maps = []
     for mode in range(t.order):
         d = core.dims[mode]
         flat = flattening(core, mode)
         if len(pivot_columns(flat, q)) == d:
-            maps.append(identity(d))
             continue
-        rows, pivots = rref(transpose(flat), q)
-        if not pivots:  # zero tensor: keep a single index to stay well-formed
-            pivots, rows = [0], [[0] * d]
-        maps.append(transpose(rows[:len(pivots)]))
-        if len(pivots) < d:
-            sel = [[1 if j == p else 0 for j in range(d)] for p in pivots]
-            core = apply_mode_map(core, sel, mode)
-    return ConciseCore(core, tuple(maps))
+        keep = tuple(pivot_columns(transpose(flat), q)) or (0,)
+        pos = _slice_gather(core.dims, mode, keep)
+        dims = core.dims[:mode] + (len(keep),) + core.dims[mode + 1:]
+        core = Tensor(dims, tuple(_norm(core.entries[i]) for i in pos))
+    return ConciseCore(core, t, q)
 
 
 def squeeze(t):

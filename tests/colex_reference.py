@@ -2,10 +2,13 @@
 
 A second exhaustive search, kept as a differential oracle for the
 quotient-space search in rank_over_field.  The two share only the core
-reduction and the candidate list (_prepare_span_search).
+reduction (_prepare_span_search) and the candidate list
+(_rank_one_candidates).
 """
 
-from border3.rank_oracle import GreaterThan, _prepare_span_search
+from border3.rank_oracle import (
+    GreaterThan, _prepare_span_search, _rank_one_candidates,
+)
 
 
 class _GFSpan:
@@ -85,7 +88,8 @@ def colex_rank_over_field(t, q, r_max=6):
     decided, ctx = _prepare_span_search(t, q)
     if ctx is None:
         return decided
-    slice_rows, cands, low = ctx
+    slice_rows, rest, low = ctx
+    cands = _rank_one_candidates(rest, q)
     for r in range(low, r_max + 1):
         if _span_search(slice_rows, cands, r, q) is not None:
             return r

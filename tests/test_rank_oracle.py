@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from colex_reference import colex_rank_over_field
+from projection_reference import project_candidates
 from border3 import rank_oracle
 from border3._linalg import Echelon, rref
 from border3.normal_forms import (
@@ -14,13 +15,15 @@ from border3.normal_forms import (
     sigma3_point,
 )
 from border3.rank_oracle import (
-    Decomposition, GreaterThan, from_rational, macaulay_membership,
-    perturbed_pencil_matrix, perturbed_pencil_minors, perturbed_pencil_targets,
-    rank_over_field, rank_upper_bound,
+    Decomposition, GreaterThan, _project_candidates, _rank_one_candidates,
+    from_rational, macaulay_membership, perturbed_pencil_matrix,
+    perturbed_pencil_minors, perturbed_pencil_targets, rank_over_field,
+    rank_upper_bound,
 )
 from border3.polytools import monomial, padd, pis_zero, pmul, psub
 from border3.tensor import (
-    concise_core, flattening, make_tensor, random_tensor, rank_one, zero_tensor,
+    apply_gl, concise_core, flattening, make_tensor, random_gl_tuple,
+    random_tensor, rank_one, zero_tensor,
 )
 
 
@@ -140,6 +143,50 @@ def test_quotient_search_matches_colex_search(q, data):
     assert rank_over_field(t, q, r_max) == colex_rank_over_field(t, q, r_max)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tabulated_projection_matches_per_candidate_lifts(q, data):
+    """Lifts read from the per-head tables give the _Quotient of lifting
+    each candidate on its own, field by field and in insertion order."""
+    dims = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2),
+                                      (2, 2, 2, 2)]))
+    n = math.prod(dims)
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+        min_size=1, max_size=3))
+    got = _project_candidates(rows, dims, q)
+    want = project_candidates(rows, _rank_one_candidates(dims, q), q)
+    assert (got.q, got.k, got.over, got.top) == \
+        (want.q, want.k, want.over, want.top)
+    assert got.gens == want.gens
+    assert got.extra == want.extra
+    assert got.root == want.root
+    assert list(got.where.items()) == list(want.where.items())
+
+
+def _moved_orbit_or_pattern(q):
+    orbits = [(orbit_representative(oid), ORBIT_INFO[oid]["rank"])
+              for oid in ORBIT_IDS] if q != 5 else []
+    patterns = [(sigma2_point(n, set(J), (2,) * n), len(J))
+                for n in (3, 4) for size in range(1, n + 1)
+                for J in combinations(range(1, n + 1), size)]
+    return st.tuples(st.sampled_from(orbits + patterns),
+                     st.integers(0, 2 ** 32 - 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_over_field_is_gl_invariant(q, data):
+    """A unimodular move is invertible modulo every prime, so it keeps the
+    rank over F_q: orbit representatives over F2 and F3, and sigma_2
+    support patterns over all three fields."""
+    (t, want), seed = data.draw(_moved_orbit_or_pattern(q))
+    moved = apply_gl(t, random_gl_tuple(t.dims, random.Random(seed)))
+    assert rank_over_field(t, q) == rank_over_field(moved, q) == want
+
+
 def test_rank_over_field_zero_padding_invariance():
     # padding with zero slices never changes the rank
     rng = random.Random(23)
@@ -161,6 +208,16 @@ def test_rank_over_field_input_validation():
         rank_over_field(t, 2, r_max=0)
     with pytest.raises(ValueError):
         rank_over_field(t, 2, r_max=7)
+    # exact integers only: 2.0 == 2 and True == 1 would pass a comparison
+    for bad in (2.0, Fraction(2), True, "2"):
+        with pytest.raises(ValueError, match="search primes"):
+            rank_over_field(t, bad)
+    for bad in (True, 3.0, None):
+        with pytest.raises(ValueError, match="r_max"):
+            rank_over_field(t, 2, r_max=bad)
+    for bad in (True, 2.0, 0):
+        with pytest.raises(ValueError, match="jobs"):
+            rank_over_field(t, 2, jobs=bad)
     rng = random.Random(5)
     wide = make_tensor((4, 3, 3), [rng.randrange(1, 7) for _ in range(36)])
     with pytest.raises(ValueError, match="too large"):
@@ -271,6 +328,14 @@ def test_decomposition_tensor_round_trip():
     assert dec.verify(t)
     assert not dec.verify(zero_tensor((2, 2, 2)))
     assert t[0, 1, 0] == Fraction(6, 7)
+    # one entry list gives the values and types of summing tensors
+    want = zero_tensor((2, 2, 2))
+    for coeff, vectors in terms:
+        want = want + rank_one([list(v) for v in vectors], coeff)
+    assert [(type(x), x) for x in t.entries] == \
+        [(type(x), x) for x in want.entries]
+    with pytest.raises(ValueError, match="mismatch"):
+        Decomposition((2, 2), terms).tensor()
 
 
 def _pencil_vars():

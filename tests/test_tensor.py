@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from border3._linalg import _norm, rref, transpose
 from border3.normal_forms import ORBIT_IDS, orbit_representative
@@ -222,8 +222,12 @@ def _concise_core_cases(draw):
 @pytest.mark.parametrize("q", [None, 2, 3, 5])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(t=_concise_core_cases())
+# mode 0 is not concise (its two slices are equal), and the kept slice holds
+# an integral Fraction that restricting by a 0/1 matrix turns into an int
+@example(t=make_tensor((2, 2, 2), [Fraction(1, 1), 0, 0, 2] * 2))
 def test_concise_core_matches_rref_alone(q, t):
-    """Concise modes skip the rref; the core and maps must not change, in
+    """Slices are kept by a gather, with no rref and no 0/1 matrix, and the
+    maps come from the input alone; the core and maps must not change, in
     value or type, over Q and over GF(q)."""
     if q is not None:  # GF(q) reads integer entries
         t = make_tensor(t.dims, [Fraction(x).numerator for x in t.entries])
