@@ -14,14 +14,14 @@ from .classifier import (
 )
 from .equations import (
     cubic_line_pattern, slice_det_cubic, strassen_equations,
-    strassen_jacobian_rank, subspace_membership,
+    strassen_jacobian_rank,
 )
 from .limits import (
     LimitConfig, LimitPlaneResult, PrecisionError, ScalarSeries, VectorSeries,
-    chart_limit_plane, curve_taylor_consistency, embed_curve, fubini_form,
-    fubini_series, fundamental_form, limit_analysis, limit_config_curves,
-    limit_config_plane, limit_plane, limit_type, line_tangent_span,
-    parameterize, prolongation_check, secant_curve_family,
+    chart_limit_plane, embed_curve, fubini_series, fundamental_form,
+    limit_analysis, limit_config_curves, limit_config_plane, limit_plane,
+    limit_type, line_tangent_span, parameterize, prolongation_check,
+    secant_curve_family,
 )
 from .normal_forms import (
     ORBIT_IDS, ORBIT_INFO, CominusculeModel, grassmann_model, lagrangian_model,

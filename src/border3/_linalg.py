@@ -7,16 +7,16 @@ Matrices are lists of rows; scalars are ``int`` or ``fractions.Fraction``
 (mixed freely -- results of divisions are normalised back to ``int`` when
 possible so the common all-integer paths stay fast).
 
-Elimination over Q runs on integers: each row's denominators are cleared,
-and every entry stays an integer (a minor of that matrix, up to a deferred
-scaling) by dividing exactly by an earlier pivot (Bareiss).  Ranks and
-pivot sets come from ``pivot_columns``, which eliminates forward only, below
-each pivot, with no reduced form, no back substitution and no ``Fraction``.
-``rref`` is for callers that read the reduced rows: it also clears above
-each pivot and divides each row once at the end, so no ``Fraction`` is made
-before the result.  ``Echelon`` keeps its rows sparse, as dicts of their
-nonzero entries, because the Macaulay matrices it reduces hold a few
-nonzeros in hundreds of columns.
+One forward elimination, ``_forward``, serves both fields.  Over Q it runs
+on integers: each row's denominators are cleared, and every entry stays an
+integer (a minor of that matrix, up to a deferred scaling) by dividing
+exactly by an earlier pivot (Bareiss).  Ranks and pivot sets
+(``pivot_columns``) read its pivots and nothing else.  ``rref``, for callers
+that read the reduced rows, back-substitutes on its rows and divides each
+row by its pivot once, so no ``Fraction`` is made before the result.
+``Echelon`` keeps its rows sparse, as dicts of their nonzero entries,
+because the Macaulay matrices it reduces hold a few nonzeros in hundreds of
+columns.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 
 
@@ -84,122 +84,31 @@ def _integer_rows(a):
     return rows
 
 
-def rref(a, q=None):
-    """Reduced row echelon form over Q, or over GF(q) for a prime q.
+def _forward(a, q):
+    """Forward elimination of a, over Q when q is None, else over GF(q).
 
-    Returns (rows, pivot_columns).  Over Q the elimination runs on ints
-    (fraction-free Gauss-Jordan, Bareiss 1968).  Each row is first scaled by
-    the lcm of its denominators, which leaves the RREF unchanged.  At a
-    pivot p, with p_prev the pivot before it, every other row becomes
-    (p * row - row[c] * pivot_row) // p_prev; by Sylvester's identity the
-    entries are then minors of the scaled matrix, so the division is exact.
-    A row with a zero in the pivot column would only be scaled by
-    p / p_prev, so that scaling is deferred: each row keeps the pivot b it
-    was last reduced at, stands for itself times p_prev / b, and is reduced
-    as (p * row - row[c] * pivot_row) // b when it next has a nonzero in
-    the pivot column (a pivot row is first scaled up to date).  Only those
-    rows are touched, and when b == p only the pivot row's nonzeros are
-    subtracted.  Scaling keeps zeros zero, so the pivots are the textbook
-    ones.  At the end each row is divided by its own b, which makes its
-    pivot 1: an entry is an int when it divides evenly and a Fraction
-    otherwise.
+    Returns (rows, pivots): pivots are the first columns, left to right,
+    that are independent of the columns before them, and rows[i] for
+    i < len(pivots) is an echelon row with its pivot in column pivots[i],
+    up to a nonzero scalar.  A row's entries left of its pivot are stale:
+    they are never read, and stand for zeros.  The rows after the pivot
+    rows are stale too.
 
-    Over GF(q) the entries are integers read modulo q, and the rows
-    returned hold residues 0..q-1.
-    """
-    if q is not None:
-        return _rref_mod(a, q)
-    rows = _integer_rows(a)
-    if not rows:
-        return [], []
-    pivots = []
-    prev = 1
-    base = [1] * len(rows)
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        base[r], base[piv] = base[piv], base[r]
-        prow = rows[r]
-        if base[r] != prev:
-            prow = rows[r] = [x * prev // base[r] for x in prow]
-        p = prow[c]
-        support = [(j, y) for j, y in enumerate(prow) if y]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i == r or not f:
-                continue
-            b = base[i]
-            if b == p:
-                for j, y in support:
-                    row[j] -= f * y // p
-            else:
-                rows[i] = [(p * x - f * y) // b for x, y in zip(row, prow)]
-            base[i] = p
-        base[r] = p
-        pivots.append(c)
-        prev = p
-        if len(pivots) == len(rows):
-            break
-    for row, b in zip(rows, base[:len(pivots)]):
-        for j, x in enumerate(row):
-            if x:
-                quo, rem = divmod(x, b)
-                row[j] = Fraction(x, b) if rem else quo
-    return rows, pivots
-
-
-def _rref_mod(a, q):
-    """``rref`` over GF(q).  A pivot row is scaled to a leading 1 (unless its
-    pivot is 1 already), and its zeros are never subtracted."""
-    rows = [[x % q for x in row] for row in a]
-    if not rows:
-        return [], []
-    pivots = []
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = pow(prow[c], q - 2, q)
-        if inv != 1:
-            prow = rows[r] = [x * inv % q if x else 0 for x in prow]
-        support = [(j, y) for j, y in enumerate(prow) if y]
-        for i in range(len(rows)):
-            row = rows[i]
-            f = row[c]
-            if i != r and f:
-                for j, y in support:
-                    row[j] = (row[j] - f * y) % q
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    return rows, pivots
-
-
-def pivot_columns(a, q=None):
-    """The pivot columns of ``rref(a, q)``, by forward elimination only.
-
-    They are the first columns, left to right, that are independent of the
-    columns before them, so no reduced form is needed to find them.  Over Q
-    each row is scaled by the lcm of its denominators, as in ``rref``, and
-    fraction-free elimination (Bareiss 1968) clears the rows below each
-    pivot and no others: with p the pivot and p_prev the one before it, a
-    row becomes (p * row - row[c] * pivot_row) // p_prev, so its entries
-    stay minors of the scaled matrix and the division is exact.  A row with
-    a zero in the pivot column c would only be scaled by p / p_prev; as in
-    ``rref`` that scaling is deferred, by the pivot b each row was last
-    reduced at, until the row is next reduced or becomes the pivot row.
-    There is no back substitution and no ``Fraction``.  Over GF(q) the rows
-    below each pivot are cleared modulo q.
+    Over Q each row is first scaled by the lcm of its denominators, which
+    changes no pivot, and fraction-free elimination (Bareiss 1968) clears
+    the rows below each pivot and no others: with p the pivot and p_prev
+    the one before it, a row becomes (p * row - row[c] * pivot_row) //
+    p_prev, so its entries stay minors of the scaled matrix and the division
+    is exact.  A row with a zero in the pivot column c would only be scaled
+    by p / p_prev, so that scaling is deferred: each row keeps the pivot b
+    it was last reduced at, and is reduced as (p * row - row[c] *
+    pivot_row) // b when it next has a nonzero in the pivot column (a pivot
+    row's tail is first scaled up to date).  Over GF(q) the entries are
+    read modulo q and the rows below each pivot are cleared modulo q.
     """
     rows = _integer_rows(a) if q is None else [[x % q for x in row] for row in a]
     if not rows:
-        return []
+        return rows, []
     nrows, ncols = len(rows), len(rows[0])
     pivots = []
     prev = 1
@@ -210,9 +119,9 @@ def pivot_columns(a, q=None):
         if piv is None:
             continue
         pivots.append(c)
+        rows[r], rows[piv] = rows[piv], rows[r]
         if r + 1 == nrows or c + 1 == ncols:
             break
-        rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         # rows below never read column c or those before it again
         tail = prow[c + 1:]
@@ -238,11 +147,57 @@ def pivot_columns(a, q=None):
                                for x, y in zip(row[c + 1:], tail)]
                 base[i] = p
         prev = p
-    return pivots
+    return rows, pivots
+
+
+def pivot_columns(a, q=None):
+    """The pivot columns of ``rref(a, q)``, by forward elimination only."""
+    return _forward(a, q)[1]
 
 
 def rank(a):
     return len(pivot_columns(a))
+
+
+def rref(a, q=None):
+    """Reduced row echelon form over Q, or over GF(q) for a prime q.
+
+    Returns (rows, pivot_columns), the zero rows after the pivot rows.
+    Back substitution on the echelon rows of ``_forward``: from the last
+    pivot up, each pivot column is cleared in the rows above it.  Over Q
+    this runs on integers: with p the pivot and f a row's entry in its
+    column, the row becomes (p * row - f * pivot_row) / gcd(p, f).  A pivot
+    row gets no further update once the rows above it are cleared, so it
+    is then divided by its pivot: an entry is an int where the division is
+    exact and a Fraction otherwise.  Over GF(q) each pivot row is scaled to
+    a leading 1 and subtracted modulo q, and the rows hold residues 0..q-1.
+    """
+    rows, pivots = _forward(a, q)
+    for k in reversed(range(len(pivots))):
+        c = pivots[k]
+        tail = rows[k][c:]
+        p = tail[0]
+        if q is None:
+            for i in range(k):
+                row = rows[i]
+                f = row[c]
+                if f:
+                    g = gcd(p, f)
+                    s, f = p // g, f // g
+                    ci = pivots[i]
+                    row[ci:] = ([s * x for x in row[ci:c]]
+                                + [s * x - f * y for x, y in zip(row[c:], tail)])
+            tail = [Fraction(x, p) if x % p else x // p for x in tail]
+        else:
+            inv = pow(p, q - 2, q)
+            tail = [x * inv % q for x in tail]
+            for row in rows[:k]:
+                f = row[c]
+                if f:
+                    row[c:] = [(x - f * y) % q for x, y in zip(row[c:], tail)]
+        rows[k] = [0] * c + tail
+    rows[len(pivots):] = [[0] * len(row) for row in rows[len(pivots):]]
+    return rows, pivots
 
 
 def inverse(a):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from ._linalg import Echelon, _norm, inverse, mat_mul, rank, rref, transpose
+from ._linalg import _norm, inverse, mat_mul, rank, rref, transpose
 from .equations import LinePattern, cubic_line_pattern, slice_det_cubic, strassen_equations
 from .normal_forms import ORBIT_INFO
 from .tensor import (
@@ -465,15 +465,14 @@ def scheme_intersection_check(t, mode=0):
         raise ValueError("multiplication operators do not commute; "
                          "the net is not of the expected kind")
     idm = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    span = Echelon()
-    for op in (idm, n1, n2):
-        span.add([x for row in op for x in row])
-    if span.dim != 3:
+    span = [sum(op, []) for op in (idm, n1, n2)]
+    dim = rank(span)
+    if dim != 3:
         raise ValueError("multiplication operators span a space of dimension "
-                         f"{span.dim}, expected 3")
+                         f"{dim}, expected 3")
     for a in (n1, n2):
         for b in (n1, n2):
-            if not span.contains([x for row in mat_mul(a, b) for x in row]):
+            if rank(span + [sum(mat_mul(a, b), [])]) != 3:
                 raise ValueError("operator span is not closed under multiplication")
 
     def tr(op):
@@ -487,7 +486,6 @@ def scheme_intersection_check(t, mode=0):
     if gr == 2:
         return "double_plus_reduced"
     # single support point: separate fat from curvilinear
-    from fractions import Fraction
     l1 = Fraction(tr(n1), 3)
     l2 = Fraction(tr(n2), 3)
     a1 = [[_norm(n1[i][j] - (l1 if i == j else 0)) for j in range(3)] for i in range(3)]

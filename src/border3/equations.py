@@ -27,7 +27,7 @@ from enum import Enum
 from itertools import product
 
 from ._linalg import _norm, pivot_columns, rank, transpose
-from .tensor import _gather, multilinear_rank, slice_matrices
+from .tensor import _gather, slice_matrices
 
 _COF_INDEX = ((1, 2), (0, 2), (0, 1))
 
@@ -269,10 +269,3 @@ def cubic_line_pattern(cubic):
     disc = (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * e - 27 * a * a * e * e
             + 18 * a * b * c * e)
     return LinePattern.SQUAREFREE if disc else LinePattern.DOUBLE_LINE_PLUS_LINE
-
-
-def subspace_membership(t, bounds):
-    """Whether every mode flattening rank is <= the given bound for that mode."""
-    if len(bounds) != t.order:
-        raise ValueError("one bound per mode required")
-    return all(r <= b for r, b in zip(multilinear_rank(t), bounds))

@@ -739,21 +739,6 @@ def fundamental_form(model, s, vectors):
     return out
 
 
-def fubini_form(model, s, vectors):
-    """Degree-s fundamental form on s tangent vectors, as a dense ambient vector.
-
-    Entries outside the degree-s ambient block are zero; forms of degree
-    beyond the model's top block are reported as the zero vector.
-    """
-    if s < 2:
-        raise ValueError("fundamental forms start at degree 2")
-    vals = fundamental_form(model, s, vectors)
-    out = [0] * model.ambient_dim
-    for slot, val in vals.items():
-        out[slot] = val
-    return tuple(out)
-
-
 def fubini_series(model, tangent_series, s):
     """Series value of the degree-s fundamental form along t -> v(t)^s.
 
@@ -787,43 +772,6 @@ def prolongation_check(model, f1, f2):
     if fundamental_form(model, len(f1), f1):
         raise ValueError("the first argument must annihilate its own form degree")
     return not fundamental_form(model, len(f1) + len(f2), f1 + f2)
-
-
-def curve_taylor_consistency(model, curve, max_block=None):
-    """Order bounds and leading coefficients of the chart map along a curve.
-
-    The curve must vanish at t=0 to order m >= 1.  For each block degree s,
-    every degree-s ambient coordinate must vanish to order >= s*m, the
-    t^(s*m) coefficient must equal the diagonal degree-s form on the leading
-    vector, and the next coefficient must match its first polarisation.
-    """
-    if not isinstance(curve, VectorSeries):
-        data = list(curve)
-        curve = VectorSeries.from_polynomial(data, _exact_prec(model, data))
-    m = curve.order()
-    if m is None or m < 1:
-        raise ValueError("curve must vanish at t=0")
-    amb = embed_curve(model, curve)
-    prec = curve.prec
-    vm = list(curve.coeff_vector(m))
-    vm1 = list(curve.coeff_vector(m + 1)) if m + 1 < prec else None
-    top = model.base_degree if max_block is None else min(max_block, model.base_degree)
-    for s in range(1, top + 1):
-        block = model.slot_block(s)
-        lead = model.fundamental_form_diag(s, vm)
-        pol = None
-        if vm1 is not None and s * m + 1 < prec:
-            pol = fundamental_form(model, s, [vm] * (s - 1) + [vm1])
-        for i in block:
-            o = amb[i].order()
-            if o is not None and o < s * m:
-                return False
-            if s * m < prec and amb[i].coeff(s * m) != lead.get(i, 0):
-                return False
-            if pol is not None:
-                if amb[i].coeff(s * m + 1) != _norm(s * pol.get(i, 0)):
-                    return False
-    return True
 
 
 # -- colliding-curve configurations ------------------------------------------

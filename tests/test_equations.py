@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from border3._linalg import _norm, rank
 from border3.equations import (
     LinePattern, TernaryCubic, _jacobian, cubic_line_pattern, slice_det_cubic,
-    strassen_equations, strassen_jacobian_rank, subspace_membership,
+    strassen_equations, strassen_jacobian_rank,
 )
 from border3.normal_forms import ORBIT_IDS, orbit_representative
 from border3.polytools import bivariate_is_constant, gcd_bivariate, padd, pclean, pmul
@@ -408,11 +408,3 @@ def test_cubic_line_pattern_matches_gcd_reference(case):
     if lines is not None:
         assert got is (LinePattern.TRIPLE_LINE, LinePattern.DOUBLE_LINE_PLUS_LINE,
                        LinePattern.SQUAREFREE)[lines - 1]
-
-
-def test_subspace_membership():
-    t = orbit_representative(39)
-    assert subspace_membership(t, (3, 3, 3))
-    assert not subspace_membership(t, (2, 3, 3))
-    w = make_tensor((2, 2, 2), [0, 1, 1, 0, 1, 0, 0, 0])
-    assert subspace_membership(w, (2, 2, 2))

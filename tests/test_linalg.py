@@ -165,14 +165,19 @@ def _pivot_cases(draw, scalars=_SCALARS):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(a=_pivot_cases())
 def test_pivot_columns_match_rref_over_q(a):
-    assert pivot_columns(a) == rref(a)[1]
+    rows, pivots = rref(a)
+    assert (rows, pivots) == _reference_rref(a)
+    assert pivot_columns(a) == pivots
+    _assert_exact_types(rows)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(a=_pivot_cases(scalars=st.integers(-6, 6)))
 def test_pivot_columns_match_rref_over_gf(q, a):
-    assert pivot_columns(a, q) == rref(a, q)[1]
+    rows, pivots = rref(a, q)
+    assert (rows, pivots) == _reference_rref(a, q)
+    assert pivot_columns(a, q) == pivots
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
