@@ -5,18 +5,24 @@ nine entries of  Z adj(X) Y - Y adj(X) Z  where (X, Y, Z) are the three slices
 of that direction and adj is the classical adjugate.  Vanishing of all 27
 values characterises border rank <= 3 for concise 3x3x3 tensors.
 
-The quartics exist only as this numeric evaluation.  Their Jacobian is in
-closed form: each block is linear in Y and Z, so those partials are entries
-of the products of adj(X) with Y and Z, and quadratic in X, so an X-partial
-is the same block with adj(X) replaced by the four-entry change of the
-adjugate along a unit matrix.
+The quartics exist only as this numeric evaluation, in product form: with
+A = adj(X) written out entry by entry, a block is Z (A Y) - Y (A Z), read
+off the products A Y and A Z in 108 multiplications, where summing the
+terms cof_jk (y_jt z_sk - y_sk z_jt) one by one takes up to 162.  Their
+Jacobian is in closed form: each block is linear in Y and Z, so those
+partials are entries of the products of adj(X) with Y and Z, and quadratic
+in X, so an X-partial is the same block function with adj(X) replaced by
+the four-entry change of the adjugate along a unit matrix; the products
+skip its zero entries.
 
 The slice cubic det(s S0 + t S1 + u S2), whose coefficients are sums of
 mixed determinants of the slices' rows, splits into lines in one of four
 ways (zero, a cube, a square times a line, squarefree), and linear algebra
 tells them apart: the rank of its three partials is 1 for a cube and 3 for
 a squarefree cubic, and at rank 2 the cubic is a cone over a binary cubic,
-whose discriminant says whether a line repeats.
+whose discriminant says whether a line repeats.  The partials form a 6x3
+matrix, one row per quadratic monomial, filled from the cubic's ten
+coefficients through a fixed table.
 """
 
 from __future__ import annotations
@@ -26,36 +32,41 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from ._linalg import _norm, pivot_columns, rank, transpose
+from ._linalg import _norm, pivot_columns, rank
 from .tensor import _gather, slice_matrices
 
-_COF_INDEX = ((1, 2), (0, 2), (0, 1))
+
+def _adjugate(x):
+    """The classical adjugate of a 3x3 matrix: adj(X) X = det(X) I."""
+    (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = x
+    return [[x11 * x22 - x12 * x21, x02 * x21 - x01 * x22, x01 * x12 - x02 * x11],
+            [x12 * x20 - x10 * x22, x00 * x22 - x02 * x20, x02 * x10 - x00 * x12],
+            [x10 * x21 - x11 * x20, x01 * x20 - x00 * x21, x00 * x11 - x01 * x10]]
 
 
-def _cofactor_matrix(x):
-    """cof[j][k] = (-1)^(j+k) * minor of x with row j, column k removed."""
-    cof = [[0] * 3 for _ in range(3)]
-    for j in range(3):
-        r0, r1 = _COF_INDEX[j]
-        for k in range(3):
-            c0, c1 = _COF_INDEX[k]
-            m = x[r0][c0] * x[r1][c1] - x[r0][c1] * x[r1][c0]
-            cof[j][k] = m if (j + k) % 2 == 0 else -m
-    return cof
-
-
-def _commutator(cof, y, z):
-    """Nine values P[s][t] = sum_{j,k} cof[j][k] (y[j][t] z[s][k] - y[s][k] z[j][t]),
-    that is Z C^T Y - Y C^T Z, skipping the zeros of cof."""
-    terms = [(j, k, c) for j, row in enumerate(cof) for k, c in enumerate(row) if c]
+def _block(a, y, z):
+    """The nine entries of Z (A Y) - Y (A Z), row-major, from the products
+    A Y and A Z; the zero entries of a are skipped."""
+    ay, az = [], []
+    for row in a:
+        u0 = u1 = u2 = w0 = w1 = w2 = 0
+        for v, (y0, y1, y2), (z0, z1, z2) in zip(row, y, z):
+            if v:
+                u0 += v * y0
+                u1 += v * y1
+                u2 += v * y2
+                w0 += v * z0
+                w1 += v * z1
+                w2 += v * z2
+        ay.append((u0, u1, u2))
+        az.append((w0, w1, w2))
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = ay
+    (f0, f1, f2), (g0, g1, g2), (h0, h1, h2) = az
     out = []
-    for s in range(3):
-        ys, zs = y[s], z[s]
-        for t in range(3):
-            acc = 0
-            for j, k, c in terms:
-                acc += c * (y[j][t] * zs[k] - ys[k] * z[j][t])
-            out.append(_norm(acc))
+    for (ya, yb, yc), (za, zb, zc) in zip(y, z):
+        out += (_norm(za * p0 + zb * q0 + zc * r0 - ya * f0 - yb * g0 - yc * h0),
+                _norm(za * p1 + zb * q1 + zc * r1 - ya * f1 - yb * g1 - yc * h1),
+                _norm(za * p2 + zb * q2 + zc * r2 - ya * f2 - yb * g2 - yc * h2))
     return out
 
 
@@ -70,7 +81,7 @@ def strassen_equations(t):
     vals = []
     for mode in range(3):
         x, y, z = slice_matrices(t, mode)
-        vals.extend(_commutator(_cofactor_matrix(x), y, z))
+        vals += _block(_adjugate(x), y, z)
     return vals
 
 
@@ -79,10 +90,11 @@ def _mul3(a, b):
              for j in range(3)] for i in range(3)]
 
 
-def _cofactor_step(x, r, c):
-    """cof(X + E_rc) - cof(X): the adjugate is quadratic and adj(E_rc) = 0,
-    so this is the derivative along E_rc.  Only the four minors that keep
-    row r and column c change, each by the signed entry opposite (r, c)."""
+def _adjugate_step(x, r, c):
+    """adj(X + E_rc) - adj(X): the adjugate is quadratic and adj(E_rc) = 0,
+    so this is the derivative along E_rc.  Only the four entries (k, j)
+    with k != c and j != r change, each by the signed entry of x opposite
+    (r, c) in the minor of row j and column k."""
     d = [[0] * 3 for _ in range(3)]
     for j in range(3):
         if j == r:
@@ -94,8 +106,8 @@ def _cofactor_step(x, r, c):
             c2 = 3 - c - k
             v = x[r2][c2]
             # the minor gains +v when (r, c) and (r2, c2) are its main
-            # diagonal, -v otherwise; the cofactor adds the sign (-1)^(j+k)
-            d[j][k] = v if ((r < r2) == (c < c2)) == ((j + k) % 2 == 0) else -v
+            # diagonal, -v otherwise; the adjugate adds the sign (-1)^(j+k)
+            d[k][j] = v if ((r < r2) == (c < c2)) == ((j + k) % 2 == 0) else -v
     return d
 
 
@@ -106,15 +118,15 @@ def _jacobian(t):
     Each block P = Z A Y - Y A Z, with A = adj(X), is linear in Y and Z, so
     along a unit matrix E_rc its Y-partial Z A E_rc - E_rc A Z and its
     Z-partial E_rc A Y - Y A E_rc are read off the products Z A, A Z, Y A
-    and A Y.  It is quadratic in X, and its X-partial is Z D Y - Y D Z with
-    D = adj(X + E_rc) - adj(X), which has four nonzero entries.
+    and A Y.  It is quadratic in X, and its X-partial is the block with A
+    replaced by D = adj(X + E_rc) - adj(X), which has four nonzero entries.
     """
     if t.dims != (3, 3, 3):
         raise ValueError("the quartic system is defined for dims (3, 3, 3)")
     jac = [[0] * 27 for _ in range(27)]
     for mode in range(3):
         x, y, z = slice_matrices(t, mode)
-        adj = transpose(_cofactor_matrix(x))
+        adj = _adjugate(x)
         za, az, ya, ay = _mul3(z, adj), _mul3(adj, z), _mul3(y, adj), _mul3(adj, y)
         rows = jac[9 * mode:9 * mode + 9]
         # pos[9a + 3r + c]: column of the entry with index a in `mode` and
@@ -122,7 +134,7 @@ def _jacobian(t):
         pos = _gather(t.dims, (mode, *(m for m in range(3) if m != mode)))
         for r in range(3):
             for c in range(3):
-                dx = _commutator(_cofactor_step(x, r, c), y, z)
+                dx = _block(_adjugate_step(x, r, c), y, z)
                 vx, vy, vz = pos[3 * r + c], pos[9 + 3 * r + c], pos[18 + 3 * r + c]
                 for s in range(3):
                     for u in range(3):
@@ -154,7 +166,7 @@ class TernaryCubic:
     def from_dict(d):
         items = tuple(sorted((e, c) for e, c in d.items() if c))
         for e, _ in items:
-            if len(e) != 3 or sum(e) != 3:
+            if e not in _CUBIC_INDEX:
                 raise ValueError(f"not a ternary cubic monomial: {e}")
         return TernaryCubic(items)
 
@@ -183,6 +195,21 @@ def _mixed_terms():
 
 
 _MIXED_TERMS = _mixed_terms()
+_CUBIC_INDEX = {e: i for i, (e, _) in enumerate(_MIXED_TERMS)}
+
+
+def _partials_table():
+    """One row per quadratic monomial m, one entry per variable v: the
+    position in _MIXED_TERMS of the cubic monomial m * v and its exponent
+    of v.  The coefficient of m in dF/dv is that exponent times F's
+    coefficient at that position."""
+    quadrics = sorted({tuple(x - (w == v) for w, x in enumerate(e))
+                       for e in _CUBIC_INDEX for v in range(3) if e[v]})
+    return tuple(tuple((_CUBIC_INDEX[tuple(x + (w == v) for w, x in enumerate(m))],
+                        m[v] + 1) for v in range(3)) for m in quadrics)
+
+
+_PARTIALS = _partials_table()
 
 
 def slice_det_cubic(t, mode):
@@ -227,20 +254,6 @@ class LinePattern(Enum):
     SQUAREFREE = "squarefree"
 
 
-def _cubic_partials(d):
-    out = []
-    for var in range(3):
-        p = {}
-        for e, c in d.items():
-            k = e[var]
-            if k:
-                e2 = list(e)
-                e2[var] -= 1
-                p[tuple(e2)] = k * c
-        out.append(p)
-    return out
-
-
 def cubic_line_pattern(cubic):
     """Classify det-slice cubics: zero, a cube, a square times a line, or squarefree.
 
@@ -252,19 +265,19 @@ def cubic_line_pattern(cubic):
     has a repeated line exactly when G has a repeated root, that is when
     its discriminant is 0.
     """
-    d = cubic.as_dict()
-    if not d:
+    if not cubic.coeffs:
         return LinePattern.IDENTICALLY_ZERO
-    partials = _cubic_partials(d)
-    monos = sorted({e for p in partials for e in p})
-    pivots = pivot_columns([[p.get(e, 0) for p in partials] for e in monos])
+    coef = [0] * len(_MIXED_TERMS)
+    for e, c in cubic.coeffs:
+        coef[_CUBIC_INDEX[e]] = c
+    pivots = pivot_columns([[k * coef[i] for i, k in row] for row in _PARTIALS])
     if len(pivots) == 1:
         return LinePattern.TRIPLE_LINE
     if len(pivots) == 3:
         return LinePattern.SQUAREFREE
     f = next(v for v in range(3) if v not in pivots)
     # G = a u^3 + b u^2 w + c u w^2 + e w^3 in the pivot variables (u, w)
-    g = {m[pivots[0]]: x for m, x in d.items() if not m[f]}
+    g = {m[pivots[0]]: x for m, x in cubic.coeffs if not m[f]}
     a, b, c, e = (g.get(k, 0) for k in (3, 2, 1, 0))
     disc = (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * e - 27 * a * a * e * e
             + 18 * a * b * c * e)

@@ -5,6 +5,9 @@ tensor with dims (d_0, ..., d_{n-1}) sits at sum_m i_m * stride_m, where
 stride_m is the product of the dims after m, so the last index varies
 fastest.  Only ``_gather`` decodes that layout for whole tensors; permuting,
 flattening, grouping and mode maps all read their entries through it.
+A flattening reads a cached layout built on ``_gather``: one
+``operator.itemgetter`` over its positions, applied to the entries in a
+single call and cut into rows.
 Scalars are ``int`` or ``fractions.Fraction``.  All operations are exact.
 """
 
@@ -15,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from ._linalg import _norm, mat_mul, pivot_columns, rank, rref, transpose
 
@@ -125,14 +129,24 @@ def flattening(t, mode):
     return grouped_flattening(t, [mode])
 
 
+@lru_cache(maxsize=256)
+def _flattening_layout(dims, row_modes):
+    """(get, ncols) for the flattening of a dims-shaped tensor with the
+    sorted modes row_modes as rows: get(entries) reads its entries row by
+    row in one call, and each row holds ncols of them."""
+    col_modes = tuple(m for m in range(len(dims)) if m not in row_modes)
+    pos = _gather(dims, row_modes + col_modes)
+    # itemgetter of one position returns the bare entry; a one-entry
+    # tensor's entries are already its flattening
+    get = itemgetter(*pos) if len(pos) > 1 else tuple
+    return get, math.prod(dims[m] for m in col_modes)
+
+
 def grouped_flattening(t, row_modes):
     """Flattening with an arbitrary subset of modes as rows."""
-    row_modes = sorted(row_modes)
-    col_modes = [m for m in range(t.order) if m not in row_modes]
-    pos = _gather(t.dims, tuple(row_modes + col_modes))
-    ncols = math.prod(t.dims[m] for m in col_modes)
-    get = t.entries.__getitem__
-    return [list(map(get, pos[r:r + ncols])) for r in range(0, len(pos), ncols)]
+    get, ncols = _flattening_layout(t.dims, tuple(sorted(row_modes)))
+    flat = get(t.entries)
+    return [list(flat[r:r + ncols]) for r in range(0, len(flat), ncols)]
 
 
 def multilinear_rank(t):
@@ -205,10 +219,11 @@ def slice_matrices(t, mode):
     """For 3-way tensors: the dims[mode] slices as matrices (rows/cols in mode order)."""
     if t.order != 3:
         raise ValueError("slice_matrices requires a 3-way tensor")
-    other = [m for m in range(3) if m != mode]
-    r, c = t.dims[other[0]], t.dims[other[1]]
-    flat = flattening(t, mode)
-    return [[row[i * c:(i + 1) * c] for i in range(r)] for row in flat]
+    c = t.dims[1 if mode == 2 else 2]  # the last mode other than mode
+    get, size = _flattening_layout(t.dims, (mode,))
+    flat = get(t.entries)
+    return [[list(flat[i:i + c]) for i in range(a, a + size, c)]
+            for a in range(0, len(flat), size)]
 
 
 def group_modes(t, partition):
@@ -360,8 +375,9 @@ def tensor_from_json(obj):
     dims = obj["dims"]
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise ValueError("tensor JSON dims must be a list of integers")
-    entries = tuple(parse_scalar(e) for e in obj["entries"])
-    return Tensor(dims, entries)
+    if not isinstance(obj["entries"], list):
+        raise ValueError("tensor JSON entries must be a list of scalars")
+    return Tensor(dims, tuple(map(parse_scalar, obj["entries"])))
 
 
 def loads_tensor(text):

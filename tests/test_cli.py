@@ -379,6 +379,21 @@ def test_non_integer_dims_are_a_usage_error(capsys, monkeypatch, argv, blob):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["rank", "--field", "2"], ["stabilizer"], ["strassen"],
+])
+@pytest.mark.parametrize("blob", [
+    {"dims": [3], "entries": "123"},
+    {"dims": [3], "entries": {"1": 0, "2": 0, "3": 0}},
+])
+def test_non_list_entries_are_a_usage_error(capsys, monkeypatch, argv, blob):
+    # iterating a string reads its characters, and an object its keys
+    code, out, err = run_cli(capsys, argv, stdin=json.dumps(blob),
+                             monkeypatch=monkeypatch)
+    assert code == 1 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # prec: one long curve alone pushes the wedge degree bound (the truncation
 # order) past MAX_PREC; max_prec: each curve is under the cap, their sum is not
 @pytest.mark.parametrize("model, width, lengths", [

@@ -56,30 +56,64 @@ def _quartic_points(draw):
     return apply_gl(rep, g)
 
 
-def _reference_jacobian(t):
-    """The Jacobian by block polarization: each block evaluated in full at
-    X + E, at Y = E and at Z = E for every unit matrix E, with the
-    adjugate's cofactors summed term by term."""
-    def block(x, y, z):
-        cof = [[(-1) ** (j + k) * (x[r0][c0] * x[r1][c1] - x[r0][c1] * x[r1][c0])
-                for k, (c0, c1) in enumerate(((1, 2), (0, 2), (0, 1)))]
-               for j, (r0, r1) in enumerate(((1, 2), (0, 2), (0, 1)))]
-        return [_norm(sum(cof[j][k] * (y[j][u] * z[s][k] - y[s][k] * z[j][u])
-                          for j in range(3) for k in range(3)))
-                for s in range(3) for u in range(3)]
+# ---- the quartics evaluated term by term, as before the product form ------
 
+_COF_INDEX = ((1, 2), (0, 2), (0, 1))
+
+
+def _cofactor_matrix(x):
+    """cof[j][k] = (-1)^(j+k) * minor of x with row j, column k removed."""
+    cof = [[0] * 3 for _ in range(3)]
+    for j in range(3):
+        r0, r1 = _COF_INDEX[j]
+        for k in range(3):
+            c0, c1 = _COF_INDEX[k]
+            m = x[r0][c0] * x[r1][c1] - x[r0][c1] * x[r1][c0]
+            cof[j][k] = m if (j + k) % 2 == 0 else -m
+    return cof
+
+
+def _commutator(cof, y, z):
+    """Nine values P[s][t] = sum_{j,k} cof[j][k] (y[j][t] z[s][k] - y[s][k] z[j][t]),
+    that is Z C^T Y - Y C^T Z, skipping the zeros of cof."""
+    terms = [(j, k, c) for j, row in enumerate(cof) for k, c in enumerate(row) if c]
+    out = []
+    for s in range(3):
+        ys, zs = y[s], z[s]
+        for t in range(3):
+            acc = 0
+            for j, k, c in terms:
+                acc += c * (y[j][t] * zs[k] - ys[k] * z[j][t])
+            out.append(_norm(acc))
+    return out
+
+
+def _reference_block(x, y, z):
+    return _commutator(_cofactor_matrix(x), y, z)
+
+
+def _reference_strassen_equations(t):
+    vals = []
+    for mode in range(3):
+        vals.extend(_reference_block(*slice_matrices(t, mode)))
+    return vals
+
+
+def _reference_jacobian(t):
+    """The Jacobian by block polarization: each block evaluated term by term
+    in full at X + E, at Y = E and at Z = E for every unit matrix E."""
     jac = [[0] * 27 for _ in range(27)]
     for mode in range(3):
         x, y, z = slice_matrices(t, mode)
-        base = block(x, y, z)
+        base = _reference_block(x, y, z)
         others = [m for m in range(3) if m != mode]
         for r in range(3):
             for c in range(3):
                 e = [[int((i, j) == (r, c)) for j in range(3)] for i in range(3)]
                 xe = [list(row) for row in x]
                 xe[r][c] += 1
-                cols = ([_norm(v - b) for v, b in zip(block(xe, y, z), base)],
-                        block(x, e, z), block(x, y, e))
+                cols = ([_norm(v - b) for v, b in zip(_reference_block(xe, y, z), base)],
+                        _reference_block(x, e, z), _reference_block(x, y, e))
                 for a, col in enumerate(cols):
                     idx = [0, 0, 0]
                     idx[mode], idx[others[0]], idx[others[1]] = a, r, c
@@ -105,6 +139,17 @@ def _jacobian_points(draw):
                 entries[9 * i + 3 * j + l] = _norm(u[a] * w[b])
         t = make_tensor((3, 3, 3), entries)
     return t
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_jacobian_points())
+def test_quartics_match_term_by_term_evaluation(t):
+    """The product-form blocks equal the term-by-term sums, in value and in
+    type (a value is an int exactly when it is integral), also where a
+    singular first slice leaves zero rows in its adjugate."""
+    got = strassen_equations(t)
+    want = _reference_strassen_equations(t)
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -2,7 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -143,6 +143,73 @@ def test_reshapes_match_their_index_definitions(case):
         assert s[idx] == sum(
             matrix[idx[mode]][j] * t[idx[:mode] + (j,) + idx[mode + 1:]]
             for j in range(dims[mode]))
+
+
+def _unrank(k, dims):
+    """The index tuple at position k of the row-major order over dims."""
+    idx = []
+    for d in reversed(dims):
+        k, i = divmod(k, d)
+        idx.append(i)
+    return idx[::-1]
+
+
+def _reference_flattening(t, rows):
+    """Row r, column c: the entry whose indices in the (sorted) row modes
+    are the r-th tuple and in the other modes the c-th, read by t[idx]."""
+    rows = sorted(rows)
+    cols = [m for m in range(t.order) if m not in rows]
+    row_dims, col_dims = [t.dims[m] for m in rows], [t.dims[m] for m in cols]
+    out = []
+    for r in range(math.prod(row_dims)):
+        line = []
+        for c in range(math.prod(col_dims)):
+            idx = [0] * t.order
+            for m, i in zip(rows + cols, _unrank(r, row_dims) + _unrank(c, col_dims)):
+                idx[m] = i
+            line.append(t[tuple(idx)])
+        out.append(line)
+    return out
+
+
+@st.composite
+def _small_tensors(draw):
+    """1-5 modes of size 1-3, with integer or rational entries."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
+    scalars = st.one_of(st.integers(-9, 9),
+                        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+    n = math.prod(dims)
+    return make_tensor(dims, map(_norm, draw(st.lists(scalars, min_size=n, max_size=n))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_small_tensors())
+@example(make_tensor((1,), [7]))
+@example(make_tensor((1, 1, 1), [Fraction(-2, 3)]))
+@example(make_tensor((2, 1, 3, 1, 2), range(12)))
+def test_flattenings_match_index_arithmetic(t):
+    """Every row-mode subset, in either order, against the flattening read
+    entry by entry; the mode flattenings and the slices of a 3-way tensor
+    too.  Every row is a fresh list."""
+    for size in range(t.order + 1):
+        for rows in combinations(range(t.order), size):
+            want = _reference_flattening(t, rows)
+            got = grouped_flattening(t, list(rows))
+            assert got == want and all(type(row) is list for row in got)
+            assert grouped_flattening(t, rows[::-1]) == want
+    for mode in range(t.order):
+        assert flattening(t, mode) == _reference_flattening(t, [mode])
+    if t.order == 3:
+        for mode in range(3):
+            a, b = [m for m in range(3) if m != mode]
+            want = [[[t[tuple({mode: s, a: i, b: j}[m] for m in range(3))]
+                      for j in range(t.dims[b])] for i in range(t.dims[a])]
+                    for s in range(t.dims[mode])]
+            got = slice_matrices(t, mode)
+            assert got == want
+            assert all(type(row) is list for mat in got for row in mat)
+    grouped_flattening(t, [0])[0][0] = None
+    assert grouped_flattening(t, [0])[0][0] == t.entries[0]
 
 
 def test_slices_roundtrip():
