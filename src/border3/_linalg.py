@@ -41,10 +41,6 @@ def div(a, b):
     return _norm(Fraction(a) / Fraction(b))
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
@@ -202,7 +198,8 @@ def rref(a, q=None):
 
 def inverse(a):
     n = len(a)
-    aug = [list(row) + list(erow) for row, erow in zip(a, identity(n))]
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
+           for i, row in enumerate(a)]
     rows, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -18,7 +18,7 @@ from .equations import LinePattern, cubic_line_pattern, slice_det_cubic, strasse
 from .normal_forms import ORBIT_INFO
 from .tensor import (
     Tensor, _gather, concise_core, flattening, group_modes, grouped_flattening,
-    multilinear_rank, slice_matrices, squeeze,
+    slice_matrices, squeeze,
 )
 
 GREATER_THAN_3 = "greater_than_3"
@@ -235,10 +235,8 @@ def classify(t):
     label = core_dims if core_dims != dims else None
 
     if m == 2:
+        # a concise matrix core is square: its row and column ranks agree
         r = sq.dims[0]
-        if sq.dims[0] != sq.dims[1]:
-            return ClassificationReport(dims, UNKNOWN, core_dims=core_dims,
-                                        witnesses=("internal: non-square concise matrix core",))
         if r == 2:
             return ClassificationReport(
                 dims, 2, rank=2, core_dims=core_dims,
@@ -279,9 +277,10 @@ def classify(t):
                        "pattern, where border rank 3 is automatic; the flattening "
                        "of rank 3 gives the matching lower bound",))
 
-    # m >= 4
-    bip_ok2 = True
-    for size in range(1, m // 2 + 1):
+    # m >= 4; a single factor's flattening has rank its core dimension, at
+    # most 3, so the bipartitions to check start at two factors
+    bip_ok2 = max(sq.dims) == 2
+    for size in range(2, m // 2 + 1):
         for s in combinations(range(m), size):
             if 0 not in s and len(s) * 2 == m:
                 continue  # avoid double-counting complementary halves
@@ -294,16 +293,12 @@ def classify(t):
             if r > 2:
                 bip_ok2 = False
     if bip_ok2:
-        if all(d == 2 for d in sq.dims):
-            rk, w = _pencil_rank(sq, kept)
-            return ClassificationReport(
-                dims, 2, rank=rk, core_dims=core_dims,
-                sigma2_support=tuple(k + 1 for k in kept),
-                witnesses=("every bipartition flattening has rank <= 2, which cuts "
-                           "out border rank <= 2 set-theoretically", w))
+        rk, w = _pencil_rank(sq, kept)
         return ClassificationReport(
-            dims, UNKNOWN, core_dims=core_dims,
-            witnesses=("internal: bipartition ranks <= 2 but the core is not all-2s",))
+            dims, 2, rank=rk, core_dims=core_dims,
+            sigma2_support=tuple(k + 1 for k in kept),
+            witnesses=("every bipartition flattening has rank <= 2, which cuts "
+                       "out border rank <= 2 set-theoretically", w))
 
     # strassen screen over every 3-block grouping
     for blocks in _partitions_into_3(m):
@@ -320,12 +315,15 @@ def classify(t):
         sd = stabilizer_dimension(sq)
         family = {3 * m - 3: "i", 3 * m - 2: "ii", 3 * m - 1: "iii", 3 * m + 1: "iv"}.get(sd)
         orbits = {}
+        # the factors lying in every grouping's distinguished block: block
+        # orbit - 34 for the type-iv orbits 34..36, none for the others
+        common = set(range(m))
         ok = family is not None
         if ok:
             for j in range(m):
                 k2 = min(x for x in range(m) if x != j)
-                rest = [x for x in range(m) if x not in (j, k2)]
-                gcore = _grouped_core(sq, [[j], [k2], rest])
+                blocks = [[j], [k2], [x for x in range(m) if x not in (j, k2)]]
+                gcore = _grouped_core(sq, blocks)
                 if gcore.dims != (3, 3, 3):
                     ok = False
                     break
@@ -334,6 +332,7 @@ def classify(t):
                     ok = False
                     break
                 orbits[j] = data
+                common &= set(blocks[data - 34]) if data <= 36 else set()
         if ok:
             expected = {"i": 39, "ii": 38, "iii": 37}
             if family in expected:
@@ -344,22 +343,13 @@ def classify(t):
                         core_dims=core_dims,
                         witnesses=(f"stabilizer dimension {sd} = 3n{'-3' if family == 'i' else '-2' if family == 'ii' else '-1'} matches limit type {family}",
                                    f"every singleton grouping reduces to catalog orbit {expected[family]}",))
-            else:  # iv
-                votes = [j for j, v in orbits.items() if v == 34]
-                if len(votes) == 1:
-                    f = votes[0]
-                    coherent = True
-                    for j, v in orbits.items():
-                        if j == f:
-                            continue
-                        k2 = min(x for x in range(m) if x != j)
-                        coherent &= (v == 35) if k2 == f else (v == 36)
-                    if coherent:
-                        return ClassificationReport(
-                            dims, 3, rank=None, limit_type="iv",
-                            distinguished_factor=kept[f] + 1, core_dims=core_dims,
-                            witnesses=(f"stabilizer dimension {sd} = 3n+1 matches limit type iv",
-                                       f"singleton groupings locate the distinguished factor at {kept[f] + 1}",))
+            elif len(common) == 1:  # iv, with its distinguished factor
+                f = common.pop()
+                return ClassificationReport(
+                    dims, 3, rank=None, limit_type="iv",
+                    distinguished_factor=kept[f] + 1, core_dims=core_dims,
+                    witnesses=(f"stabilizer dimension {sd} = 3n+1 matches limit type iv",
+                               f"singleton groupings locate the distinguished factor at {kept[f] + 1}",))
         return ClassificationReport(
             dims, UNKNOWN, core_dims=core_dims,
             witnesses=(f"stabilizer dimension {sd} with grouped-core orbits "

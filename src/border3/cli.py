@@ -61,7 +61,11 @@ def _emit(obj):
 
 
 def _seed_rng():
-    return random.Random(int(os.environ.get("BORDER3_SEED", "0")))
+    text = os.environ.get("BORDER3_SEED", "0")
+    try:
+        return random.Random(int(text))
+    except ValueError:
+        raise _UsageError(f"BORDER3_SEED must be an integer, not {text!r}") from None
 
 
 # -- verb implementations -----------------------------------------------------
@@ -166,6 +170,7 @@ def _curve_from_json(obj):
 
 
 def _cmd_limit(args):
+    rng = _seed_rng()  # a bad seed is refused before any plane is computed
     try:
         cfg = json.loads(_read_text(args.config))
         model = _model_from_json(cfg["model"])
@@ -183,7 +188,6 @@ def _cmd_limit(args):
     }
     code = 0
     if not result.degenerate:
-        rng = _seed_rng()
         coeffs = [rng.randint(1, 97) for _ in result.plane]
         vec = result.sample(coeffs)
         sample = {

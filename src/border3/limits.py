@@ -228,11 +228,6 @@ def _curve_data(curve):
     return data
 
 
-def _exact_prec(model, data):
-    """A truncation order holding the chart map along a polynomial curve exactly."""
-    return max(2, (len(data) - 1) * model.base_degree + 2)
-
-
 def embed_curve(model, curve):
     """Ambient coordinates of the model chart map along a chart curve.
 
@@ -247,14 +242,10 @@ def embed_curve(model, curve):
 def parameterize(model, tangent_series):
     """Curve on the model through its base point with the given tangent expansion.
 
-    The tangent series lives in the chart coordinates; the result carries the
-    full ambient coordinates at the same truncation order, with every graded
-    component of the chart map evaluated exactly.
+    The tangent series, a VectorSeries, lives in the chart coordinates; the
+    result carries the full ambient coordinates at the same truncation order,
+    with every graded component of the chart map evaluated exactly.
     """
-    if not isinstance(tangent_series, VectorSeries):
-        data = [tuple(v) for v in tangent_series]
-        p = _exact_prec(model, data)
-        tangent_series = VectorSeries.from_polynomial(data, p)
     if len(tangent_series) != model.tangent_dim:
         raise ValueError("tangent series has wrong length for the model chart")
     return embed_curve(model, tangent_series)
@@ -319,12 +310,6 @@ class LimitPlaneResult:
     def contains(self, vec):
         rows = [list(r) for r in self.plane]
         return rank(rows + [list(vec)]) == rank(rows)
-
-
-def _poly_data(curve):
-    if isinstance(curve, VectorSeries):
-        return curve.polynomial_coefficients()
-    return _curve_data(curve)
 
 
 def _order(row, start=0):
@@ -408,8 +393,8 @@ def _reduce_rows(rows, bound):
 def limit_plane(c1, c2, c3):
     """Limit at t=0 of the span of three moving ambient points.
 
-    Curves may be VectorSeries or sequences of ambient coefficient vectors;
-    either way the data is read as an exact polynomial curve.  Row
+    Each curve is a sequence of ambient coefficient vectors, index k holding
+    the t^k vector, read as an exact polynomial curve.  Row
     operations keep the triple wedge of the rows, a polynomial of degree
     below D = 1 + the sum of the row degrees, and the wedge vanishes to at
     least the sum of the row orders.  So one reduction modulo t^D decides:
@@ -420,7 +405,7 @@ def limit_plane(c1, c2, c3):
     multiple of the row a reduction over Q would hold, so it reads the same
     orders, and the rref basis of the leading vectors' span is the same.
     """
-    polys = [_poly_data(c) for c in (c1, c2, c3)]
+    polys = [_curve_data(c) for c in (c1, c2, c3)]
     widths = {len(v) for data in polys for v in data}
     if len(widths) != 1:
         raise ValueError("curves must share an ambient dimension")
@@ -438,17 +423,17 @@ def limit_plane(c1, c2, c3):
 
 
 def _ambient_polynomial(model, data):
-    """Exact ambient polynomial data of a polynomial chart curve."""
-    data = _curve_data(data)
+    """Exact ambient polynomial data of a polynomial chart curve, given as
+    nonempty coefficient vectors of one length."""
     return _coefficient_vectors(model.phi([_Poly(col) for col in zip(*data)]))
 
 
 def chart_limit_plane(model, curves):
     """Limit plane of three chart curves pushed through the model map.
 
-    A chart curve of degree d embeds to degree at most d * base_degree, so
-    the wedge bound of limit_plane is checked against the cap before any
-    curve is embedded.
+    Each curve is a sequence of chart coefficient vectors.  A chart curve of
+    degree d embeds to degree at most d * base_degree, so the wedge bound of
+    limit_plane is checked against the cap before any curve is embedded.
     """
     curves = list(curves)
     if len(curves) != 3:
@@ -457,7 +442,7 @@ def chart_limit_plane(model, curves):
     # evaluating its closed form (2^(k-1) for a spinor)
     if model.tangent_dim >= MAX_AMBIENT or model.ambient_dim > MAX_AMBIENT:
         raise ValueError(f"ambient dimension capped at {MAX_AMBIENT}")
-    polys = [_poly_data(c) for c in curves]
+    polys = [_curve_data(c) for c in curves]
     if sum(len(data) - 1 for data in polys) * model.base_degree + 1 > MAX_PREC:
         raise ValueError(f"truncation order capped at {MAX_PREC}")
     return limit_plane(*(_ambient_polynomial(model, data) for data in polys))
@@ -478,24 +463,18 @@ def _segre_single_block(model, u):
     """Index (1-based) of the unique factor block supporting u, else None."""
     if model.kind != "segre":
         return None
-    hit = None
-    pos = 0
-    for f, d in enumerate(model.dims):
-        blk = u[pos:pos + d - 1]
-        pos += d - 1
-        if any(blk):
-            if hit is not None:
-                return None
-            hit = f + 1
-    return hit
+    hits = [f + 1 for f, (s, o) in enumerate(zip(*_blocks(model)))
+            if any(u[o:o + s])]
+    return hits[0] if len(hits) == 1 else None
 
 
 def limit_analysis(model, curves):
     """Classify the limit plane of three colliding chart curves.
 
-    Three distinct limit points give tag "i".  Two distinct limit points
-    give "ii", or "iv" when the two support points sit on a line of the
-    model (the second-order offset along the chord vanishes).  A triple
+    Each curve is a sequence of chart coefficient vectors.  Three distinct
+    limit points give tag "i".  Two distinct limit points give "ii", or
+    "iv" when the two support points sit on a line of the model (the
+    second-order offset along the chord vanishes).  A triple
     collision gives "iii" when the relative direction bends away from the
     tangent space, "iv" when it does not, and "degenerate" when the whole
     plane is tangent at the collision point.
@@ -503,7 +482,7 @@ def limit_analysis(model, curves):
     curves = list(curves)
     if len(curves) != 3:
         raise ValueError("a limit plane needs exactly three curves")
-    polys = [_poly_data(c) for c in curves]
+    polys = [_curve_data(c) for c in curves]
     plane = chart_limit_plane(model, polys)
     consts = [tuple(_norm(x) for x in data[0]) for data in polys]
     distinct = []
@@ -682,15 +661,10 @@ def secant_curve_family(tag, model=None, rng=None, factor=1):
 
 # -- spans of tangent spaces along a factor line ---------------------------
 
-def line_tangent_span(model_or_dims, factor):
-    """Exact span dimension of affine tangent spaces along a factor line."""
-    if hasattr(model_or_dims, "kind"):
-        model = model_or_dims
-        if model.kind != "segre":
-            raise ValueError("factor lines need a segre model")
-    else:
-        model = segre_model(tuple(model_or_dims))
-    dims = model.dims
+def line_tangent_span(dims, factor):
+    """Exact span dimension of affine tangent spaces along a factor line of
+    the Segre product with the given factor dims."""
+    model = segre_model(tuple(dims))
     sizes, offs = _blocks(model)
     if not 1 <= factor <= len(dims):
         raise ValueError("factor out of range")
@@ -742,7 +716,8 @@ def fundamental_form(model, s, vectors):
 def fubini_series(model, tangent_series, s):
     """Series value of the degree-s fundamental form along t -> v(t)^s.
 
-    By the grading of the chart map this is its degree-s ambient block
+    tangent_series is the VectorSeries v(t) in the chart coordinates.  By the
+    grading of the chart map this is its degree-s ambient block
     evaluated along the curve.
     """
     if s < 2:
@@ -848,8 +823,8 @@ def limit_type(cfg):
         return "i"
     if cfg.k >= 1:
         return "iii-iv"
-    v0 = cfg.v.coeff_vector(0)
-    if not fundamental_form(cfg.model, 2, [v0, v0]):
+    # F_2(v0, v0) is the diagonal F_2(v0^2), whose zeros may be Fraction(0)
+    if not any(cfg.model.fundamental_form_diag(2, cfg.v.coeff_vector(0)).values()):
         return "iii-iv"
     lam0 = cfg.lam.coeff(0)
     if lam0 != 0 and lam0 != 1:

@@ -20,7 +20,7 @@ from itertools import combinations, product
 import math
 from operator import mul
 
-from .tensor import Tensor, _strides, zero_tensor
+from .tensor import Tensor, _check_dims, _strides, zero_tensor
 
 SIGMA3_KINDS = ("i", "ii", "iii", "iv")
 
@@ -82,6 +82,8 @@ def sigma2_point(n, J=None, dims=None):
     for j in J:
         if dims[j - 1] < 2:
             raise ValueError(f"factor {j} needs dimension >= 2")
+    # before the terms are listed: they hold n * len(J) indices
+    dims = _check_dims(dims)
     return _sum_of_basis(dims, _normal_form_terms("sigma2", n, J=J))
 
 
@@ -98,6 +100,8 @@ def sigma3_point(kind, n=3, dims=None, factor=1):
         raise ValueError("each factor needs dimension >= 3")
     if not 1 <= factor <= n:
         raise ValueError(f"factor must be in 1..{n}")
+    # before the terms are listed: type iii has n * (n + 1) / 2 of n indices
+    dims = _check_dims(dims)
     return _sum_of_basis(dims, _normal_form_terms(kind, n, factor=factor))
 
 
@@ -138,30 +142,19 @@ def orbit_representative(orbit_id):
 
 # ---- generic-ring determinants and Pfaffians ----
 
-def _perms_with_signs(n):
-    out = []
-
-    def rec(prefix, rest, sign):
-        if not rest:
-            out.append((tuple(prefix), sign))
-            return
-        for i, x in enumerate(rest):
-            rec(prefix + [x], rest[:i] + rest[i + 1:], sign * (-1) ** i)
-    rec([], list(range(n)), 1)
-    return out
-
-
 def generic_det(m):
-    """Determinant by permutation expansion; entries from any commutative ring."""
+    """Determinant by division-free expansion along the first row; entries
+    from any commutative ring."""
     n = len(m)
     if n == 0:
         return 1
+    if n == 1:
+        return m[0][0]
     total = None
-    for perm, sign in _perms_with_signs(n):
-        prod = None
-        for r, c in enumerate(perm):
-            prod = m[r][c] if prod is None else prod * m[r][c]
-        term = prod if sign > 0 else -1 * prod
+    for j in range(n):
+        term = m[0][j] * generic_det([row[:j] + row[j + 1:] for row in m[1:]])
+        if j % 2:
+            term = -1 * term
         total = term if total is None else total + term
     return total
 
@@ -376,10 +369,6 @@ class CominusculeModel:
                 for deg, label in slots]
         return {i: val for i, ((deg, _), val) in enumerate(zip(slots, vals))
                 if deg == s and (not isinstance(val, int) or val)}
-
-    def base_point(self):
-        """phi at the origin of the chart."""
-        return [1 if deg == 0 else 0 for deg, _ in self.ambient_slots()]
 
 
 def segre_model(dims):

@@ -189,8 +189,3 @@ def gcd_bivariate(p, q):
     gc = ugcd(cp, cq)
     g = [umul(c, gc) for c in g]
     return _from_ylist(g)
-
-
-def bivariate_is_constant(p):
-    p = pclean(p)
-    return not p or set(p) == {(0, 0)}

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import add
 
 from ._linalg import Echelon, _norm, rref
@@ -507,33 +507,24 @@ class MembershipCertificate:
         return self.found
 
 
-def _graded_degree(expo, graded_indices):
-    return sum(expo[i] for i in graded_indices)
-
-
 def _homogeneous_degree(poly, graded_indices):
     if pis_zero(poly):
         return None
-    degs = {_graded_degree(e, graded_indices) for e in poly}
+    degs = {sum(e[i] for i in graded_indices) for e in poly}
     if len(degs) != 1:
         raise ValueError("polynomials must be homogeneous in the graded variables")
     return degs.pop()
 
 
 def _exact_degree_monomials(indices, degree, nvars):
-    out = set()
-
-    def rec(pos, remaining, expo):
-        if pos == len(indices):
-            if remaining == 0:
-                out.add(tuple(expo))
-            return
-        for k in range(remaining + 1):
-            expo[indices[pos]] = k
-            rec(pos + 1, remaining - k, expo)
-        expo[indices[pos]] = 0
-
-    rec(0, degree, [0] * nvars)
+    """Sorted exponent tuples of the degree-`degree` monomials in the
+    variables `indices` (distinct) out of nvars."""
+    out = []
+    for combo in combinations_with_replacement(indices, degree):
+        expo = [0] * nvars
+        for i in combo:
+            expo[i] += 1
+        out.append(tuple(expo))
     return sorted(out)
 
 
@@ -542,10 +533,6 @@ def _bounded_monomials(indices, bound, nvars):
     for d in range(bound + 1):
         out.extend(_exact_degree_monomials(indices, d, nvars))
     return out
-
-
-def _merge_exponents(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def macaulay_membership(target, generators, coefficient_degree_bound,
@@ -583,7 +570,7 @@ def macaulay_membership(target, generators, coefficient_degree_bound,
         graded_monos = _exact_degree_monomials(graded, target_deg - gd, nvars)
         for pm in param_monos:
             for gm in graded_monos:
-                expo = _merge_exponents(pm, gm)
+                expo = tuple(map(add, pm, gm))
                 columns.append((gi, expo, pmul(monomial(expo), g)))
 
     support = set(target)

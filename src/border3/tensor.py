@@ -26,6 +26,9 @@ MAX_ENTRIES = 10 ** 6
 
 
 def _check_dims(dims):
+    """dims as a tuple of ints, or an error when a tensor of that shape is
+    malformed or oversized.  Constructors call it before they build any
+    entry, so an oversized request meets the entry guard, not a MemoryError."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"invalid dims {dims}")
@@ -103,11 +106,12 @@ def make_tensor(dims, entries):
 
 
 def zero_tensor(dims):
-    return Tensor(tuple(dims), (0,) * math.prod(tuple(dims)))
+    dims = _check_dims(dims)
+    return Tensor(dims, (0,) * math.prod(dims))
 
 
 def basis_tensor(dims, idx):
-    dims = tuple(dims)
+    dims = _check_dims(dims)
     st = _strides(dims)
     flat = sum(j * s for j, s in zip(idx, st))
     e = [0] * math.prod(dims)
@@ -117,7 +121,7 @@ def basis_tensor(dims, idx):
 
 def rank_one(vectors, coeff=1):
     """coeff * v_1 (x) v_2 (x) ... (x) v_n."""
-    dims = tuple(len(v) for v in vectors)
+    dims = _check_dims(len(v) for v in vectors)
     entries = [coeff]
     for v in vectors:
         entries = [_norm(a * x) for a in entries for x in v]
@@ -194,11 +198,10 @@ def apply_gl(t, g):
     return out
 
 
-def random_unimodular(n, rng, steps=None):
+def random_unimodular(n, rng):
     """Integer matrix with determinant +-1 (product of elementary operations)."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    steps = steps if steps is not None else 3 * n
-    for _ in range(steps):
+    for _ in range(3 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
@@ -325,8 +328,8 @@ def squeeze(t):
 
 
 def random_tensor(dims, rng, lo=-9, hi=9):
-    n = math.prod(tuple(dims))
-    return Tensor(tuple(dims), tuple(rng.randint(lo, hi) for _ in range(n)))
+    dims = _check_dims(dims)
+    return Tensor(dims, tuple(rng.randint(lo, hi) for _ in range(math.prod(dims))))
 
 
 # ---- scalar and JSON conventions ----

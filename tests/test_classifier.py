@@ -275,6 +275,18 @@ def test_sigma3_families_classify_n4_n5():
     assert rep.limit_type == "iii" and rep.border_rank_class == 3
 
 
+def test_moved_type_iv_points_locate_their_distinguished_factor():
+    # the distinguished factor is the one factor in the distinguished block
+    # of every singleton grouping; a GL move keeps each factor in place
+    rng = random.Random(107)
+    for n in (4, 5):
+        for f in range(1, n + 1):
+            t = sigma3_point("iv", n, factor=f)
+            rep = classify(apply_gl(t, random_gl_tuple(t.dims, rng)))
+            assert (rep.border_rank_class, rep.limit_type,
+                    rep.distinguished_factor) == (3, "iv", f), (n, f)
+
+
 def test_stabilizer_dims_of_families_general_n():
     for n in (3, 4, 5):
         assert stabilizer_dimension(sigma3_point("i", n)) == 3 * n - 3

@@ -95,6 +95,14 @@ def test_generate_option_validation(capsys):
         assert err
 
 
+@pytest.mark.parametrize("kind,n", [("i", 40), ("ii", 40), ("iii", 40),
+                                    ("iv", 40), ("sigma2", 64)])
+def test_generate_beyond_the_entry_guard_is_a_usage_error(capsys, kind, n):
+    code, out, err = run_cli(capsys, ["generate", "--type", kind, "--n", str(n)])
+    assert code == 1 and not out
+    assert "entry guard" in err and err.count("\n") == 1
+
+
 def test_classify_random_dense_is_greater_than_3(capsys, monkeypatch):
     rng = random.Random(11)
     blob = json.dumps({"dims": [3, 3, 3],
@@ -251,6 +259,19 @@ def test_limit_verb_seed_determinism(capsys, monkeypatch):
     same = json.loads(outs[0])
     assert changed["plane"] == same["plane"]  # the plane itself is seed-free
     assert changed["sample"]["coefficients"] != same["sample"]["coefficients"]
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5"])
+def test_limit_verb_refuses_a_non_integer_seed(capsys, monkeypatch, seed):
+    def no_plane(*args):
+        raise AssertionError("the plane was computed before the seed was read")
+
+    monkeypatch.setattr(cli, "chart_limit_plane", no_plane)
+    monkeypatch.setenv("BORDER3_SEED", seed)
+    cfg = _limit_config([[[0] * 6], [[0] * 6, [1, 0, 1, 1, 0, 1]], [[0, 1, 1, 0, 2, 0]]])
+    code, out, err = run_cli(capsys, ["limit"], stdin=cfg, monkeypatch=monkeypatch)
+    assert code == 1 and not out
+    assert "BORDER3_SEED" in err and repr(seed) in err and err.count("\n") == 1
 
 
 def test_limit_verb_degenerate_and_bad_config(capsys, monkeypatch):

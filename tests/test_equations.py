@@ -10,7 +10,7 @@ from border3.equations import (
     strassen_equations, strassen_jacobian_rank,
 )
 from border3.normal_forms import ORBIT_IDS, orbit_representative
-from border3.polytools import bivariate_is_constant, gcd_bivariate, padd, pclean, pmul
+from border3.polytools import gcd_bivariate, padd, pclean, pmul
 from border3.tensor import (
     Tensor, make_tensor, permute_modes, random_gl_tuple, random_tensor,
     random_unimodular, rank_one, apply_gl, slice_matrices, zero_tensor,
@@ -332,6 +332,11 @@ def test_cubic_line_pattern_directly():
 
 # ---- line patterns against the dehomogenise-and-gcd decision ----------------
 
+def _bivariate_is_constant(p):
+    p = pclean(p)
+    return not p or set(p) == {(0, 0)}
+
+
 def _reference_line_pattern(f):
     """Zero; a cube when the three partials span one line; otherwise
     squarefree exactly when, with the first variable v that occurs set to 1,
@@ -358,7 +363,7 @@ def _reference_line_pattern(f):
     for w in (0, 1):
         h = gcd_bivariate(h, {(e[0] - (w == 0), e[1] - (w == 1)): e[w] * c
                               for e, c in g.items() if e[w]})
-    if bivariate_is_constant(h):
+    if _bivariate_is_constant(h):
         return LinePattern.SQUAREFREE
     return LinePattern.DOUBLE_LINE_PLUS_LINE
 

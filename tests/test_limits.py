@@ -268,8 +268,7 @@ def test_limit_plane_reparameterization_invariance():
         inner = [0, 1, rng.randint(-2, 2), 1]
         reparam = [_compose(data, inner) for data in fam.curves]
         assert chart_limit_plane(model, reparam).plane == base.plane
-        scaled = [VectorSeries.from_polynomial(_compose(data, [0, 3]), 12)
-                  for data in fam.curves]
+        scaled = [_compose(data, [0, 3]) for data in fam.curves]
         assert chart_limit_plane(model, scaled).plane == base.plane
 
 
@@ -340,29 +339,30 @@ def test_line_tangent_span_matches_formula():
             exact = line_tangent_span(dims, factor)
             assert exact == 2 * sum(d - 1 for d in dims) + 2 - dims[factor - 1]
             assert exact == expected[factor - 1]
-    assert line_tangent_span(segre_model((3, 3, 3)), 2) == 11
-    with pytest.raises(ValueError):
-        line_tangent_span(grassmann_model(3, 6), 1)
+    with pytest.raises(ValueError, match="factor out of range"):
+        line_tangent_span((3, 3, 3), 4)
 
 
 def test_parameterize_matches_graded_blocks():
     model = segre_model((3, 3, 3))
-    const = parameterize(model, [(0,) * 6])
-    assert const.polynomial_coefficients() == [tuple(model.base_point())]
+    const = parameterize(model, VectorSeries.from_polynomial([(0,) * 6], 2))
+    assert const.polynomial_coefficients() == [(1,) + (0,) * 26]
     # a tangent line inside one factor has no normal component
-    line = parameterize(model, [(0,) * 6, (2, -1, 0, 0, 0, 0)])
+    line = parameterize(
+        model, VectorSeries.from_polynomial([(0,) * 6, (2, -1, 0, 0, 0, 0)], 5))
     for s in range(2, model.base_degree + 1):
         for i in model.slot_block(s):
             assert line[i].is_zero()
     gm = grassmann_model(3, 6)
     rng = random.Random(209)
     m = [rng.randint(-3, 3) for _ in range(gm.tangent_dim)]
-    curve = parameterize(gm, [[0] * gm.tangent_dim, m])
+    curve = parameterize(
+        gm, VectorSeries.from_polynomial([[0] * gm.tangent_dim, m], 5))
     second = gm.fundamental_form_diag(2, m)
     for i in gm.slot_block(2):
         assert curve[i].coeff(2) == second.get(i, 0)
     with pytest.raises(ValueError):
-        parameterize(model, [(0,) * 5])
+        parameterize(model, VectorSeries.from_polynomial([(0,) * 5], 2))
 
 
 def test_fubini_form_values_and_errors():
@@ -962,8 +962,57 @@ def test_limit_config_plane_matches_series_construction(cfg):
         curves[2], degree,
         lambda tau: [_at(lam, tau)[0] * tau ** cfg.k * x + tau ** cfg.l * y
                      for x, y in zip(value(cfg.v, tau), value(cfg.w, tau))])
-    series = [VectorSeries.from_polynomial(c, len(c)) for c in curves]
-    assert limit_config_plane(cfg) == chart_limit_plane(cfg.model, series)
+    # the same plane from the series embedding of each curve, at a truncation
+    # holding its whole image
+    embedded = [embed_curve(cfg.model, VectorSeries.from_polynomial(
+        c, (len(c) - 1) * cfg.model.base_degree + 1)).polynomial_coefficients()
+        for c in curves]
+    assert limit_config_plane(cfg) == limit_plane(*embedded)
+
+
+def _polarized_limit_type(cfg):
+    """limit_type with II(v0^2) read from the polarized form F_2(v0, v0)."""
+    if cfg.l == 0:
+        return "i"
+    if cfg.k >= 1:
+        return "iii-iv"
+    v0 = cfg.v.coeff_vector(0)
+    if not fundamental_form(cfg.model, 2, [v0, v0]):
+        return "iii-iv"
+    lam0 = cfg.lam.coeff(0)
+    if lam0 != 0 and lam0 != 1:
+        return "i"
+    return "ii"
+
+
+@st.composite
+def _collision_configs(draw):
+    """Configurations with k = 0 < l, where limit_type reads II(v0^2), and a
+    sparse v0, on which the form often vanishes."""
+    model = draw(st.sampled_from(_KIND_MODELS))
+    n = model.tangent_dim
+    v0 = draw(st.lists(st.one_of(st.just(0), _ENTRIES), min_size=n, max_size=n))
+    if not any(v0):
+        v0[draw(st.integers(0, n - 1))] = Fraction(1, 2)
+    tail = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), max_size=2))
+    lam = draw(st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]),
+                        min_size=1, max_size=2))
+    return LimitConfig(model, 0, draw(st.integers(1, 3)),
+                       VectorSeries.from_polynomial([v0] + tail, 4),
+                       VectorSeries.from_polynomial([[1] * n], 4),
+                       ScalarSeries(lam, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=st.one_of(_configs(), _collision_configs()))
+# a Fraction in one Segre block: the other blocks' products with it are
+# Fraction(0) entries of the diagonal form, and the form vanishes
+@example(cfg=LimitConfig(segre_model((2, 3, 3)), 0, 1,
+                         VectorSeries.from_polynomial([(0, Fraction(1, 2), 0, 0, 0)], 2),
+                         VectorSeries.from_polynomial([(1,) * 5], 2),
+                         ScalarSeries((2,), 2)))
+def test_limit_type_matches_the_polarized_form(cfg):
+    assert limit_type(cfg) == _polarized_limit_type(cfg)
 
 
 def test_limit_paths_build_no_truncated_series(capsys, monkeypatch):
@@ -1013,19 +1062,22 @@ def test_limit_paths_build_no_truncated_series(capsys, monkeypatch):
         assert capsys.readouterr().err
 
 
-def test_fubini_series_on_plain_lists_keeps_every_block():
-    # (t, t, 0) on the 2x2x2 chart: the degree-2 block starts at t^2, which
-    # a truncation at the number of coefficient vectors cut off
+def test_fubini_series_keeps_every_block():
+    # (t, t, 0) on the 2x2x2 chart: the degree-2 block, slot (1, 1, 0), is
+    # t^2, past the two coefficient vectors of the curve
     model = segre_model((2, 2, 2))
-    data = [(0, 0, 0), (1, 1, 0)]
-    got = fubini_series(model, data, 2)
+    got = fubini_series(model, VectorSeries.from_polynomial([(0, 0, 0), (1, 1, 0)], 6), 2)
     assert got.order() == 2
-    assert got.prec == limits._exact_prec(model, data)
-    want = fubini_series(model, VectorSeries.from_polynomial(data, 6), 2)
-    assert got.polynomial_coefficients() == want.polynomial_coefficients()
+    assert got.polynomial_coefficients() == [(0,) * 8, (0,) * 8, (0,) * 6 + (1, 0)]
     rng = random.Random(217)
     for model in _KIND_MODELS:
         data = rand_curve(rng, model.tangent_dim, deg=3, order=1)
-        series = VectorSeries.from_polynomial(data, limits._exact_prec(model, data))
+        exact = _ambient_polynomial(model, data)
+        series = VectorSeries.from_polynomial(data, len(exact))
         for s in range(2, model.base_degree + 1):
-            assert fubini_series(model, data, s) == fubini_series(model, series, s)
+            block = set(model.slot_block(s))
+            want = [tuple(x if i in block else 0 for i, x in enumerate(v))
+                    for v in exact]
+            while len(want) > 1 and not any(want[-1]):
+                want.pop()
+            assert fubini_series(model, series, s).polynomial_coefficients() == want

@@ -1,8 +1,11 @@
 import random
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from border3.limits import _Poly
 from border3.normal_forms import (
     ORBIT_IDS, ORBIT_INFO, CominusculeModel, generic_det, generic_pfaffian,
     grassmann_model, lagrangian_model, orbit_representative, segre_model,
@@ -107,6 +110,65 @@ def test_generic_det_and_pfaffian():
         generic_pfaffian([[0]])
 
 
+def _permutation_det(m):
+    """The determinant as the signed sum over permutations, each product
+    taken row by row (the reference for the first-row expansion)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    perms = []
+
+    def rec(prefix, rest, sign):
+        if not rest:
+            perms.append((prefix, sign))
+        for i, x in enumerate(rest):
+            rec(prefix + [x], rest[:i] + rest[i + 1:], sign * (-1) ** i)
+    rec([], list(range(n)), 1)
+    total = None
+    for perm, sign in perms:
+        prod = None
+        for r, c in enumerate(perm):
+            prod = m[r][c] if prod is None else prod * m[r][c]
+        term = prod if sign > 0 else -1 * prod
+        total = term if total is None else total + term
+    return total
+
+
+def _typed_value(x):
+    if isinstance(x, _Poly):
+        return "poly", [(c, type(c)) for c in x.coeffs]
+    return x, type(x)
+
+
+def test_generic_det_matches_permutation_expansion():
+    rng = random.Random(22)
+    entries = {
+        "int": lambda: rng.randint(-4, 4),
+        "fraction": lambda: rng.choice([rng.randint(-3, 3),
+                                        Fraction(rng.randint(-6, 6), rng.randint(1, 4))]),
+        # chart maps mix polynomial entries with integer zeros
+        "poly": lambda: rng.choice([0, _Poly([rng.randint(-3, 3) for _ in range(3)]),
+                                    _Poly((Fraction(rng.randint(-3, 3), 2), 1))]),
+    }
+    for kind, entry in entries.items():
+        for n in range(6):
+            for _ in range(4):
+                m = [[entry() for _ in range(n)] for _ in range(n)]
+                assert _typed_value(generic_det(m)) == _typed_value(_permutation_det(m)), (kind, m)
+
+
+def test_sigma3_point_refuses_before_listing_its_terms():
+    # the type-iii terms at n = 300 hold 13.5 million indices
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match="entry guard"):
+            sigma3_point("iii", 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_model_dimensions():
     assert segre_model((3, 3, 3)).ambient_dim == 27
     assert segre_model((3, 3, 3)).tangent_dim == 6
@@ -163,7 +225,7 @@ def test_segre_phi_and_base_point():
     phi = model.phi([3, 5])  # tangent coords: one per factor
     # ambient order is row-major over the 2x2 index grid
     assert phi == [1, 5, 3, 15]
-    assert model.base_point() == [1, 0, 0, 0]
+    assert model.phi([0, 0]) == [1, 0, 0, 0]  # the base point
 
 
 def test_fundamental_form_diag_segre():

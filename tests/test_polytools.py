@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 from border3.polytools import (
-    bivariate_is_constant, gcd_bivariate, monomial, padd, pmul, psub,
-    udivmod, ugcd, umul,
+    gcd_bivariate, monomial, padd, pclean, pmul, psub, udivmod, ugcd, umul,
 )
+
+
+def bivariate_is_constant(p):
+    p = pclean(p)
+    return not p or set(p) == {(0, 0)}
 
 
 def peval(p, point):

@@ -401,6 +401,15 @@ def test_macaulay_membership_direct_and_failing():
     assert zero_cert and not zero_cert.bound_limited
 
 
+def test_exact_degree_monomials_are_sorted_and_complete():
+    for indices, degree, nvars in [((0, 1, 2, 3), 3, 6), ((4, 5), 2, 6),
+                                   ((1,), 0, 2), ((), 0, 3), ((), 2, 3)]:
+        want = sorted(e for e in product(range(degree + 1), repeat=nvars)
+                      if sum(e) == degree
+                      and not any(e[i] for i in range(nvars) if i not in indices))
+        assert rank_oracle._exact_degree_monomials(indices, degree, nvars) == want
+
+
 def test_macaulay_membership_validation():
     s, t, u, x, f1, f2, f3, g1, g2, g3 = _pencil_vars()
     with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from border3._linalg import _norm, rref, transpose
-from border3.normal_forms import ORBIT_IDS, orbit_representative
+from border3.normal_forms import (
+    ORBIT_IDS, orbit_representative, sigma2_point, sigma3_point,
+)
 from border3.tensor import (
     GLTuple, Tensor, apply_gl, apply_mode_map, basis_tensor, concise_core,
     dumps_tensor, flattening, group_modes, grouped_flattening,
@@ -25,6 +27,23 @@ def test_make_and_index():
         make_tensor((2, 2), [1, 2, 3])
     with pytest.raises(OverflowError):
         zero_tensor((101, 101, 101))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zero_tensor((3,) * 40),
+    lambda: basis_tensor((3,) * 40, (0,) * 40),
+    lambda: random_tensor((3,) * 40, random.Random(0)),
+    lambda: rank_one([[1, 2, 3]] * 40),
+    lambda: sigma2_point(64),
+    lambda: sigma3_point("iii", 40),
+], ids=["zero_tensor", "basis_tensor", "random_tensor", "rank_one",
+        "sigma2_point", "sigma3_point"])
+def test_constructors_check_the_entry_guard_before_building(build):
+    # without the check first, 3^40 entries are refused by Python with
+    # "cannot fit 'int' into an index-sized integer", or built until memory
+    # runs out
+    with pytest.raises(OverflowError, match="entry guard"):
+        build()
 
 
 def test_rank_one_and_flattening():
