@@ -25,7 +25,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 
 
 def _norm(x):
@@ -149,6 +149,59 @@ def _forward(a, q):
 def pivot_columns(a, q=None):
     """The pivot columns of ``rref(a, q)``, by forward elimination only."""
     return _forward(a, q)[1]
+
+
+def gram_pivots(vectors):
+    """The indices of the vectors independent of those before them, over Q:
+    ``pivot_columns(transpose(vectors))`` for at most three vectors.
+
+    Over Q, x^T (M M^T) x = |M^T x|^2, so a set of vectors is independent
+    exactly when its Gram determinant is nonzero; vector j is kept when the
+    Gram determinant of the kept vectors and j is.  The vectors are first
+    scaled to integers as by ``_integer_rows``, which keeps every pivot and
+    spares the Gram sums their Fractions.  Over GF(q) a nonzero vector can
+    be isotropic ((1, 1) over F2), so there is no such test there.
+    """
+    if len(vectors) > 3:
+        raise ValueError("gram_pivots takes at most three vectors")
+    vs = _integer_rows(vectors)
+    keep = []
+    if not vs:
+        return keep
+    u = vs[0]
+    a = sum(map(mul, u, u))
+    if a:
+        keep.append(0)
+    if len(vs) == 1:
+        return keep
+    v = vs[1]
+    b = sum(map(mul, v, v))
+    if a:
+        d = sum(map(mul, u, v))
+        g = a * b - d * d
+    else:
+        g = b
+    if g:
+        keep.append(1)
+    if len(vs) == 2:
+        return keep
+    w = vs[2]
+    c = sum(map(mul, w, w))
+    if len(keep) == 2:
+        e = sum(map(mul, u, w))
+        f = sum(map(mul, v, w))
+        g = a * (b * c - f * f) - d * (d * c - e * f) + e * (d * f - b * e)
+    elif keep == [0]:
+        e = sum(map(mul, u, w))
+        g = a * c - e * e
+    elif keep == [1]:
+        f = sum(map(mul, v, w))
+        g = b * c - f * f
+    else:
+        g = c
+    if g:
+        keep.append(2)
+    return keep
 
 
 def rank(a):

@@ -246,7 +246,10 @@ def _cmd_stabilizer(args):
 
 @functools.lru_cache(maxsize=None)
 def _build_parser():
-    """The parser, built once per process: parse_args keeps no state."""
+    """(parser, verbs), built once per process: parse_args keeps no state.
+
+    verbs maps each verb to its sub-parser, the one the parser dispatches
+    that verb's arguments to."""
     parser = _Parser(
         prog="border3",
         description="Exact classification of tensors of border rank at most three.",
@@ -293,13 +296,21 @@ def _build_parser():
     p.add_argument("tensor", nargs="?", default="-")
     p.set_defaults(func=_cmd_stabilizer)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, verbs = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # a known verb's arguments go straight to its sub-parser; help, an
+        # empty or unknown verb and its usage text come from the full parser
+        verb = verbs.get(argv[0]) if argv else None
+        if verb is not None:
+            args = verb.parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,9 @@ mixed determinants of the slices' rows, splits into lines in one of four
 ways (zero, a cube, a square times a line, squarefree), and linear algebra
 tells them apart: the rank of its three partials is 1 for a cube and 3 for
 a squarefree cubic, and at rank 2 the cubic is a cone over a binary cubic,
-whose discriminant says whether a line repeats.  The partials form a 6x3
-matrix, one row per quadratic monomial, filled from the cubic's ten
-coefficients through a fixed table.
+whose discriminant says whether a line repeats.  The partials are three
+vectors of six coefficients, one per quadratic monomial, filled from the
+cubic's ten coefficients through a fixed table.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from ._linalg import _norm, pivot_columns, rank
+from ._linalg import _norm, gram_pivots, rank
 from .tensor import _gather, slice_matrices
 
 
@@ -199,14 +199,14 @@ _CUBIC_INDEX = {e: i for i, (e, _) in enumerate(_MIXED_TERMS)}
 
 
 def _partials_table():
-    """One row per quadratic monomial m, one entry per variable v: the
+    """One column per variable v, one entry per quadratic monomial m: the
     position in _MIXED_TERMS of the cubic monomial m * v and its exponent
     of v.  The coefficient of m in dF/dv is that exponent times F's
     coefficient at that position."""
     quadrics = sorted({tuple(x - (w == v) for w, x in enumerate(e))
                        for e in _CUBIC_INDEX for v in range(3) if e[v]})
     return tuple(tuple((_CUBIC_INDEX[tuple(x + (w == v) for w, x in enumerate(m))],
-                        m[v] + 1) for v in range(3)) for m in quadrics)
+                        m[v] + 1) for m in quadrics) for v in range(3))
 
 
 _PARTIALS = _partials_table()
@@ -263,14 +263,15 @@ def cubic_line_pattern(cubic):
     F is a cone with vertex v; taking v_f = 1 at the free column f of the
     rref, F(x) = G(x - x_f v) with G the binary cubic F|_{x_f = 0}, and F
     has a repeated line exactly when G has a repeated root, that is when
-    its discriminant is 0.
+    its discriminant is 0.  The rank and the free column are read from the
+    Gram determinants of the three partials (``gram_pivots``).
     """
     if not cubic.coeffs:
         return LinePattern.IDENTICALLY_ZERO
     coef = [0] * len(_MIXED_TERMS)
     for e, c in cubic.coeffs:
         coef[_CUBIC_INDEX[e]] = c
-    pivots = pivot_columns([[k * coef[i] for i, k in row] for row in _PARTIALS])
+    pivots = gram_pivots([[k * coef[i] for i, k in col] for col in _PARTIALS])
     if len(pivots) == 1:
         return LinePattern.TRIPLE_LINE
     if len(pivots) == 3:

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 import math
@@ -354,7 +355,8 @@ class CominusculeModel:
         return generic_pfaffian([[st[r][c] for c in sub] for r in sub])
 
     def fundamental_form_diag(self, s, v):
-        """F_s(v^s) as {ambient_slot: value} on the degree-s block."""
+        """F_s(v^s) as {ambient_slot: value} on the degree-s block, without
+        its numeric zeros; ring-element values are all kept."""
         if s < 0:
             raise ValueError("form degree must be >= 0")
         if s > self.base_degree:
@@ -362,13 +364,13 @@ class CominusculeModel:
         if self.kind == "segre":
             part = _segre_outer(self._structure(v), s)[s]
             return {i: x for i, x in zip(self.slot_block(s), part)
-                    if not isinstance(x, int) or x}
+                    if not isinstance(x, (int, Fraction)) or x}
         slots = self.ambient_slots()
         st = self._structure(v)
         vals = [self._slot_value(st, label) if deg == s else 0
                 for deg, label in slots]
         return {i: val for i, ((deg, _), val) in enumerate(zip(slots, vals))
-                if deg == s and (not isinstance(val, int) or val)}
+                if deg == s and (not isinstance(val, (int, Fraction)) or val)}
 
 
 def segre_model(dims):

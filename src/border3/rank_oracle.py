@@ -8,7 +8,8 @@ for lower-bound arguments.  Everything is exact.
 The finite-field search shares its set-up with the structural classifier:
 the tensor's residues mod q are cut to a concise core by
 ``tensor.concise_core`` over GF(q), which finds the slices to keep with
-``_linalg.pivot_columns``, the same code that serves the classifier over Q.
+``_linalg.pivot_columns``, the elimination that also ranks the classifier's
+modes of dimension above 3 over Q.
 The search is its own: it walks the subspaces of the quotient by the slice
 span that rank-one candidates span, each once, in a fixed order.  Each
 candidate's projection is read from a table built once per head of

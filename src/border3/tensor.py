@@ -20,21 +20,33 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from ._linalg import _norm, mat_mul, pivot_columns, rank, rref, transpose
+from ._linalg import (_norm, gram_pivots, mat_mul, pivot_columns, rank, rref,
+                      transpose)
 
 MAX_ENTRIES = 10 ** 6
+
+
+def _dims_text(dims):
+    """dims for a message: the factor count and at most the first eight."""
+    more = ", ..." if len(dims) > 8 else ""
+    return f"{len(dims)} factors, dims ({', '.join(map(str, dims[:8]))}{more})"
 
 
 def _check_dims(dims):
     """dims as a tuple of ints, or an error when a tensor of that shape is
     malformed or oversized.  Constructors call it before they build any
-    entry, so an oversized request meets the entry guard, not a MemoryError."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"invalid dims {dims}")
-    if math.prod(dims) > MAX_ENTRIES:
-        raise OverflowError(
-            f"tensor with dims {dims} exceeds the {MAX_ENTRIES}-entry guard")
+    entry, so an oversized request meets the entry guard, not a MemoryError.
+    Every dim is at least 1, so the running product only grows: it stops at
+    the first factor that passes the guard."""
+    dims = tuple(map(int, dims))
+    if not dims or min(dims) < 1:
+        raise ValueError(f"invalid dims: {_dims_text(dims)}")
+    size = 1
+    for d in dims:
+        size *= d
+        if size > MAX_ENTRIES:
+            raise OverflowError(f"tensor with {_dims_text(dims)} exceeds the "
+                                f"{MAX_ENTRIES}-entry guard")
     return dims
 
 
@@ -298,8 +310,10 @@ def concise_core(t, q=None):
     first slices, in order, independent of the slices before them, and the
     core is restricted to them by one gather (a zero tensor keeps slice 0,
     to stay well-formed).  Kept entries are normalized as a restriction by
-    a 0/1 matrix would leave them: integral Fractions become ints.  With a
-    prime q the pivots are found over GF(q), reading the entries of t as
+    a 0/1 matrix would leave them: integral Fractions become ints.  Over Q a
+    mode of dimension at most 3 reads both the test and the kept slices
+    from one ``gram_pivots`` call on its slices.  With a prime q the pivots
+    are found over GF(q) by elimination, reading the entries of t as
     integers modulo q.  The maps (``ConciseCore.maps``) are computed only
     when read.
     """
@@ -307,9 +321,15 @@ def concise_core(t, q=None):
     for mode in range(t.order):
         d = core.dims[mode]
         flat = flattening(core, mode)
-        if len(pivot_columns(flat, q)) == d:
+        if q is None and d <= 3:
+            keep = gram_pivots(flat)
+        elif len(pivot_columns(flat, q)) == d:
             continue
-        keep = tuple(pivot_columns(transpose(flat), q)) or (0,)
+        else:
+            keep = pivot_columns(transpose(flat), q)
+        if len(keep) == d:
+            continue
+        keep = tuple(keep) or (0,)
         pos = _slice_gather(core.dims, mode, keep)
         dims = core.dims[:mode] + (len(keep),) + core.dims[mode + 1:]
         core = Tensor(dims, tuple(_norm(core.entries[i]) for i in pos))

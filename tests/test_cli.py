@@ -103,6 +103,14 @@ def test_generate_beyond_the_entry_guard_is_a_usage_error(capsys, kind, n):
     assert "entry guard" in err and err.count("\n") == 1
 
 
+def test_generate_far_beyond_the_entry_guard_prints_a_short_error(capsys):
+    code, out, err = run_cli(capsys, ["generate", "--type", "sigma2",
+                                      "--n", "100000"])
+    assert code == 1 and not out
+    assert "entry guard" in err and "100000 factors" in err
+    assert len(err.encode()) < 300 and err.count("\n") == 1
+
+
 def test_classify_random_dense_is_greater_than_3(capsys, monkeypatch):
     rng = random.Random(11)
     blob = json.dumps({"dims": [3, 3, 3],
@@ -494,6 +502,65 @@ def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
                 for argv, stdin in reversed(calls)]
     assert forward == backward[::-1]
     assert [code for code, _, _ in forward] == [0, 0, 1, 0, 1, 0, 0, 1, 1, 1]
+
+
+_TENSOR = dumps_tensor(orbit_representative(37))
+_VALID = {
+    "classify": ([], _TENSOR),
+    "generate": (["--type", "orbit", "--orbit", "37"], None),
+    "strassen": (["--jacobian"], _TENSOR),
+    "limit": ([], _limit_config([[[0] * 6], [[1, 0, 0, 0, 0, 0]],
+                                 [[0, 1, 0, 0, 0, 0]]])),
+    "rank": (["--field", "2"], _TENSOR),
+    "stabilizer": ([], _TENSOR),
+}
+_EQUIVALENCE_CASES = [
+    *([verb, *argv] for verb, (argv, _) in _VALID.items()),
+    *([verb, "-h"] for verb in _VALID),
+    *([verb, *argv, "--bogus"] for verb, (argv, _) in _VALID.items()),
+    ["rank"], ["rank", "--field", "2", "--jac"], ["strassen", "--jac"],
+    ["generate", "--ty", "orbit", "--orb", "38"], [], ["-h"], ["frobnicate"],
+]
+
+
+def _outcome(capsys, monkeypatch, argv):
+    """(exit code, stdout, stderr) of main(argv); -h exits by SystemExit."""
+    verb = argv[0] if argv else None
+    stdin = _VALID[verb][1] if verb in _VALID else None
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", _EQUIVALENCE_CASES, ids=" ".join)
+def test_verb_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    parser, verbs = cli._build_parser()
+    full_calls = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda a: full_calls.append(a) or parse_args(a))
+    direct = _outcome(capsys, monkeypatch, argv)
+    # a known verb never reaches the full parser
+    assert bool(full_calls) == (not argv or argv[0] not in verbs)
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert _outcome(capsys, monkeypatch, argv) == direct
+
+
+def test_main_reads_sys_argv_into_the_verb_parser(capsys, monkeypatch):
+    parser, _ = cli._build_parser()
+
+    def refuse(argv):
+        raise AssertionError("the full parser was used")
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr("sys.argv", ["border3", "generate", "--type", "orbit",
+                                     "--orbit", "36"])
+    assert main() == 0
+    assert loads_tensor(capsys.readouterr().out) == orbit_representative(36)
 
 
 _FUZZ_VERBS = (

@@ -853,7 +853,7 @@ def test_segre_chart_map_is_the_slot_product(case):
     for s in range(model.base_degree + 2):
         got = model.fundamental_form_diag(s, v)
         block = [i for i, (deg, _) in enumerate(slots) if deg == s
-                 and (not isinstance(want[i], int) or want[i])]
+                 and (not isinstance(want[i], (int, Fraction)) or want[i])]
         assert list(got) == block
         assert _typed_entries(got.values()) == _typed_entries(want[i] for i in block)
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from border3._linalg import (
-    Echelon, inverse, mat_mul, pivot_columns, rank, rref, span_basis,
+    Echelon, gram_pivots, inverse, mat_mul, pivot_columns, rank, rref,
+    span_basis, transpose,
 )
 from border3.classifier import _stabilizer_matrix
 from border3.normal_forms import ORBIT_IDS, orbit_representative
@@ -169,6 +170,52 @@ def test_pivot_columns_match_rref_over_q(a):
     assert (rows, pivots) == _reference_rref(a)
     assert pivot_columns(a) == pivots
     _assert_exact_types(rows)
+
+
+_GRAM_SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-3, 3).map(lambda k: 10 ** 12 + k),
+    st.builds(Fraction, st.integers(-3, 3).map(lambda k: 10 ** 12 + k),
+              st.integers(1, 7)),
+)
+
+
+@st.composite
+def _gram_cases(draw):
+    """One to three vectors of one length from 1 to 9: drawn, zero, a repeat
+    or a multiple of an earlier vector, or the sum of the earlier ones."""
+    n = draw(st.integers(1, 9))
+    cells = st.one_of(st.just(0), _GRAM_SCALARS)
+    vs = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("drawn", "zero", "repeat", "multiple",
+                                     "sum") if vs else ("drawn", "zero")))
+        if kind == "drawn":
+            v = draw(st.lists(cells, min_size=n, max_size=n))
+        elif kind == "zero":
+            v = [0] * n
+        elif kind == "sum":
+            v = [sum(col) for col in zip(*vs)]
+        else:
+            v = draw(st.sampled_from(vs))
+            if kind == "multiple":
+                c = draw(_GRAM_SCALARS.filter(bool))
+                v = [c * x for x in v]
+        vs.append(v)
+    return vs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vs=_gram_cases())
+def test_gram_pivots_match_pivot_columns(vs):
+    assert gram_pivots(vs) == pivot_columns(transpose(vs))
+
+
+def test_gram_pivots_refuse_four_vectors():
+    assert gram_pivots([]) == []
+    with pytest.raises(ValueError, match="at most three"):
+        gram_pivots([[1, 0]] * 4)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

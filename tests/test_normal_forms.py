@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from border3.limits import _Poly
+from border3.limits import _Poly, fundamental_form
 from border3.normal_forms import (
     ORBIT_IDS, ORBIT_INFO, CominusculeModel, generic_det, generic_pfaffian,
     grassmann_model, lagrangian_model, orbit_representative, segre_model,
@@ -241,6 +241,19 @@ def test_fundamental_form_diag_segre():
     assert model.fundamental_form_diag(4, v) == {}
     f3 = model.fundamental_form_diag(3, v)
     assert f3 == {}  # third block vanishes
+
+
+def test_fundamental_form_diag_drops_fraction_zeros():
+    # products with the 1/2 in the second factor's block are Fraction(0)
+    model = segre_model((2, 3, 3))
+    v0 = (0, Fraction(1, 2), 0, 0, 0)
+    assert model.fundamental_form_diag(2, v0) == {}
+    assert fundamental_form(model, 2, [v0, v0]) == {}
+    assert list(model.fundamental_form_diag(1, v0).values()) == [Fraction(1, 2)]
+    # ring elements are kept, zero or not: the zero polynomial times each
+    # of the four entries of the other two blocks
+    diag = model.fundamental_form_diag(2, (_Poly([0]), 1, 0, 0, 0))
+    assert [type(x) for x in diag.values()] == [_Poly] * 4
 
 
 def test_spinor_phi_slots():

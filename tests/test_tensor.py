@@ -46,6 +46,14 @@ def test_constructors_check_the_entry_guard_before_building(build):
         build()
 
 
+def test_entry_guard_names_the_factor_count_in_a_short_message():
+    with pytest.raises(OverflowError, match="entry guard") as info:
+        zero_tensor((2,) * 100_000)
+    msg = str(info.value)
+    assert len(msg.encode()) < 300
+    assert "100000 factors" in msg and "(2, 2, 2, 2, 2, 2, 2, 2, ...)" in msg
+
+
 def test_rank_one_and_flattening():
     t = rank_one([[1, 2], [1, 0, -1], [3, 1]])
     assert t.dims == (2, 3, 2)
@@ -286,15 +294,23 @@ def _typed(values):
 
 @st.composite
 def _concise_core_cases(draw):
-    """Concise, non-concise and zero tensors, with int or Fraction entries."""
-    kind = draw(st.sampled_from(("moved", "sum", "dense", "zero")))
+    """Concise, non-concise and zero tensors, with int or Fraction entries,
+    and GL-moved rank-2 3x3x3 sums, whose 3-slice modes are not concise."""
+    kind = draw(st.sampled_from(("moved", "sum", "dense", "zero", "moved_sum")))
     if kind == "moved":
         return draw(_moved_orbit_or_short_sum())
+    scalars = st.one_of(st.integers(-3, 3),
+                        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+    if kind == "moved_sum":
+        t = zero_tensor((3, 3, 3))
+        for _ in range(2):
+            t = t + rank_one([draw(st.lists(scalars, min_size=3, max_size=3))
+                              for _ in range(3)])
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        return apply_gl(t, random_gl_tuple(t.dims, rng))
     dims = draw(st.sampled_from([(3, 3, 3), (1, 3, 2), (4, 2, 3), (2, 2, 2, 2)]))
     if kind == "zero":
         return zero_tensor(dims)
-    scalars = st.one_of(st.integers(-3, 3),
-                        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
     if kind == "dense":
         n = math.prod(dims)
         return make_tensor(dims, draw(st.lists(scalars, min_size=n, max_size=n)))
@@ -311,6 +327,11 @@ def _concise_core_cases(draw):
 # mode 0 is not concise (its two slices are equal), and the kept slice holds
 # an integral Fraction that restricting by a 0/1 matrix turns into an int
 @example(t=make_tensor((2, 2, 2), [Fraction(1, 1), 0, 0, 2] * 2))
+# a moved rank-2 sum: every mode keeps two of its three slices
+@example(t=apply_gl(rank_one([[1, Fraction(1, 2), 0], [0, 1, -1],
+                              [Fraction(2, 3), 1, 1]])
+                    + rank_one([[0, 1, 1], [1, 0, Fraction(-1, 3)], [1, 2, 0]]),
+                    random_gl_tuple((3, 3, 3), random.Random(4))))
 def test_concise_core_matches_rref_alone(q, t):
     """Slices are kept by a gather, with no rref and no 0/1 matrix, and the
     maps come from the input alone; the core and maps must not change, in
