@@ -1,19 +1,22 @@
 """Exact linear algebra over the rationals on plain lists.
 
-``rref`` and ``pivot_columns`` also reduce over GF(q) for a prime q, on integer
-residues.
+``rref`` and ``pivot_columns`` also reduce over GF(q) for a prime q < 128, on
+integer residues.
 
 Matrices are lists of rows; scalars are ``int`` or ``fractions.Fraction``
 (mixed freely -- results of divisions are normalised back to ``int`` when
 possible so the common all-integer paths stay fast).
 
-One forward elimination, ``_forward``, serves both fields.  Over Q it runs
-on integers: each row's denominators are cleared, and every entry stays an
-integer (a minor of that matrix, up to a deferred scaling) by dividing
-exactly by an earlier pivot (Bareiss).  Ranks and pivot sets
-(``pivot_columns``) read its pivots and nothing else.  ``rref``, for callers
-that read the reduced rows, back-substitutes on its rows and divides each
-row by its pivot once, so no ``Fraction`` is made before the result.
+Over Q one forward elimination, ``_forward``, runs on integers: each row's
+denominators are cleared, and every entry stays an integer (a minor of that
+matrix, up to a deferred scaling) by dividing exactly by an earlier pivot
+(Bareiss).  Ranks and pivot sets (``pivot_columns``) read its pivots and
+nothing else.  ``rref``, for callers that read the reduced rows,
+back-substitutes on its rows and divides each row by its pivot once, so no
+``Fraction`` is made before the result.  Over GF(q) ``_gf_echelon`` inserts
+the rows one at a time, each packed into an int with one byte per column,
+into an echelon keyed by leading column; ``pivot_columns``, ``rref`` and
+``gf_pivots`` (the rows independent of the rows before them) read it.
 ``Echelon`` keeps its rows sparse, as dicts of their nonzero entries,
 because the Macaulay matrices it reduces hold a few nonzeros in hundreds of
 columns.
@@ -22,6 +25,7 @@ columns.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
@@ -80,8 +84,8 @@ def _integer_rows(a):
     return rows
 
 
-def _forward(a, q):
-    """Forward elimination of a, over Q when q is None, else over GF(q).
+def _forward(a):
+    """Forward elimination of a over Q.
 
     Returns (rows, pivots): pivots are the first columns, left to right,
     that are independent of the columns before them, and rows[i] for
@@ -90,19 +94,18 @@ def _forward(a, q):
     they are never read, and stand for zeros.  The rows after the pivot
     rows are stale too.
 
-    Over Q each row is first scaled by the lcm of its denominators, which
-    changes no pivot, and fraction-free elimination (Bareiss 1968) clears
-    the rows below each pivot and no others: with p the pivot and p_prev
-    the one before it, a row becomes (p * row - row[c] * pivot_row) //
-    p_prev, so its entries stay minors of the scaled matrix and the division
-    is exact.  A row with a zero in the pivot column c would only be scaled
-    by p / p_prev, so that scaling is deferred: each row keeps the pivot b
-    it was last reduced at, and is reduced as (p * row - row[c] *
-    pivot_row) // b when it next has a nonzero in the pivot column (a pivot
-    row's tail is first scaled up to date).  Over GF(q) the entries are
-    read modulo q and the rows below each pivot are cleared modulo q.
+    Each row is first scaled by the lcm of its denominators, which changes
+    no pivot, and fraction-free elimination (Bareiss 1968) clears the rows
+    below each pivot and no others: with p the pivot and p_prev the one
+    before it, a row becomes (p * row - row[c] * pivot_row) // p_prev, so
+    its entries stay minors of the scaled matrix and the division is exact.
+    A row with a zero in the pivot column c would only be scaled by
+    p / p_prev, so that scaling is deferred: each row keeps the pivot b it
+    was last reduced at, and is reduced as (p * row - row[c] * pivot_row)
+    // b when it next has a nonzero in the pivot column (a pivot row's tail
+    is first scaled up to date).
     """
-    rows = _integer_rows(a) if q is None else [[x % q for x in row] for row in a]
+    rows = _integer_rows(a)
     if not rows:
         return rows, []
     nrows, ncols = len(rows), len(rows[0])
@@ -122,14 +125,6 @@ def _forward(a, q):
         # rows below never read column c or those before it again
         tail = prow[c + 1:]
         p = prow[c]
-        if q is not None:
-            inv = pow(p, q - 2, q)
-            for row in rows[r + 1:]:
-                f = row[c] * inv % q
-                if f:
-                    row[c + 1:] = [(x - f * y) % q
-                                   for x, y in zip(row[c + 1:], tail)]
-            continue
         base[r], base[piv] = base[piv], base[r]
         if base[r] != prev:
             p = p * prev // base[r]
@@ -146,9 +141,66 @@ def _forward(a, q):
     return rows, pivots
 
 
+@lru_cache(maxsize=64)
+def _byte_carries(n, q):
+    """The carry masks (over, top) of GF(q) sums packed one byte per field,
+    for n fields."""
+    if not 1 < q < 128:
+        raise ValueError(f"packed GF(q) rows need 1 < q < 128, not {q!r}")
+    ones = int.from_bytes(b"\x01" * n, "little")
+    return (128 - q) * ones, 128 * ones
+
+
+def _byte_axpy(v, c, w, q, over, top):
+    """v + c * w over GF(q), c in 0..q-1, on rows packed one byte per
+    field: c additions, each byte brought back below q after each."""
+    for _ in range(c):
+        s = v + w
+        v = s - (((s + over) & top) >> 7) * q
+    return v
+
+
+def _gf_echelon(a, q):
+    """The rows of a, read modulo the prime q, inserted into an echelon.
+
+    A row is packed into an int, column j in byte j, so its leading column
+    is the lowest nonzero byte.  While an echelon row leads there, adding
+    the right multiple of it clears that column; a row left nonzero is
+    scaled to a leading 1 and keyed by its leading column.  A byte of a sum
+    of two packed rows holds at most 2q - 2, and adding 128 - q to it sets
+    its top bit exactly when it reached q, which marks where to subtract q.
+    Returns (echelon, kept): echelon maps each leading column to its packed
+    row, and kept lists the indices of the rows that grew it, those
+    independent of the rows before them.
+    """
+    over, top = _byte_carries(len(a[0]) if a else 0, q)
+    echelon, kept = {}, []
+    for i, row in enumerate(a):
+        v = int.from_bytes(bytes([x % q for x in row]), "little")
+        while v:
+            c = ((v & -v).bit_length() - 1) >> 3
+            x = v >> 8 * c & 255
+            w = echelon.get(c)
+            if w is None:
+                echelon[c] = _byte_axpy(0, pow(x, q - 2, q), v, q, over, top)
+                kept.append(i)
+                break
+            v = _byte_axpy(v, q - x, w, q, over, top)
+    return echelon, kept
+
+
 def pivot_columns(a, q=None):
-    """The pivot columns of ``rref(a, q)``, by forward elimination only."""
-    return _forward(a, q)[1]
+    """The pivot columns of ``rref(a, q)``, with no reduced form."""
+    if q is None:
+        return _forward(a)[1]
+    return sorted(_gf_echelon(a, q)[0])
+
+
+def gf_pivots(vectors, q):
+    """The indices of the vectors independent of those before them, over
+    GF(q): ``pivot_columns(transpose(vectors), q)``, from one pass of
+    ``_gf_echelon`` over the vectors."""
+    return _gf_echelon(vectors, q)[1]
 
 
 def gram_pivots(vectors):
@@ -209,43 +261,54 @@ def rank(a):
 
 
 def rref(a, q=None):
-    """Reduced row echelon form over Q, or over GF(q) for a prime q.
+    """Reduced row echelon form over Q, or over GF(q) for a prime q < 128.
 
     Returns (rows, pivot_columns), the zero rows after the pivot rows.
-    Back substitution on the echelon rows of ``_forward``: from the last
-    pivot up, each pivot column is cleared in the rows above it.  Over Q
-    this runs on integers: with p the pivot and f a row's entry in its
-    column, the row becomes (p * row - f * pivot_row) / gcd(p, f).  A pivot
-    row gets no further update once the rows above it are cleared, so it
-    is then divided by its pivot: an entry is an int where the division is
-    exact and a Fraction otherwise.  Over GF(q) each pivot row is scaled to
-    a leading 1 and subtracted modulo q, and the rows hold residues 0..q-1.
+    Over Q, back substitution on the echelon rows of ``_forward``: from the
+    last pivot up, each pivot column is cleared in the rows above it, on
+    integers: with p the pivot and f a row's entry in its column, the row
+    becomes (p * row - f * pivot_row) / gcd(p, f).  A pivot row gets no
+    further update once the rows above it are cleared, so it is then
+    divided by its pivot: an entry is an int where the division is exact
+    and a Fraction otherwise.  Over GF(q) the echelon of ``_gf_echelon`` is
+    reduced from its last row up, each row by the already reduced rows
+    below it, and the rows hold residues 0..q-1.
     """
-    rows, pivots = _forward(a, q)
+    if q is not None:
+        return _gf_rref(a, q)
+    rows, pivots = _forward(a)
     for k in reversed(range(len(pivots))):
         c = pivots[k]
         tail = rows[k][c:]
         p = tail[0]
-        if q is None:
-            for i in range(k):
-                row = rows[i]
-                f = row[c]
-                if f:
-                    g = gcd(p, f)
-                    s, f = p // g, f // g
-                    ci = pivots[i]
-                    row[ci:] = ([s * x for x in row[ci:c]]
-                                + [s * x - f * y for x, y in zip(row[c:], tail)])
-            tail = [Fraction(x, p) if x % p else x // p for x in tail]
-        else:
-            inv = pow(p, q - 2, q)
-            tail = [x * inv % q for x in tail]
-            for row in rows[:k]:
-                f = row[c]
-                if f:
-                    row[c:] = [(x - f * y) % q for x, y in zip(row[c:], tail)]
-        rows[k] = [0] * c + tail
+        for i in range(k):
+            row = rows[i]
+            f = row[c]
+            if f:
+                g = gcd(p, f)
+                s, f = p // g, f // g
+                ci = pivots[i]
+                row[ci:] = ([s * x for x in row[ci:c]]
+                            + [s * x - f * y for x, y in zip(row[c:], tail)])
+        rows[k] = [0] * c + [Fraction(x, p) if x % p else x // p for x in tail]
     rows[len(pivots):] = [[0] * len(row) for row in rows[len(pivots):]]
+    return rows, pivots
+
+
+def _gf_rref(a, q):
+    n = len(a[0]) if a else 0
+    over, top = _byte_carries(n, q)
+    echelon, _ = _gf_echelon(a, q)
+    pivots = sorted(echelon)
+    for k in reversed(range(len(pivots))):
+        v = echelon[pivots[k]]
+        for d in pivots[k + 1:]:
+            x = v >> 8 * d & 255
+            if x:
+                v = _byte_axpy(v, q - x, echelon[d], q, over, top)
+        echelon[pivots[k]] = v
+    rows = [list(echelon[c].to_bytes(n, "little")) for c in pivots]
+    rows += [[0] * n for _ in range(len(a) - len(pivots))]
     return rows, pivots
 
 

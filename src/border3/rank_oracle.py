@@ -7,13 +7,15 @@ for lower-bound arguments.  Everything is exact.
 
 The finite-field search shares its set-up with the structural classifier:
 the tensor's residues mod q are cut to a concise core by
-``tensor.concise_core`` over GF(q), which finds the slices to keep with
-``_linalg.pivot_columns``, the elimination that also ranks the classifier's
-modes of dimension above 3 over Q.
+``tensor.concise_core`` over GF(q), which reads each mode's kept slices
+from one ``_linalg.gf_pivots`` call, an echelon over GF(q) of the slices
+packed into ints.
 The search is its own: it walks the subspaces of the quotient by the slice
 span that rank-one candidates span, each once, in a fixed order.  Each
 candidate's projection is read from a table built once per head of
-candidates (its vectors in every mode but the last).
+candidates (its vectors in every mode but the last), and the last layer
+of the walk visits only the candidates that neighbour masks show can
+grow the span.
 ``tests/colex_reference.py`` keeps the older colex search over candidate
 subsets to check the search against, and ``tests/projection_reference.py``
 the projection of one candidate at a time.
@@ -285,7 +287,22 @@ def _project_candidates(slice_rows, dims, q):
                      root)
 
 
-def _quotient_search(qt, j):
+def _set_bytes(mask):
+    """The indices of the nonzero bytes of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1 >> 3
+        mask ^= low
+
+
+# generators per neighbour mask, and last-layer generators a node visits
+# before it builds any: a node that succeeds at one of its first generators
+# builds no mask, or those of one window, not of all generators
+_WINDOW = 64
+_FIRST = 4
+
+
+def _quotient_search(qt, j, masks=None):
     """Whether some j-dimensional U in F^N/S has a preimage W spanned by the
     candidates inside W, i.e. whether the rank is at most dim S + j.
 
@@ -296,6 +313,22 @@ def _quotient_search(qt, j):
     Each U spanned by images is visited once, through its greedy basis:
     generator g_t is the smallest image index among the points of
     span(g_1..g_t) outside span(g_1..g_t-1).
+
+    A last generator g adds to that span only through extra[g] or through
+    a point g + y, y a nonzero point of span(g_1..g_j-1), that is a
+    candidate image; any other g leaves it as it was.  So below a node whose
+    span of S parts is not yet full, the last layer visits only the g with
+    extra[g] nonempty or with byte g set in the neighbour mask of some such
+    y, whose byte g is 1 when image(g) + image(y) is a candidate image.
+    A node visits its first _FIRST generators as they come, then builds
+    masks for windows of _WINDOW generators as it reaches them.  A byte 2
+    marks a g that some g + y shows is not the greedy last generator,
+    which the layer skips too.  The masks of the multiples c * g_t of one
+    generator, keyed (g_t, c, window start), and of the g with extra S
+    parts, keyed by the window start, are kept in masks, so the searches
+    for several j on one quotient can share them; those of the other
+    points are built per node.  Below a node whose span is already full
+    every g is visited, as without masks.
     """
     q, over, top, gens, where, extra = (
         qt.q, qt.over, qt.top, qt.gens, qt.where, qt.extra)
@@ -306,9 +339,57 @@ def _quotient_search(qt, j):
     low = (1 << shift) - 1
     qs = (top - over) & low
     m = len(gens)
+    if masks is None:
+        masks = {}
+    # point i of span(g_1..g_j-1) has base-q digit t the coefficient of
+    # g_t+1: a lone nonzero digit is a multiple of one generator
+    lone = {c * q ** t: (t, c) for t in range(j - 1) for c in range(1, q)}
+    mixed = [i for i in range(1, q ** (j - 1)) if i not in lone]
 
-    def rec(span, lo, depth, space):
-        for g in range(lo, m - j + depth):
+    def neighbours(y, lo, a):
+        """The byte mask, byte g - a for g, of the g >= lo in the window
+        from a: 1 where g + y is a candidate image of generator p >= g, 2
+        where p < g, so that g is not the greedy last generator."""
+        start = max(a, lo)
+        hits = map(where.get, [
+            s - (((s + over) & top) >> 3) * q >> shift
+            for s in map(y.__add__, gens[start:a + _WINDOW])])
+        mask = int.from_bytes(bytes([
+            0 if hit is None else 1 + (hit[0] < g)
+            for g, hit in enumerate(hits, start)]), "little")
+        return mask << 8 * (start - a)
+
+    ones = ((1 << 8 * _WINDOW) - 1) // 255
+
+    def last_layer(span, lo, path):
+        yield from range(lo, min(lo + _FIRST, m))
+        lo += _FIRST
+        for a in range(lo - lo % _WINDOW, m, _WINDOW):
+            cand = masks.get(a)
+            if cand is None:  # the g in the window with extra S parts
+                cand = masks[a] = int.from_bytes(
+                    bytes(map(bool, extra[a:a + _WINDOW])), "little")
+            for i, (t, c) in lone.items():
+                # a node below g_t has lo > g_t, so g > g_t is all it reads
+                key = (path[t], c, a)
+                mask = masks.get(key)
+                if mask is None:
+                    mask = masks[key] = neighbours(span[i], path[t] + 1, a)
+                cand |= mask
+            for i in mixed:
+                cand |= neighbours(span[i], lo, a)
+            cand &= ~(cand >> 1) & ones
+            if a < lo:
+                cand = cand >> 8 * (lo - a) << 8 * (lo - a)
+            for g in _set_bytes(cand):
+                yield a + g
+
+    def rec(span, lo, depth, space, path):
+        if depth < j or len(space[1]) == full:
+            todo = range(lo, m - j + depth)
+        else:
+            todo = last_layer(span, lo, path)
+        for g in todo:
             base = gens[g]
             sp = space
             # one representative g + y of each point new in this layer
@@ -334,11 +415,11 @@ def _quotient_search(qt, j):
                     continue
                 wider = [_gf_add(y, c, q, over, top)
                          for c in _multiples(base, q, over, top) for y in span]
-                if rec(wider, g + 1, depth + 1, sp):
+                if rec(wider, g + 1, depth + 1, sp, path + (g,)):
                     return True
         return False
 
-    return rec([0], 0, 1, qt.root)
+    return rec([0], 0, 1, qt.root, ())
 
 
 def rank_over_field(t, q, r_max=6, jobs=1):
@@ -363,7 +444,7 @@ def rank_over_field(t, q, r_max=6, jobs=1):
         raise ValueError(f"jobs must be a positive integer, not {jobs!r}")
     decided, ctx = _prepare_span_search(t, q)
     if ctx is None:
-        return decided
+        return decided if decided <= r_max else GreaterThan(r_max)
     slice_rows, rest, low = ctx
     qt = _project_candidates(slice_rows, rest, q)
     sizes = range(low, r_max + 1)
@@ -377,8 +458,9 @@ def rank_over_field(t, q, r_max=6, jobs=1):
             if hit:
                 return r
         return GreaterThan(r_max)
+    masks = {}
     for r in sizes:
-        if _quotient_search(qt, r - low):
+        if _quotient_search(qt, r - low, masks):
             return r
     return GreaterThan(r_max)
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from ._linalg import (_norm, gram_pivots, mat_mul, pivot_columns, rank, rref,
-                      transpose)
+from ._linalg import (_norm, gf_pivots, gram_pivots, mat_mul, pivot_columns,
+                      rank, rref, transpose)
 
 MAX_ENTRIES = 10 ** 6
 
@@ -312,21 +312,23 @@ def concise_core(t, q=None):
     to stay well-formed).  Kept entries are normalized as a restriction by
     a 0/1 matrix would leave them: integral Fractions become ints.  Over Q a
     mode of dimension at most 3 reads both the test and the kept slices
-    from one ``gram_pivots`` call on its slices.  With a prime q the pivots
-    are found over GF(q) by elimination, reading the entries of t as
-    integers modulo q.  The maps (``ConciseCore.maps``) are computed only
-    when read.
+    from one ``gram_pivots`` call on its slices.  With a prime q every mode
+    reads them from one ``gf_pivots`` call, which inserts the slices, read
+    as integers modulo q, into an echelon over GF(q).  The maps
+    (``ConciseCore.maps``) are computed only when read.
     """
     core = t
     for mode in range(t.order):
         d = core.dims[mode]
         flat = flattening(core, mode)
-        if q is None and d <= 3:
+        if q is not None:
+            keep = gf_pivots(flat, q)
+        elif d <= 3:
             keep = gram_pivots(flat)
-        elif len(pivot_columns(flat, q)) == d:
+        elif len(pivot_columns(flat)) == d:
             continue
         else:
-            keep = pivot_columns(transpose(flat), q)
+            keep = pivot_columns(transpose(flat))
         if len(keep) == d:
             continue
         keep = tuple(keep) or (0,)

@@ -87,7 +87,7 @@ def colex_rank_over_field(t, q, r_max=6):
     """rank_over_field computed with the colex subset search."""
     decided, ctx = _prepare_span_search(t, q)
     if ctx is None:
-        return decided
+        return decided if decided <= r_max else GreaterThan(r_max)
     slice_rows, rest, low = ctx
     cands = _rank_one_candidates(rest, q)
     for r in range(low, r_max + 1):

@@ -170,6 +170,16 @@ def test_rank_verb_and_overflow(capsys, monkeypatch, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["rank"] is None and report["greater_than"] == 3
+    # a rank decided without a search, by a square concise core, obeys
+    # --rmax as a searched one does
+    eye = json.dumps({"dims": [3, 3, 1],
+                      "entries": [str(int(i == j)) for i in range(3)
+                                  for j in range(3)]})
+    code, out, _ = run_cli(capsys, ["rank", "-", "--field", "2", "--rmax",
+                                    "2"], stdin=eye, monkeypatch=monkeypatch)
+    assert code == 0
+    report = json.loads(out)
+    assert report["rank"] is None and report["greater_than"] == 2
     code, out, _ = run_cli(capsys, ["rank", str(path), "--field", "3",
                                     "--jobs", "2"])
     assert code == 0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from border3._linalg import (
-    Echelon, gram_pivots, inverse, mat_mul, pivot_columns, rank, rref,
-    span_basis, transpose,
+    Echelon, gf_pivots, gram_pivots, inverse, mat_mul, pivot_columns, rank,
+    rref, span_basis, transpose,
 )
 from border3.classifier import _stabilizer_matrix
 from border3.normal_forms import ORBIT_IDS, orbit_representative
@@ -225,6 +225,21 @@ def test_pivot_columns_match_rref_over_gf(q, a):
     rows, pivots = rref(a, q)
     assert (rows, pivots) == _reference_rref(a, q)
     assert pivot_columns(a, q) == pivots
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(vs=_pivot_cases(scalars=st.integers(-6, 6)))
+def test_gf_pivots_match_reference_pivots_of_the_transpose(q, vs):
+    """The vectors kept by one pass of the packed echelon are the pivot
+    columns of the matrix with those vectors as its columns."""
+    assert gf_pivots(vs, q) == _reference_rref(transpose(vs), q)[1]
+
+
+def test_packed_gf_rows_refuse_a_modulus_past_a_byte():
+    # a byte holds a sum of two residues plus 128 - q only for q < 128
+    with pytest.raises(ValueError, match="packed"):
+        pivot_columns([[1, 2]], 131)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -15,10 +15,10 @@ from border3.normal_forms import (
     sigma3_point,
 )
 from border3.rank_oracle import (
-    Decomposition, GreaterThan, _project_candidates, _rank_one_candidates,
-    from_rational, macaulay_membership, perturbed_pencil_matrix,
-    perturbed_pencil_minors, perturbed_pencil_targets, rank_over_field,
-    rank_upper_bound,
+    Decomposition, GreaterThan, _prepare_span_search, _project_candidates,
+    _quotient_search, _rank_one_candidates, from_rational,
+    macaulay_membership, perturbed_pencil_matrix, perturbed_pencil_minors,
+    perturbed_pencil_targets, rank_over_field, rank_upper_bound,
 )
 from border3.polytools import monomial, padd, pis_zero, pmul, psub
 from border3.tensor import (
@@ -113,6 +113,18 @@ def test_rank_over_field_greater_than():
     assert rank_over_field(g, 2, r_max=6) == 5
 
 
+def test_ranks_decided_in_set_up_keep_the_bound():
+    # a 3x3 identity stored as dims (3, 3, 1) is decided by its concise
+    # core, a square matrix, and no search runs: its rank 3 still obeys r_max
+    eye = make_tensor((3, 3, 1), [int(i == j) for i in range(3)
+                                  for j in range(3)])
+    assert rank_over_field(eye, 2, r_max=3) == 3
+    assert rank_over_field(eye, 2, r_max=2) == GreaterThan(2)
+    assert rank_over_field(rank_one([[1, 1], [1, 2]], 1), 3, r_max=1) == 1
+    assert rank_over_field(orbit_representative(39), 2, r_max=2) == \
+        GreaterThan(2)
+
+
 def test_rank_over_field_depends_on_the_field():
     # slices I and a quarter turn: the pencil's determinant s^2 + t^2 is a
     # square over F2, irreducible over F3 and splits over F5 (-1 = 2^2)
@@ -140,7 +152,20 @@ def _small_tensor_and_bound(draw, q):
 def test_quotient_search_matches_colex_search(q, data):
     # r_max below the rank makes both searches prove a GreaterThan verdict
     t, r_max = data.draw(_small_tensor_and_bound(q))
-    assert rank_over_field(t, q, r_max) == colex_rank_over_field(t, q, r_max)
+    want = colex_rank_over_field(t, q, r_max)
+    assert rank_over_field(t, q, r_max) == want
+    # each j searched alone, with no neighbour mask from a smaller j, as a
+    # worker process of rank_over_field(..., jobs) searches it: true when
+    # the rank is at most dim S + j and F^N/S has a j-dimensional subspace
+    decided, ctx = _prepare_span_search(t, q)
+    if ctx is None:
+        return
+    slice_rows, rest, low = ctx
+    qt = _project_candidates(slice_rows, rest, q)
+    for j in range(r_max - low + 1):
+        fits = want != GreaterThan(r_max) and want <= low + j
+        assert _quotient_search(qt, j) == (fits
+                                           and j <= math.prod(rest) - low)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -234,7 +259,9 @@ def test_rank_over_field_input_validation():
 
 
 def test_sigma2_ranks_over_f2():
-    for n in (3, 4):
+    # n = 5 with five terms is the only search at depth j = 3 of the
+    # benchmark's oracle batch
+    for n in (3, 4, 5):
         for size in range(1, n + 1):
             J = set(range(1, size + 1))
             t = sigma2_point(n, J, (2,) * n)
