@@ -70,18 +70,26 @@ def mat_mul(a, b):
 _denominator = attrgetter("denominator")
 
 
-def _integer_rows(a):
-    """The rows of a, each scaled by the lcm of its denominators."""
+def _scaled_rows(a):
+    """The rows of a, each scaled by the lcm of its denominators, as new
+    lists; a itself, not copied, when every entry is an int."""
     # most matrices ranked here are all-int, and one type scan of the
     # matrix costs less than an lcm per row
     if set(map(type, chain.from_iterable(a))) <= {int}:
-        return [list(row) for row in a]
+        return a
     rows = []
     for row in a:
         den = lcm(*map(_denominator, row))
         rows.append([x.numerator * (den // x.denominator) for x in row]
                     if den != 1 else list(map(int, row)))
     return rows
+
+
+def _integer_rows(a):
+    """The rows of a, each scaled by the lcm of its denominators, as new
+    lists that the caller may write to."""
+    rows = _scaled_rows(a)
+    return [list(row) for row in a] if rows is a else rows
 
 
 def _forward(a):
@@ -210,13 +218,14 @@ def gram_pivots(vectors):
     Over Q, x^T (M M^T) x = |M^T x|^2, so a set of vectors is independent
     exactly when its Gram determinant is nonzero; vector j is kept when the
     Gram determinant of the kept vectors and j is.  The vectors are first
-    scaled to integers as by ``_integer_rows``, which keeps every pivot and
-    spares the Gram sums their Fractions.  Over GF(q) a nonzero vector can
-    be isotropic ((1, 1) over F2), so there is no such test there.
+    scaled to integers by ``_scaled_rows``, which keeps every pivot and
+    spares the Gram sums their Fractions; all-int vectors are read as
+    given, since nothing here writes to them.  Over GF(q) a nonzero vector
+    can be isotropic ((1, 1) over F2), so there is no such test there.
     """
     if len(vectors) > 3:
         raise ValueError("gram_pivots takes at most three vectors")
-    vs = _integer_rows(vectors)
+    vs = _scaled_rows(vectors)
     keep = []
     if not vs:
         return keep

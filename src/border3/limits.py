@@ -1,11 +1,15 @@
 """Curves on chart models and their limit planes.
 
-The chart map is always evaluated on exact polynomials (_Poly): each chart
-coordinate of a polynomial curve is a polynomial in t with exact rational
-coefficients, and the model's embedding is a polynomial in those.  The
-truncated series types (ScalarSeries, VectorSeries) are coefficient records
-with no arithmetic; APIs that take or return them truncate the exact
-polynomial value at the series' order.
+The chart map is evaluated on exact polynomials: each chart coordinate of a
+polynomial curve is a polynomial in t with exact rational coefficients, and
+the model's embedding is a polynomial in those.  On a Segre chart the
+embedding is the outer product of the factor blocks (1, x_1, ..., x_{d-1}),
+so it is computed on plain coefficient lists, by convolving the blocks'
+coefficient vectors with Kronecker products (_segre_polynomial).  Other
+charts evaluate model.phi on _Poly ring elements.  The truncated series
+types (ScalarSeries, VectorSeries) are coefficient records with no
+arithmetic; APIs that take or return them truncate the exact polynomial
+value at the series' order.
 
 The limit at t=0 of the moving span of three curve points is computed by
 one valuation row reduction of the polynomial rows modulo t^D.  Row
@@ -29,6 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, zip_longest
+from operator import add
 
 from ._linalg import _denominator, _norm, rank, span_basis
 from .normal_forms import segre_model
@@ -46,8 +51,8 @@ class ScalarSeries:
     """Truncated power series sum_k c_k t^k for k < prec: a coefficient record.
 
     The coefficients are exact (integral Fractions as int).  The record has
-    no arithmetic: series values are computed on exact polynomials (_Poly)
-    and truncated when a series is built.
+    no arithmetic: series values are computed on exact polynomials and
+    truncated when a series is built.
     """
 
     __slots__ = ("prec", "coeffs")
@@ -139,10 +144,7 @@ class VectorSeries:
 
     def polynomial_coefficients(self):
         """Tracked coefficient vectors, trailing zero vectors trimmed."""
-        vecs = [self.coeff_vector(k) for k in range(self.prec)]
-        while len(vecs) > 1 and not any(vecs[-1]):
-            vecs.pop()
-        return vecs
+        return _trimmed(list(zip(*(p.coeffs for p in self.parts))))
 
     def order(self):
         orders = [p.order() for p in self.parts]
@@ -166,7 +168,9 @@ class _Poly:
 
     Holds a polytools coefficient list (index k for t^k, trailing zeros
     trimmed, integral Fractions as int).  Sums and products are exact, so
-    no truncation order is tracked.
+    no truncation order is tracked.  Its users are the chart maps of
+    non-Segre models (_ambient_polynomial), affine_tangent_frame and
+    second_order_offset.
     """
 
     __slots__ = ("coeffs",)
@@ -207,6 +211,18 @@ class _Poly:
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+def _trimmed(vecs):
+    """The list of coefficient vectors without its trailing zero vectors,
+    down to one."""
+    while len(vecs) > 1 and not any(vecs[-1]):
+        vecs.pop()
+    return vecs
+
+
+def _has_fraction(values):
+    return Fraction in set(map(type, values))
 
 
 def _coefficient_vectors(values):
@@ -298,14 +314,21 @@ class LimitPlaneResult:
             raise ValueError("a degenerate wedge has no plane to sample")
         if len(coeffs) != len(self.plane):
             raise ValueError("need one coefficient per basis vector")
-        n = len(self.plane[0])
-        out = [0] * n
+        # sum den * c * x on integers, den the product of the lcms of the
+        # denominators of the plane and of the coefficients
+        pden = math.lcm(*map(_denominator, chain.from_iterable(self.plane)))
+        cden = math.lcm(*map(_denominator, coeffs))
+        den = pden * cden
+        out = [0] * len(self.plane[0])
         for c, row in zip(coeffs, self.plane):
             if c:
+                c = c.numerator * (cden // c.denominator)
                 for i, x in enumerate(row):
                     if x:
-                        out[i] += c * x
-        return tuple(_norm(x) for x in out)
+                        out[i] += c * x.numerator * (pden // x.denominator)
+        if den == 1:
+            return tuple(out)
+        return tuple(Fraction(x, den) if x % den else x // den for x in out)
 
     def contains(self, vec):
         rows = [list(r) for r in self.plane]
@@ -318,10 +341,15 @@ def _order(row, start=0):
 
 
 def _integer_row(row):
-    """A row's coefficient vectors times the lcm of their denominators."""
+    """A row's coefficient vectors times the lcm of their denominators.
+
+    A row of ints is returned as it is: _reduce_rows replaces a row's
+    coefficient vectors, and extends the row list it was given, but never
+    writes into a coefficient vector.
+    """
+    if set(map(type, chain.from_iterable(row))) <= {int}:
+        return row
     den = math.lcm(*map(_denominator, chain.from_iterable(row)))
-    if den == 1:
-        return [list(map(int, v)) for v in row]
     return [[x.numerator * (den // x.denominator) for x in v] for v in row]
 
 
@@ -345,6 +373,7 @@ def _reduce_rows(rows, bound):
     neither its order nor the direction of its leading vector, and scales
     the triple wedge by a nonzero constant.
     """
+    # each row list is a fresh slice, which the updates below may extend
     rows = [_integer_row(r[:bound]) for r in rows]
     orders = [_order(r) for r in rows]
     while None not in orders:
@@ -425,7 +454,49 @@ def limit_plane(c1, c2, c3):
 def _ambient_polynomial(model, data):
     """Exact ambient polynomial data of a polynomial chart curve, given as
     nonempty coefficient vectors of one length."""
+    if model.kind == "segre":
+        return _segre_polynomial(model, data)
     return _coefficient_vectors(model.phi([_Poly(col) for col in zip(*data)]))
+
+
+def _segre_polynomial(model, data):
+    """_ambient_polynomial on a Segre model, on plain coefficient lists.
+
+    Slot (i_1, ..., i_n) of the chart map multiplies, over the factors m,
+    entry i_m of the block (1, x_1, ..., x_{d_m - 1}) of factor m.  So the
+    ambient curve is the product of the factors' block curves, each with
+    coefficient vector (1, x_1[0], ...) at t^0 and (0, x_1[k], ...) at t^k,
+    where vectors multiply by Kronecker products.  Convolving the factors
+    first to last makes that product row-major, which is phi's slot order.
+    Only the nonzero block vectors are convolved, keyed by their power of
+    t; the product's top vector is the Kronecker product of the blocks' top
+    vectors, which is nonzero, so no trailing zero vector is left.  On ints
+    the sums stay ints; _norm runs only when a Fraction is present.
+    """
+    if len(data[0]) != model.tangent_dim:
+        raise ValueError("tangent vector has wrong length")
+    terms = {0: (1,)}
+    pos = 0
+    for d in model.dims:
+        if d == 1:
+            continue
+        end = pos + d - 1
+        blk = [(k, (0, *v[pos:end])) for k, v in enumerate(data)
+               if k and any(v[pos:end])]
+        blk.insert(0, (0, (1, *data[0][pos:end])))
+        pos = end
+        prod = {}
+        for i, u in terms.items():
+            for j, w in blk:
+                kron = [x * y for x in u for y in w]
+                acc = prod.get(i + j)
+                prod[i + j] = kron if acc is None else list(map(add, acc, kron))
+        terms = prod
+    zero = (0,) * len(terms[0])
+    out = [terms.get(k, zero) for k in range(max(terms) + 1)]
+    if _has_fraction(chain.from_iterable(data)):
+        return [tuple(map(_norm, v)) for v in out]
+    return list(map(tuple, out))
 
 
 def chart_limit_plane(model, curves):
@@ -795,13 +866,22 @@ def limit_config_curves(cfg):
     0, t^k * v and lam * t^k * v + t^l * w, with v, w and lam read as the
     polynomials their tracked coefficients spell.
     """
-    v = [_Poly((0,) * cfg.k + col)
-         for col in zip(*cfg.v.polynomial_coefficients())]
-    w = [_Poly((0,) * cfg.l + col)
-         for col in zip(*cfg.w.polynomial_coefficients())]
-    lam = _Poly(cfg.lam.coeffs)
-    return ([(0,) * len(v)], _coefficient_vectors(v),
-            _coefficient_vectors([lam * a + b for a, b in zip(v, w)]))
+    v = cfg.v.polynomial_coefficients()
+    w = cfg.w.polynomial_coefficients()
+    lam = utrim(list(cfg.lam.coeffs))
+    zero = (0,) * len(v[0])
+    third = [zero] * max(cfg.k + len(v) + len(lam) - 1, cfg.l + len(w))
+    for a, c in enumerate(lam):
+        if c:
+            for k, u in enumerate(v, cfg.k + a):
+                third[k] = [x + c * y for x, y in zip(third[k], u)]
+    for k, u in enumerate(w, cfg.l):
+        third[k] = [x + y for x, y in zip(third[k], u)]
+    if _has_fraction(chain(lam, *v, *w)):
+        third = [tuple(map(_norm, u)) for u in third]
+    else:
+        third = list(map(tuple, third))
+    return [zero], [zero] * cfg.k + v, _trimmed(third)
 
 
 def limit_config_plane(cfg):

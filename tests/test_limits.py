@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 
 from border3 import limits
 from border3.classifier import classify
@@ -925,6 +925,120 @@ def test_ambient_polynomial_matches_series_embedding(case, prec):
     assert amb.prec == prec
     want = (got + [(0,) * model.ambient_dim] * prec)[:prec]
     assert _typed([amb.coeff_vector(k) for k in range(prec)]) == _typed(want)
+
+
+def _phi_on_polys(model, data):
+    """The chart map evaluated on _Poly ring elements, one per chart
+    coordinate, read back as coefficient vectors with trailing zero vectors
+    trimmed down to one."""
+    values = model.phi([limits._Poly(col) for col in zip(*data)])
+    coeffs = [v.coeffs if isinstance(v, limits._Poly) else [v] for v in values]
+    return list(zip_longest(*coeffs, fillvalue=0)) or [(0,) * len(coeffs)]
+
+
+@st.composite
+def _segre_curves(draw):
+    """A Segre model of 1-4 factors of dims 1-4 and a polynomial chart curve
+    on it, with int, Fraction or mixed coefficients, maybe a zero leading
+    vector and trailing zero vectors."""
+    model = segre_model(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    n = model.tangent_dim
+    entries = draw(st.sampled_from((st.integers(-3, 3), _RATIONALS,
+                                    st.one_of(st.integers(-3, 3), _RATIONALS))))
+    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n).map(tuple),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        data[0] = (0,) * n
+    return model, data + [(0,) * n] * draw(st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_segre_curves())
+@example((segre_model((1, 3, 1, 2)), [(0, 0, 0), (1, Fraction(-1, 2), 2), (0, 0, 0)]))
+@example((segre_model((4, 4, 4, 4)), [tuple(range(-6, 6)), (0,) * 12,
+                                      tuple(Fraction(k, 3) for k in range(12))]))
+@example((segre_model((2, 2)), [(Fraction(2), Fraction(1, 2)), (Fraction(3, 2), 2)]))
+@example((segre_model((1, 1)), [()]))
+def test_segre_embedding_matches_the_chart_map_on_polynomials(case):
+    model, data = case
+    got = _ambient_polynomial(model, data)
+    assert all(type(v) is tuple for v in got)
+    assert _typed(got) == _typed(_phi_on_polys(model, data))
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 1, 4)])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_segre_embedding_refuses_a_wrong_length_vector(capsys, monkeypatch,
+                                                        dims, delta):
+    model = segre_model(dims)
+    vec = tuple(range(1, model.tangent_dim + delta + 1))
+    curves = [[vec], [vec, vec], [(0,) * len(vec), vec]]
+    with pytest.raises(ValueError, match="tangent vector has wrong length"):
+        _ambient_polynomial(model, [vec])
+    with pytest.raises(ValueError, match="tangent vector has wrong length"):
+        chart_limit_plane(model, curves)
+    text = json.dumps({"model": {"kind": "segre", "dims": list(dims)},
+                       "curves": [[list(v) for v in c] for c in curves]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["limit"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad limit config: tangent vector has wrong length" in captured.err
+
+
+def _fraction_sample(plane, coeffs):
+    """sum_j coeffs[j] * plane[j] on Fractions, integral entries as int."""
+    out = [Fraction(0)] * len(plane[0])
+    for c, row in zip(coeffs, plane):
+        out = [s + Fraction(c) * Fraction(x) for s, x in zip(out, row)]
+    return tuple(x.numerator if x.denominator == 1 else x for x in out)
+
+
+_SAMPLE_ENTRIES = st.one_of(st.just(0), st.integers(-5, 5), _RATIONALS,
+                            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@st.composite
+def _planes_and_coefficients(draw):
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_SAMPLE_ENTRIES, min_size=width,
+                                  max_size=width).map(tuple),
+                         min_size=1, max_size=3))
+    coeffs = draw(st.lists(_SAMPLE_ENTRIES, min_size=len(rows), max_size=len(rows)))
+    return LimitPlaneResult(tuple(rows), (0,) * len(rows), 0), coeffs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_planes_and_coefficients())
+@example((LimitPlaneResult(((1, Fraction(1, 2), 0), (0, Fraction(1, 3), 1)),
+                           (0, 1), 1), [2, 3]))
+@example((LimitPlaneResult(((Fraction(1, 2), 1),), (0,), 0), [Fraction(2, 3)]))
+@example((LimitPlaneResult(((Fraction(1, 2), 1), (1, 1)), (0, 0), 0), [0, 0]))
+def test_plane_sample_matches_a_fraction_sum(case):
+    plane, coeffs = case
+    assert _typed([plane.sample(coeffs)]) == _typed([_fraction_sample(plane.plane, coeffs)])
+
+
+def test_plane_samples_keep_their_errors():
+    model = segre_model((3, 3, 3))
+    rng = random.Random(218)
+    while True:
+        curves = [[tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(6)) for _ in range(2)] for _ in range(3)]
+        res = chart_limit_plane(model, curves)
+        if not res.degenerate and any(type(x) is Fraction
+                                      for row in res.plane for x in row):
+            break
+    for coeffs in ([1, Fraction(2, 3), 0], [0, 0, 5], [7, -2, 1]):
+        assert _typed([res.sample(coeffs)]) == _typed([_fraction_sample(res.plane, coeffs)])
+    for coeffs in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="one coefficient per basis vector"):
+            res.sample(coeffs)
+    degenerate = LimitPlaneResult((), (), None, degenerate=True)
+    with pytest.raises(ValueError, match="degenerate wedge"):
+        degenerate.sample((1, 2, 3))
+    with pytest.raises(ValueError, match="degenerate wedge"):
+        degenerate.sample(())
 
 
 @st.composite
