@@ -12,14 +12,18 @@ denominators are cleared, and every entry stays an integer (a minor of that
 matrix, up to a deferred scaling) by dividing exactly by an earlier pivot
 (Bareiss).  Ranks and pivot sets (``pivot_columns``) read its pivots and
 nothing else.  ``rref``, for callers that read the reduced rows,
-back-substitutes on its rows and divides each row by its pivot once, so no
-``Fraction`` is made before the result.  Over GF(q) ``_gf_echelon`` inserts
-the rows one at a time, each packed into an int with one byte per column,
-into an echelon keyed by leading column; ``pivot_columns``, ``rref`` and
-``gf_pivots`` (the rows independent of the rows before them) read it.
+back-substitutes on its rows (``_back_substitute``, which ``limit_plane``
+runs on the integer echelon of its own reduction) and divides each row by
+its pivot once, so no ``Fraction`` is made before the result.  Over GF(q)
+``_gf_echelon`` inserts the rows one at a time, each packed into an int
+with one byte per column, into an echelon keyed by leading column;
+``pivot_columns``, ``rref`` and ``gf_pivots`` (the rows independent of the
+rows before them) read it.
 ``Echelon`` keeps its rows sparse, as dicts of their nonzero entries,
 because the Macaulay matrices it reduces hold a few nonzeros in hundreds of
-columns.
+columns.  It records how each row was reduced, not its combination of the
+inserted vectors: ``coords_in`` rewrites those steps over the inserted
+vectors once, and only for a vector in the span.
 """
 
 from __future__ import annotations
@@ -269,23 +273,19 @@ def rank(a):
     return len(pivot_columns(a))
 
 
-def rref(a, q=None):
-    """Reduced row echelon form over Q, or over GF(q) for a prime q < 128.
+def _back_substitute(rows, pivots):
+    """Reduce integer echelon rows, in place, to the rows of an rref.
 
-    Returns (rows, pivot_columns), the zero rows after the pivot rows.
-    Over Q, back substitution on the echelon rows of ``_forward``: from the
-    last pivot up, each pivot column is cleared in the rows above it, on
-    integers: with p the pivot and f a row's entry in its column, the row
-    becomes (p * row - f * pivot_row) / gcd(p, f).  A pivot row gets no
-    further update once the rows above it are cleared, so it is then
-    divided by its pivot: an entry is an int where the division is exact
-    and a Fraction otherwise.  Over GF(q) the echelon of ``_gf_echelon`` is
-    reduced from its last row up, each row by the already reduced rows
-    below it, and the rows hold residues 0..q-1.
+    rows[k] for k < len(pivots) holds its pivot in column pivots[k], the
+    pivots increase, and its entries left of the pivot stand for zeros.
+    From the last pivot up, each pivot column is cleared in the rows above
+    it, on integers: with p the pivot and f a row's entry in its column,
+    the row becomes (p * row - f * pivot_row) / gcd(p, f).  A pivot row
+    gets no further update once the rows above it are cleared, so it is
+    then divided by its pivot: an entry is an int where the division is
+    exact and a Fraction otherwise.  Rows after the pivot rows are left as
+    they are.
     """
-    if q is not None:
-        return _gf_rref(a, q)
-    rows, pivots = _forward(a)
     for k in reversed(range(len(pivots))):
         c = pivots[k]
         tail = rows[k][c:]
@@ -300,6 +300,21 @@ def rref(a, q=None):
                 row[ci:] = ([s * x for x in row[ci:c]]
                             + [s * x - f * y for x, y in zip(row[c:], tail)])
         rows[k] = [0] * c + [Fraction(x, p) if x % p else x // p for x in tail]
+
+
+def rref(a, q=None):
+    """Reduced row echelon form over Q, or over GF(q) for a prime q < 128.
+
+    Returns (rows, pivot_columns), the zero rows after the pivot rows.
+    Over Q, ``_back_substitute`` on the echelon rows of ``_forward``.  Over
+    GF(q) the echelon of ``_gf_echelon`` is reduced from its last row up,
+    each row by the already reduced rows below it, and the rows hold
+    residues 0..q-1.
+    """
+    if q is not None:
+        return _gf_rref(a, q)
+    rows, pivots = _forward(a)
+    _back_substitute(rows, pivots)
     rows[len(pivots):] = [[0] * len(row) for row in rows[len(pivots):]]
     return rows, pivots
 
@@ -349,15 +364,26 @@ class Echelon:
     when it lies in the span (used to rewrite tensors on a chosen subbasis).
     A vector goes in as a dense sequence or as a {column: value} dict, which
     a caller with a few nonzeros in many columns passes without ever
-    building the dense form.  The echelon rows and their coefficient records
-    are kept sparse, as {column: value} dicts of the nonzero entries, so
-    reduction never touches a zero; coords_in returns a dense list.
+    building the dense form.  The echelon rows are kept sparse, as {column:
+    value} dicts of the nonzero entries, so reduction never touches a zero;
+    coords_in returns a dense list.
+
+    A row is the inserted vector w minus the (row, factor) steps that
+    reduced it, divided by its raw pivot p, the entry it then held at its
+    pivot column: w = p * row + sum of factor * earlier row.  Only those
+    steps and p are recorded, so an add costs the reduction and nothing
+    more.  coords_in reduces v the same way, and when v lies in the span
+    rewrites its steps over the inserted vectors once, from the last row
+    down; the coordinates over the inserted vectors that grew the span are
+    unique, and the others are 0.
     """
 
     def __init__(self):
         self.rows = []        # sparse echelon rows, pivot entry 1
         self.pivots = []      # pivot column of each echelon row
-        self.combos = []      # combos[i] = {inserted index: coefficient}
+        self._raw = []        # raw pivot of each row, before its scaling
+        self._steps = []      # (earlier row, factor) steps that reduced it
+        self._inserted = []   # inserted index of each row
         self._row_at = {}     # pivot column -> index of its echelon row
         self._ninserted = 0
 
@@ -365,7 +391,7 @@ class Echelon:
     def dim(self):
         return len(self.rows)
 
-    def _reduce(self, v, combo=None):
+    def _reduce(self, v, steps=None):
         # Row i is zero at the pivots of rows before it, so subtracting it
         # can only create entries at the pivots of later rows: taking the
         # rows hit in increasing order reduces v as one pass over all rows
@@ -385,28 +411,33 @@ class Echelon:
             if f:
                 row = self.rows[i]
                 _axpy(v, -f, row)
-                if combo is not None:
-                    _axpy(combo, -f, self.combos[i])
+                if steps is not None:
+                    steps.append((i, f))
                 for c in row:
                     if c in row_at:
                         heappush(todo, row_at[c])
         return v
 
     def add(self, v):
-        combo = {self._ninserted: 1}
+        steps = []
+        v = self._reduce(v, steps)
+        index = self._ninserted
         self._ninserted += 1
-        v = self._reduce(v, combo)
         if not v:
             return False
         c = min(v)
-        inv = div(1, v[c])
-        if inv != 1:
+        p = v[c]
+        if p == -1:
+            v = {j: -y for j, y in v.items()}
+        elif p != 1:
+            inv = div(1, p)
             v = {j: _norm(y * inv) for j, y in v.items()}
-            combo = {j: _norm(y * inv) for j, y in combo.items()}
         self._row_at[c] = len(self.rows)
         self.rows.append(v)
         self.pivots.append(c)
-        self.combos.append(combo)
+        self._raw.append(p)
+        self._steps.append(steps)
+        self._inserted.append(index)
         return True
 
     def contains(self, v):
@@ -414,13 +445,20 @@ class Echelon:
 
     def coords_in(self, v):
         """Coefficients c with v = sum c_i * inserted_i, or None."""
-        combo = {}
-        if self._reduce(v, combo):
+        steps = []
+        if self._reduce(v, steps):
             return None
-        return [_norm(-combo.get(j, 0)) for j in range(self._ninserted)]
-
-
-def span_basis(vectors):
-    """Deterministic rref basis of the span."""
-    rows, _ = rref(list(vectors))
-    return [r for r in rows if any(r)]
+        coords = [0] * self._ninserted
+        # v = sum f * rows[i]; a row's steps name only earlier rows, so
+        # taking the rows from the last down rewrites every row once
+        coef = dict(steps)
+        for i in range(max(coef, default=-1), -1, -1):
+            a = coef.get(i)
+            if not a:
+                continue
+            p = self._raw[i]
+            x = a if p == 1 else -a if p == -1 else div(a, p)
+            coords[self._inserted[i]] = _norm(x)
+            for j, f in self._steps[i]:
+                coef[j] = coef.get(j, 0) - x * f
+        return coords

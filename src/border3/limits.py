@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import chain, zip_longest
 from operator import add
 
-from ._linalg import _denominator, _norm, rank, span_basis
+from ._linalg import _back_substitute, _denominator, _norm, rank
 from .normal_forms import segre_model
 from .polytools import uadd, umul, uscale, utrim
 
@@ -360,8 +360,11 @@ def _reduce_rows(rows, bound):
     vector.  A row whose leading vector depends on the leading vectors of
     rows of no larger order loses it to t-shifted copies of them, which
     strictly raises its order.  Orders stay below bound, so the loop ends
-    within 3 * bound passes.  Returns the (order, leading vector) pairs by
-    increasing order, or None when a row vanishes modulo t^bound.
+    within 3 * bound passes.  Returns (leads, echelon), or None when a row
+    vanishes modulo t^bound: leads are the (order, leading vector) pairs by
+    increasing order, and echelon is the last pass's integer echelon of
+    those leading vectors, as (pivot column, row) pairs by increasing
+    pivot, each row zero left of its pivot.
 
     The reduction is fraction-free.  Each row is first scaled by the lcm of
     its denominators.  A dependency s * lead_i + sum_j c_j * lead_j = 0 is
@@ -415,7 +418,8 @@ def _reduce_rows(rows, bound):
             orders[i] = _order(row, orders[i] + 1)
             break
         else:
-            return [(orders[i], rows[i][orders[i]]) for i in idx]
+            return ([(orders[i], rows[i][orders[i]]) for i in idx],
+                    sorted((p, vec) for p, vec, _ in ech))
     return None
 
 
@@ -432,7 +436,10 @@ def limit_plane(c1, c2, c3):
     below t^D is exact, and the leading vectors span the limit plane.  The
     reduction runs on integers and keeps each row a positive rational
     multiple of the row a reduction over Q would hold, so it reads the same
-    orders, and the rref basis of the leading vectors' span is the same.
+    orders.  Its last pass has already eliminated the leading vectors, so
+    the plane's basis is back-substituted from that echelon: the rref of a
+    row space is unique, so it is the rref basis of the leading vectors'
+    span.
     """
     polys = [_curve_data(c) for c in (c1, c2, c3)]
     widths = {len(v) for data in polys for v in data}
@@ -443,12 +450,15 @@ def limit_plane(c1, c2, c3):
     degree_bound = sum(len(data) - 1 for data in polys) + 1
     if degree_bound > MAX_PREC:
         raise ValueError(f"truncation order capped at {MAX_PREC}")
-    leads = _reduce_rows(polys, degree_bound)
-    if leads is None:
+    reduced = _reduce_rows(polys, degree_bound)
+    if reduced is None:
         return LimitPlaneResult((), (), None, degenerate=True)
+    leads, echelon = reduced
     orders = tuple(o for o, _ in leads)
-    basis = tuple(tuple(r) for r in span_basis([v for _, v in leads]))
-    return LimitPlaneResult(basis, orders, sum(orders))
+    # the echelon may hold the caller's own vectors, which stay unwritten
+    rows = [list(v) for _, v in echelon]
+    _back_substitute(rows, [p for p, _ in echelon])
+    return LimitPlaneResult(tuple(map(tuple, rows)), orders, sum(orders))
 
 
 def _ambient_polynomial(model, data):

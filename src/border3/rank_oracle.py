@@ -10,8 +10,12 @@ the tensor's residues mod q are cut to a concise core by
 ``tensor.concise_core`` over GF(q), which reads each mode's kept slices
 from one ``_linalg.gf_pivots`` call, an echelon over GF(q) of the slices
 packed into ints.
-The search is its own: it walks the subspaces of the quotient by the slice
-span that rank-one candidates span, each once, in a fixed order.  Each
+The search is its own.  It first decides whether the rank is the
+dimension of the slice span S, by whether the rank-one points inside S
+span S, looking S's projective points up in a set of the rank-one points
+cached per core dims and field.  Only when they do not does it project
+the rank-one candidates to the quotient by S and walk the subspaces of
+the quotient that candidates span, each once, in a fixed order.  Each
 candidate's projection is read from a table built once per head of
 candidates (its vectors in every mode but the last), and the last layer
 of the walk visits only the candidates that neighbour masks show can
@@ -19,6 +23,10 @@ grow the span.
 ``tests/colex_reference.py`` keeps the older colex search over candidate
 subsets to check the search against, and ``tests/projection_reference.py``
 the projection of one candidate at a time.
+
+The Macaulay solver inserts each column, a monomial shift of a generator,
+into an ``_linalg.Echelon`` as it is built, and reads the target's
+coordinates over the columns from the echelon's reduction steps.
 """
 
 from __future__ import annotations
@@ -154,6 +162,12 @@ def _pack(vec):
     return out
 
 
+@lru_cache(maxsize=64)
+def _carries(n, q):
+    """The carry masks (over, top) of _gf_add for n packed fields."""
+    return _pack([8 - q] * n), _pack([8] * n)
+
+
 def _gf_add(a, b, q, over, top):
     s = a + b
     return s - (((s + over) & top) >> 3) * q
@@ -184,6 +198,66 @@ def _grow(space, e, q, over, top):
 
 
 _ZERO_SPACE = (1, (0,))
+
+
+@lru_cache(maxsize=32)
+def _rank_one_points(dims, q):
+    """Every nonzero multiple of the candidates _rank_one_candidates(dims,
+    q), packed: the rank-one points of F_q^N."""
+    cands = _rank_one_candidates(dims, q)
+    over, top = _carries(len(cands[0]), q)
+    points = set()
+    for cand in cands:
+        points.update(_multiples(_pack(cand), q, over, top)[1:])
+    return frozenset(points)
+
+
+def _rank_is_dim_s(slice_rows, dims, q):
+    """Whether the rank-one points inside S, the span of the independent
+    slice_rows, span S, i.e. whether the rank is dim S.
+
+    The rank-one points are closed under scaling, so only the projective
+    points of S are looked up in _rank_one_points(dims, q): the points
+    s_i + y, y in the span of the slices s_i+1, ..., s_k after s_i, each
+    with its coordinates over slice_rows packed in k fields.  The
+    coordinates of the hits go into an echelon keyed by lowest nonzero
+    field, each row with its multiples; a hit independent of k - 1 rows
+    completes the span.
+    """
+    k = len(slice_rows)
+    over, top = _carries(len(slice_rows[0]), q)
+    rank_one = _rank_one_points(dims, q)
+    hits = []
+    later, later_coords = [0], [0]  # the span of the slices after s_i
+    for i in reversed(range(k)):
+        row = _pack(slice_rows[i])
+        unit = 1 << 4 * i
+        for y, c in zip(later, later_coords):
+            s = row + y
+            if s - (((s + over) & top) >> 3) * q in rank_one:
+                hits.append(unit + c)
+        if i:
+            later = [s - (((s + over) & top) >> 3) * q
+                     for m in _multiples(row, q, over, top)
+                     for s in map(m.__add__, later)]
+            later_coords = [c * unit + y for c in range(q)
+                            for y in later_coords]
+    over, top = _carries(k, q)
+    echelon = {}  # lowest nonzero field -> (its inverse, row multiples)
+    for c in hits:
+        while c:
+            lead = ((c & -c).bit_length() - 1) >> 2
+            x = c >> 4 * lead & 15
+            row = echelon.get(lead)
+            if row is None:
+                if len(echelon) == k - 1:
+                    return True
+                echelon[lead] = (pow(x, q - 2, q), _multiples(c, q, over, top))
+                break
+            inv, mults = row
+            s = c + mults[-x * inv % q]
+            c = s - (((s + over) & top) >> 3) * q
+    return False
 
 
 @dataclass(frozen=True)
@@ -248,7 +322,7 @@ def _project_candidates(slice_rows, dims, q):
     free = [c for c in range(n) if c not in pivots]
     shift = 4 * k
     low = (1 << shift) - 1
-    over, top = _pack([8 - q] * n), _pack([8] * n)
+    over, top = _carries(n, q)
     qs = (top - over) & low  # q in every field of the S part: qs - x = -x
     # the lift of a unit vector: a pivot column's is its S coordinate and
     # minus its rref row in the free columns, a free column's is its image
@@ -303,8 +377,9 @@ _FIRST = 4
 
 
 def _quotient_search(qt, j, masks=None):
-    """Whether some j-dimensional U in F^N/S has a preimage W spanned by the
-    candidates inside W, i.e. whether the rank is at most dim S + j.
+    """Whether some j-dimensional U in F^N/S, j >= 1, has a preimage W
+    spanned by the candidates inside W, i.e. whether the rank is at most
+    dim S + j.  (j = 0 is _rank_is_dim_s, which needs no projection.)
 
     The candidates in W span S + U exactly when they span all of S, and
     their span meets S in the span of: the candidates in S, the differences
@@ -333,8 +408,6 @@ def _quotient_search(qt, j, masks=None):
     q, over, top, gens, where, extra = (
         qt.q, qt.over, qt.top, qt.gens, qt.where, qt.extra)
     full = q ** qt.k
-    if j == 0:
-        return len(qt.root[1]) == full
     shift = 4 * qt.k
     low = (1 << shift) - 1
     qs = (top - over) & low
@@ -427,12 +500,15 @@ def rank_over_field(t, q, r_max=6, jobs=1):
 
     The rank of T is the smallest r such that some r-dimensional W holding
     every mode-0 slice is spanned by the rank-one tensors (in the other
-    modes) inside it.  W contains the slice span S, so the search runs over
-    the subspaces U = W/S of F^N/S of dimension r - dim S that are spanned
-    by images of rank-one candidates, each visited once; candidates are
-    outer products of projective vectors, ordered sparsest first.  Returns
-    GreaterThan(r_max) when no r <= r_max works.  With jobs > 1 each r is
-    searched in its own worker process, and the smallest r found wins.
+    modes) inside it.  W contains the slice span S.  r = dim S is decided
+    first, with no projection: by whether the rank-one points inside S
+    span S (_rank_is_dim_s).  Otherwise the candidates are projected to
+    F^N/S, and the search runs over the subspaces U = W/S of F^N/S of
+    dimension r - dim S >= 1 that are spanned by images of rank-one
+    candidates, each visited once; candidates are outer products of
+    projective vectors, ordered sparsest first.  Returns GreaterThan(r_max)
+    when no r <= r_max works.  With jobs > 1 each r > dim S is searched in
+    its own worker process, and the smallest r found wins.
     """
     # exact type tests: 2.0 == 2 and True == 1 would pass a comparison
     if type(q) is not int or q not in _PRIMES:
@@ -446,8 +522,12 @@ def rank_over_field(t, q, r_max=6, jobs=1):
     if ctx is None:
         return decided if decided <= r_max else GreaterThan(r_max)
     slice_rows, rest, low = ctx
+    if low > r_max:
+        return GreaterThan(r_max)
+    if _rank_is_dim_s(slice_rows, rest, q):
+        return low
     qt = _project_candidates(slice_rows, rest, q)
-    sizes = range(low, r_max + 1)
+    sizes = range(low + 1, r_max + 1)
     if jobs > 1 and len(sizes) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -628,25 +708,38 @@ def macaulay_membership(target, generators, coefficient_degree_bound,
     degree at most the bound and graded degree matching the homogeneous
     difference; the decision is exact linear algebra on the coefficient
     matrix, and a found certificate is re-substituted before returning.
+    Each column is a monomial shift of a generator.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
-    if coefficient_degree_bound < 0:
-        raise ValueError("the multiplier degree bound must be nonnegative")
-    if pis_zero(target):
-        return MembershipCertificate(True, False, coefficient_degree_bound,
-                                     tuple({} for _ in generators))
-    nvars = len(next(iter(target)))
-    if any(len(e) != nvars for g in generators for e in g):
+    # exact type tests: True == 1 and 2.0 == 2 would pass a comparison
+    bound = coefficient_degree_bound
+    if type(bound) is not int or bound < 0:
+        raise ValueError("the multiplier degree bound must be a nonnegative "
+                         f"integer, not {bound!r}")
+    polys = (target, *generators)
+    nvars = next((len(e) for p in polys for e in p), None)
+    if any(len(e) != nvars for p in polys for e in p):
         raise ValueError("polynomials must share one variable list")
+    if any(type(i) is not int or nvars is not None and not 0 <= i < nvars
+           for i in graded_indices):
+        raise ValueError(f"graded indices must be variable indices below "
+                         f"{nvars}, not {graded_indices!r}")
+    if pis_zero(target):
+        return MembershipCertificate(True, False, bound,
+                                     tuple({} for _ in generators))
     graded = sorted(set(graded_indices))
     params = [i for i in range(nvars) if i not in graded]
     target_deg = _homogeneous_degree(target, graded)
     gen_degs = [_homogeneous_degree(g, graded) for g in generators]
 
-    param_monos = _bounded_monomials(params, coefficient_degree_bound, nvars)
-    columns = []   # (generator index, multiplier exponent tuple, product poly)
+    param_monos = _bounded_monomials(params, bound, nvars)
+    # each column, the generator times a multiplier monomial, goes into the
+    # echelon as it is built, its monomials numbered as they first appear
+    slots = {}
+    ech = Echelon()
+    meta = []   # (generator index, multiplier exponent tuple) per column
     for gi, (g, gd) in enumerate(zip(generators, gen_degs)):
         if gd is None or gd > target_deg:
             continue
@@ -654,20 +747,15 @@ def macaulay_membership(target, generators, coefficient_degree_bound,
         for pm in param_monos:
             for gm in graded_monos:
                 expo = tuple(map(add, pm, gm))
-                columns.append((gi, expo, pmul(monomial(expo), g)))
-
-    support = set(target)
-    for _, _, prod_poly in columns:
-        support.update(prod_poly)
-    slots = {mono: i for i, mono in enumerate(sorted(support))}
-    ech = Echelon()
-    meta = []
-    for gi, expo, prod_poly in columns:
-        ech.add({slots[mono]: c for mono, c in prod_poly.items()})
-        meta.append((gi, expo))
-    coords = ech.coords_in({slots[mono]: c for mono, c in target.items()})
+                ech.add({slots.setdefault(tuple(map(add, e, expo)),
+                                          len(slots)): c
+                         for e, c in g.items()})
+                meta.append((gi, expo))
+    # a target monomial in no column puts the target outside their span
+    coords = (ech.coords_in({slots[mono]: c for mono, c in target.items()})
+              if all(mono in slots for mono in target) else None)
     if coords is None:
-        return MembershipCertificate(False, True, coefficient_degree_bound)
+        return MembershipCertificate(False, True, bound)
     multipliers = [dict() for _ in generators]
     for (gi, expo), c in zip(meta, coords):
         if c:
@@ -677,8 +765,7 @@ def macaulay_membership(target, generators, coefficient_degree_bound,
         total = padd(total, pmul(h, g))
     if not pis_zero(psub(total, target)):
         raise AssertionError("membership certificate failed re-substitution")
-    return MembershipCertificate(True, False, coefficient_degree_bound,
-                                 tuple(multipliers))
+    return MembershipCertificate(True, False, bound, tuple(multipliers))
 
 
 # -- the perturbed symmetric pencil and its minor ideal ------------------------

@@ -46,7 +46,7 @@ from border3.normal_forms import (
     segre_tensor_from_ambient,
     spinor_model,
 )
-from border3._linalg import Echelon, _norm, rank, span_basis
+from border3._linalg import Echelon, _norm, rank, rref
 from border3.equations import strassen_equations
 
 
@@ -737,6 +737,13 @@ def _reference_reduce_rows(rows, bound):
     return None
 
 
+def span_basis(vectors):
+    """The rref basis of the span, by rref of the vectors themselves: the
+    basis limit_plane read before it back-substituted its own echelon."""
+    rows, _ = rref(list(vectors))
+    return [r for r in rows if any(r)]
+
+
 def _reference_limit_plane(*curves):
     polys = [[tuple(v) for v in c] for c in curves]
     leads = _reference_reduce_rows(polys, sum(len(c) - 1 for c in polys) + 1)
@@ -766,18 +773,31 @@ _RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 @given(st.sampled_from((st.integers(-2, 2), _RATIONALS)).flatmap(_high_order_triples),
        st.lists(_RATIONALS.filter(bool), min_size=3, max_size=3))
 def test_integer_reduction_matches_rational_reduction(ambs, scales):
+    before = repr(ambs)
     got = limit_plane(*ambs)
+    assert repr(ambs) == before  # the caller's vectors are never written
     assert _typed_result(got) == _typed_result(_reference_limit_plane(*ambs))
     # every row reduces as a positive multiple of its rational counterpart,
     # with integer entries
     bound = sum(len(r) - 1 for r in ambs) + 1
-    leads = limits._reduce_rows(ambs, bound)
+    reduced = limits._reduce_rows(ambs, bound)
+    leads = reduced and reduced[0]
     want = _reference_reduce_rows(ambs, bound)
     assert (leads is None) == (want is None) == got.degenerate
     for (o, lead), (o_want, lead_want) in zip(leads or (), want or ()):
         assert o == o_want
         assert all(type(x) is int for x in lead)
         assert _positive_multiple(lead, lead_want)
+    # the returned echelon: integer rows of the leads' span, zero left of
+    # their increasing pivots
+    if reduced is not None:
+        pivots = [p for p, _ in reduced[1]]
+        assert pivots == sorted(set(pivots)) and len(pivots) == 3
+        for p, row in reduced[1]:
+            assert all(type(x) is int for x in row)
+            assert row[p] and not any(row[:p])
+        ech = [list(row) for _, row in reduced[1]]
+        assert rank(ech) == rank(ech + [list(v) for _, v in leads]) == 3
     # scaling a row by a nonzero constant moves no field
     scaled = [[[c * x for x in v] for v in r] for c, r in zip(scales, ambs)]
     assert _typed_result(limit_plane(*scaled)) == _typed_result(got)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from border3._linalg import (
-    Echelon, gf_pivots, gram_pivots, inverse, mat_mul, pivot_columns, rank,
-    rref, span_basis, transpose,
+    Echelon, _axpy, _back_substitute, _norm, div, gf_pivots, gram_pivots,
+    inverse, mat_mul, pivot_columns, rank, rref, transpose,
 )
 from border3.classifier import _stabilizer_matrix
 from border3.normal_forms import ORBIT_IDS, orbit_representative
@@ -50,7 +50,11 @@ def test_echelon_tracks_coordinates():
 
 
 def test_span_helpers():
-    assert span_basis([[2, 0], [0, 3]]) == [[1, 0], [0, 1]]
+    assert rref([[2, 0], [0, 3]])[0] == [[1, 0], [0, 1]]
+    # integer echelon rows, zero left of their pivots, reduce in place
+    rows = [[2, 4, 0], [0, 3, 1]]
+    _back_substitute(rows, [0, 1])
+    assert rows == [[1, 0, Fraction(-2, 3)], [0, 1, Fraction(1, 3)]]
 
 
 # -- property tests against a textbook reference ------------------------------
@@ -306,3 +310,92 @@ def test_echelon_matches_reference(a, data):
         assert coords is not None and len(coords) == len(a)
         assert [sum((c * row[j] for c, row in zip(coords, a)), Fraction(0))
                 for j in range(n)] == v
+
+
+class _ComboEchelon:
+    """The Echelon that kept, for every row, its combination of the inserted
+    vectors as a {inserted index: coefficient} dict, updated on every
+    reduction, here reducing by every row in order.  Kept as the reference
+    for Echelon, which records reduction steps instead."""
+
+    def __init__(self):
+        self.rows, self.pivots, self.combos = [], [], []
+        self._row_at = {}
+        self._ninserted = 0
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def _reduce(self, v, combo=None):
+        v = {c: x for c, x in (v.items() if type(v) is dict else enumerate(v))
+             if x}
+        for i in range(len(self.rows)):
+            f = v.get(self.pivots[i])
+            if f:
+                _axpy(v, -f, self.rows[i])
+                if combo is not None:
+                    _axpy(combo, -f, self.combos[i])
+        return v
+
+    def add(self, v):
+        combo = {self._ninserted: 1}
+        self._ninserted += 1
+        v = self._reduce(v, combo)
+        if not v:
+            return False
+        c = min(v)
+        inv = div(1, v[c])
+        if inv != 1:
+            v = {j: _norm(y * inv) for j, y in v.items()}
+            combo = {j: _norm(y * inv) for j, y in combo.items()}
+        self._row_at[c] = len(self.rows)
+        self.rows.append(v)
+        self.pivots.append(c)
+        self.combos.append(combo)
+        return True
+
+    def contains(self, v):
+        return not self._reduce(v)
+
+    def coords_in(self, v):
+        combo = {}
+        if self._reduce(v, combo):
+            return None
+        return [_norm(-combo.get(j, 0)) for j in range(self._ninserted)]
+
+
+def _typed(xs):
+    return None if xs is None else [(type(x), x) for x in xs]
+
+
+# pivots of 1, of -1 and of other values, ints and Fractions, with zeros so
+# that rows depend on each other and skip columns
+_ECHELON_SCALARS = st.one_of(
+    st.just(0), st.sampled_from([1, -1]), st.sampled_from([2, -3]),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=_matrices(_ECHELON_SCALARS), data=st.data())
+def test_echelon_matches_combination_dict_reference(a, data):
+    n = len(a[0])
+    # repeat some rows, scaled, so that some vectors do not grow the span
+    extra = data.draw(st.lists(st.tuples(st.integers(0, len(a) - 1),
+                                         _ECHELON_SCALARS), max_size=3))
+    a = a + [[c * x for x in a[i]] for i, c in extra]
+    got, want = Echelon(), _ComboEchelon()
+    for row in a:
+        if data.draw(st.booleans()):  # the sparse form macaulay passes
+            row = {j: x for j, x in enumerate(row) if x}
+        assert got.add(row) is want.add(row)
+        assert got.dim == want.dim
+    coeffs = data.draw(st.lists(_ECHELON_SCALARS, min_size=len(a),
+                                max_size=len(a)))
+    in_span = [_norm(sum((c * row[j] for c, row in zip(coeffs, a)), 0))
+               for j in range(n)]
+    other = data.draw(st.lists(_ECHELON_SCALARS, min_size=n, max_size=n))
+    for v in (in_span, other, [0] * n, *a):
+        assert got.contains(v) is want.contains(v)
+        assert _typed(got.coords_in(v)) == _typed(want.coords_in(v))

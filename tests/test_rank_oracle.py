@@ -15,8 +15,9 @@ from border3.normal_forms import (
     sigma3_point,
 )
 from border3.rank_oracle import (
-    Decomposition, GreaterThan, _prepare_span_search, _project_candidates,
-    _quotient_search, _rank_one_candidates, from_rational,
+    Decomposition, GreaterThan, SearchSpaceError, _prepare_span_search,
+    _project_candidates, _quotient_search, _rank_is_dim_s,
+    _rank_one_candidates, from_rational,
     macaulay_membership, perturbed_pencil_matrix, perturbed_pencil_minors,
     perturbed_pencil_targets, rank_over_field, rank_upper_bound,
 )
@@ -154,18 +155,65 @@ def test_quotient_search_matches_colex_search(q, data):
     t, r_max = data.draw(_small_tensor_and_bound(q))
     want = colex_rank_over_field(t, q, r_max)
     assert rank_over_field(t, q, r_max) == want
-    # each j searched alone, with no neighbour mask from a smaller j, as a
-    # worker process of rank_over_field(..., jobs) searches it: true when
-    # the rank is at most dim S + j and F^N/S has a j-dimensional subspace
+    # each j >= 1 searched alone, with no neighbour mask from a smaller j,
+    # as a worker process of rank_over_field(..., jobs) searches it: true
+    # when the rank is at most dim S + j and F^N/S has a j-dimensional
+    # subspace (j = 0 is _rank_is_dim_s, checked against the colex search
+    # in test_rank_is_dim_s_matches_colex_search)
     decided, ctx = _prepare_span_search(t, q)
     if ctx is None:
         return
     slice_rows, rest, low = ctx
     qt = _project_candidates(slice_rows, rest, q)
-    for j in range(r_max - low + 1):
+    for j in range(1, r_max - low + 1):
         fits = want != GreaterThan(r_max) and want <= low + j
         assert _quotient_search(qt, j) == (fits
                                            and j <= math.prod(rest) - low)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_is_dim_s_matches_colex_search(q, data):
+    """The S check decides rank = dim S as the colex subset search does, on
+    tensors of 3-4 modes with dims 1-3."""
+    dims = tuple(data.draw(st.lists(st.sampled_from([1, 2, 2, 3, 3]),
+                                    min_size=3, max_size=4)))
+    size = math.prod(dims)
+    if data.draw(st.booleans()):
+        entries = data.draw(st.lists(st.integers(0, q - 1), min_size=size,
+                                     max_size=size))
+    else:  # a sum of a few rank-one terms, so that rank = dim S comes up
+        entries = [0] * size
+        for _ in range(data.draw(st.integers(1, 3))):
+            term = [1]
+            for d in dims:
+                v = data.draw(st.lists(st.integers(0, q - 1), min_size=d,
+                                       max_size=d))
+                term = [x * y for x in term for y in v]
+            entries = [(x + y) % q for x, y in zip(entries, term)]
+    t = make_tensor(dims, entries)
+    try:
+        decided, ctx = _prepare_span_search(t, q)
+    except SearchSpaceError:
+        return
+    if ctx is None:
+        return
+    slice_rows, rest, low = ctx
+    want = colex_rank_over_field(t, q, low) == low
+    assert _rank_is_dim_s(slice_rows, rest, q) is want
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_rank_dim_s_is_decided_without_projection(q, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the candidates were projected")
+
+    monkeypatch.setattr(rank_oracle, "_project_candidates", refuse)
+    assert rank_over_field(orbit_representative(39), q) == 3
+    assert rank_over_field(orbit_representative(39), q, jobs=2) == 3
+    with pytest.raises(AssertionError, match="projected"):
+        rank_over_field(orbit_representative(38), q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -445,6 +493,33 @@ def test_macaulay_membership_validation():
         macaulay_membership(pmul(s, s), [s], -1)
     with pytest.raises(ValueError, match="homogeneous"):
         macaulay_membership(padd(s, pmul(s, s)), [s], 1)
+
+
+@pytest.mark.parametrize("bound", [True, False, 2.0, "1", None, Fraction(1)])
+def test_macaulay_membership_refuses_a_bound_that_is_not_an_int(bound):
+    s = _pencil_vars()[0]
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        macaulay_membership(pmul(s, s), [s], bound)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        macaulay_membership({}, [s], bound)
+
+
+@pytest.mark.parametrize("graded", [(0, 1, 2, 3, 12), (0, 10), (-1,),
+                                    (0, True), (0, 1.0), ("0",)])
+def test_macaulay_membership_refuses_a_bad_graded_index(graded):
+    s = _pencil_vars()[0]
+    with pytest.raises(ValueError, match="graded indices"):
+        macaulay_membership(pmul(s, s), [s], 1, graded_indices=graded)
+    with pytest.raises(ValueError, match="graded indices"):
+        macaulay_membership({}, [s], 1, graded_indices=graded)
+
+
+def test_macaulay_membership_refuses_mixed_variable_lists():
+    s = _pencil_vars()[0]
+    with pytest.raises(ValueError, match="one variable list"):
+        macaulay_membership(pmul(s, s), [{(1, 0): 1}], 1)
+    with pytest.raises(ValueError, match="one variable list"):
+        macaulay_membership({}, [s, {(1, 0): 1}], 1)
 
 
 def test_pencil_targets_need_quadratic_multipliers():

@@ -10,7 +10,8 @@ and every ``limit_config`` op, in the order the library runs them:
 - config curves: ``limit_config_curves`` (``limit_config`` ops only);
 - embedding: ``_ambient_polynomial`` on each of the three chart curves;
 - reduce: ``_reduce_rows`` on the embedded curves, modulo t^D;
-- span basis: ``span_basis`` of the reduced rows' leading vectors;
+- span basis: ``_back_substitute`` on the echelon of the leading vectors
+  that ``_reduce_rows`` returns;
 - sample: ``LimitPlaneResult.sample`` with the verb's coefficients
   (``BORDER3_SEED``, default 0; ``limit`` ops only);
 - classify: ``classify`` of the sampled point (``limit`` ops only);
@@ -57,7 +58,7 @@ def _best(fn, repeat):
 def _plane_phases(model, curves, repeat, times):
     """Time the embedding, reduction and span basis of chart_limit_plane;
     returns the LimitPlaneResult."""
-    from border3._linalg import span_basis
+    from border3._linalg import _back_substitute
     from border3.limits import (LimitPlaneResult, _ambient_polynomial,
                                 _curve_data, _reduce_rows)
 
@@ -66,11 +67,17 @@ def _plane_phases(model, curves, repeat, times):
         lambda: [_curve_data(_ambient_polynomial(model, d)) for d in polys],
         repeat)
     bound = sum(len(d) - 1 for d in amb) + 1
-    times["reduce"], leads = _best(lambda: _reduce_rows(amb, bound), repeat)
-    if leads is None:
+    times["reduce"], reduced = _best(lambda: _reduce_rows(amb, bound), repeat)
+    if reduced is None:
         return LimitPlaneResult((), (), None, degenerate=True)
-    times["span basis"], basis = _best(
-        lambda: span_basis([v for _, v in leads]), repeat)
+    leads, echelon = reduced
+
+    def basis_rows():
+        rows = [list(v) for _, v in echelon]
+        _back_substitute(rows, [p for p, _ in echelon])
+        return rows
+
+    times["span basis"], basis = _best(basis_rows, repeat)
     orders = tuple(o for o, _ in leads)
     return LimitPlaneResult(tuple(map(tuple, basis)), orders, sum(orders))
 
