@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals on plain lists.
 
-``rref`` and ``pivot_columns`` also reduce over GF(q) for a prime q < 128, on
-integer residues.
+``rref`` also reduces over GF(q) for a prime q < 9, and ``gf_pivots`` picks
+independent vectors there, on rows packed into ints.
 
 Matrices are lists of rows; scalars are ``int`` or ``fractions.Fraction``
 (mixed freely -- results of divisions are normalised back to ``int`` when
@@ -14,11 +14,15 @@ matrix, up to a deferred scaling) by dividing exactly by an earlier pivot
 nothing else.  ``rref``, for callers that read the reduced rows,
 back-substitutes on its rows (``_back_substitute``, which ``limit_plane``
 runs on the integer echelon of its own reduction) and divides each row by
-its pivot once, so no ``Fraction`` is made before the result.  Over GF(q)
-``_gf_echelon`` inserts the rows one at a time, each packed into an int
-with one byte per column, into an echelon keyed by leading column;
-``pivot_columns``, ``rref`` and ``gf_pivots`` (the rows independent of the
-rows before them) read it.
+its pivot once, so no ``Fraction`` is made before the result.
+
+Over GF(q) a vector is packed into an int, one 4-bit field per coordinate
+(``_pack``).  A field of the sum of two packed vectors holds at most
+2q - 2; adding 8 - q sets its top bit exactly when it reached q, which
+marks where to subtract q (``_gf_add``), and keeps it below 16 for q < 9.
+``_insert`` grows an echelon of packed vectors keyed by lowest nonzero
+field: ``_gf_echelon`` (read by ``rref(a, q)`` and ``gf_pivots``) and the
+rank search in ``rank_oracle`` both build theirs with it.
 ``Echelon`` keeps its rows sparse, as dicts of their nonzero entries,
 because the Macaulay matrices it reduces hold a few nonzeros in hundreds of
 columns.  It records how each row was reduced, not its combination of the
@@ -153,65 +157,93 @@ def _forward(a):
     return rows, pivots
 
 
+def from_rational(x, q):
+    """Residue of a rational number modulo the prime q."""
+    if type(x) is int:
+        return x % q
+    x = Fraction(x)
+    if x.denominator % q == 0:
+        raise ValueError(f"denominator of {x} vanishes modulo {q}")
+    return x.numerator * pow(x.denominator, q - 2, q) % q
+
+
+def _pack(vec):
+    """The residues vec, each below 16, packed: vec[j] in 4-bit field j."""
+    # hex() writes each byte as two digits, the low one second
+    return int(bytes(vec).hex()[::-2] or "0", 16)
+
+
+_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _unpack(v, n):
+    """The n fields of the packed vector v, as a list."""
+    return list((b"%0*x" % (n, v))[::-1].translate(_DIGITS)) if n else []
+
+
 @lru_cache(maxsize=64)
-def _byte_carries(n, q):
-    """The carry masks (over, top) of GF(q) sums packed one byte per field,
-    for n fields."""
-    if not 1 < q < 128:
-        raise ValueError(f"packed GF(q) rows need 1 < q < 128, not {q!r}")
-    ones = int.from_bytes(b"\x01" * n, "little")
-    return (128 - q) * ones, 128 * ones
+def _carries(n, q):
+    """The carry masks (over, top) of _gf_add for n packed fields."""
+    # a composite q has residues with no inverse, which _insert needs
+    if q not in (2, 3, 5, 7):
+        raise ValueError(f"packed GF(q) vectors need a prime q < 9, not {q!r}")
+    return _pack([8 - q] * n), _pack([8] * n)
 
 
-def _byte_axpy(v, c, w, q, over, top):
-    """v + c * w over GF(q), c in 0..q-1, on rows packed one byte per
-    field: c additions, each byte brought back below q after each."""
-    for _ in range(c):
-        s = v + w
-        v = s - (((s + over) & top) >> 7) * q
-    return v
+def _gf_add(a, b, q, over, top):
+    s = a + b
+    return s - (((s + over) & top) >> 3) * q
+
+
+def _multiples(x, q, over, top):
+    """[0, x, 2x, ..., (q-1)x] for a packed vector x."""
+    out = [0, x]
+    while len(out) < q:
+        out.append(_gf_add(out[-1], x, q, over, top))
+    return out
+
+
+def _insert(echelon, v, q, over, top):
+    """Reduce the packed v by echelon, {field: the row with its leading 1
+    there}, at its lowest nonzero field until no row leads there; store
+    what is left, scaled to a leading 1, and say whether it was nonzero."""
+    while v:
+        c = ((v & -v).bit_length() - 1) >> 2
+        x = v >> 4 * c & 15
+        w = echelon.get(c)
+        if w is None:
+            if x != 1:
+                v = _multiples(v, q, over, top)[pow(x, q - 2, q)]
+            echelon[c] = v
+            return True
+        v = _gf_add(v, _multiples(w, q, over, top)[q - x], q, over, top)
+    return False
 
 
 def _gf_echelon(a, q):
-    """The rows of a, read modulo the prime q, inserted into an echelon.
-
-    A row is packed into an int, column j in byte j, so its leading column
-    is the lowest nonzero byte.  While an echelon row leads there, adding
-    the right multiple of it clears that column; a row left nonzero is
-    scaled to a leading 1 and keyed by its leading column.  A byte of a sum
-    of two packed rows holds at most 2q - 2, and adding 128 - q to it sets
-    its top bit exactly when it reached q, which marks where to subtract q.
-    Returns (echelon, kept): echelon maps each leading column to its packed
-    row, and kept lists the indices of the rows that grew it, those
-    independent of the rows before them.
-    """
-    over, top = _byte_carries(len(a[0]) if a else 0, q)
+    """(echelon, kept): the rows of a, read modulo the prime q, _insert-ed
+    into one echelon, and the indices of those that grew it."""
+    over, top = _carries(len(a[0]) if a else 0, q)
     echelon, kept = {}, []
     for i, row in enumerate(a):
-        v = int.from_bytes(bytes([x % q for x in row]), "little")
-        while v:
-            c = ((v & -v).bit_length() - 1) >> 3
-            x = v >> 8 * c & 255
-            w = echelon.get(c)
-            if w is None:
-                echelon[c] = _byte_axpy(0, pow(x, q - 2, q), v, q, over, top)
-                kept.append(i)
-                break
-            v = _byte_axpy(v, q - x, w, q, over, top)
+        try:  # all-int rows pay for no residue rule
+            v = _pack([x % q for x in row])
+        except TypeError:  # Fraction % q is no int for bytes()
+            v = _pack([from_rational(x, q) for x in row])
+        if _insert(echelon, v, q, over, top):
+            kept.append(i)
     return echelon, kept
 
 
-def pivot_columns(a, q=None):
-    """The pivot columns of ``rref(a, q)``, with no reduced form."""
-    if q is None:
-        return _forward(a)[1]
-    return sorted(_gf_echelon(a, q)[0])
+def pivot_columns(a):
+    """The pivot columns of ``rref(a)``, with no reduced form."""
+    return _forward(a)[1]
 
 
 def gf_pivots(vectors, q):
     """The indices of the vectors independent of those before them, over
-    GF(q): ``pivot_columns(transpose(vectors), q)``, from one pass of
-    ``_gf_echelon`` over the vectors."""
+    GF(q): the pivot columns of ``rref(transpose(vectors), q)``, from one
+    pass of ``_gf_echelon`` over the vectors."""
     return _gf_echelon(vectors, q)[1]
 
 
@@ -303,13 +335,12 @@ def _back_substitute(rows, pivots):
 
 
 def rref(a, q=None):
-    """Reduced row echelon form over Q, or over GF(q) for a prime q < 128.
+    """Reduced row echelon form over Q, or over GF(q) for a prime q < 9.
 
     Returns (rows, pivot_columns), the zero rows after the pivot rows.
     Over Q, ``_back_substitute`` on the echelon rows of ``_forward``.  Over
-    GF(q) the echelon of ``_gf_echelon`` is reduced from its last row up,
-    each row by the already reduced rows below it, and the rows hold
-    residues 0..q-1.
+    GF(q) each row of the echelon of ``_gf_echelon`` is cleared at the
+    pivots after its own, and the rows hold residues 0..q-1.
     """
     if q is not None:
         return _gf_rref(a, q)
@@ -321,17 +352,20 @@ def rref(a, q=None):
 
 def _gf_rref(a, q):
     n = len(a[0]) if a else 0
-    over, top = _byte_carries(n, q)
+    over, top = _carries(n, q)
     echelon, _ = _gf_echelon(a, q)
     pivots = sorted(echelon)
-    for k in reversed(range(len(pivots))):
-        v = echelon[pivots[k]]
+    rows = []
+    for k, c in enumerate(pivots):
+        v = echelon[c]
+        # an echelon row is zero before its lead, so clearing the later
+        # pivot fields in increasing order leaves the cleared ones zero
         for d in pivots[k + 1:]:
-            x = v >> 8 * d & 255
+            x = v >> 4 * d & 15
             if x:
-                v = _byte_axpy(v, q - x, echelon[d], q, over, top)
-        echelon[pivots[k]] = v
-    rows = [list(echelon[c].to_bytes(n, "little")) for c in pivots]
+                v = _gf_add(v, _multiples(echelon[d], q, over, top)[q - x],
+                            q, over, top)
+        rows.append(_unpack(v, n))
     rows += [[0] * n for _ in range(len(a) - len(pivots))]
     return rows, pivots
 

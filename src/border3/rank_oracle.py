@@ -10,7 +10,9 @@ the tensor's residues mod q are cut to a concise core by
 ``tensor.concise_core`` over GF(q), which reads each mode's kept slices
 from one ``_linalg.gf_pivots`` call, an echelon over GF(q) of the slices
 packed into ints.
-The search is its own.  It first decides whether the rank is the
+The search is its own, on vectors packed as the ``_linalg`` module
+docstring describes, with its carry rule (``_gf_add``) written out in the
+hot loops.  It first decides whether the rank is the
 dimension of the slice span S, by whether the rank-one points inside S
 span S, looking S's projective points up in a set of the rank-one points
 cached per core dims and field.  Only when they do not does it project
@@ -37,7 +39,8 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from operator import add
 
-from ._linalg import Echelon, _norm, rref
+from ._linalg import (Echelon, _carries, _gf_add, _insert, _multiples, _norm,
+                      _pack, from_rational, rref)
 from .normal_forms import (_ORBIT_TERMS, ORBIT_IDS, _normal_form_terms,
                            orbit_representative, sigma2_point, sigma3_point)
 from .polytools import monomial, padd, pis_zero, pmul, psub
@@ -52,16 +55,6 @@ class SearchSpaceError(ValueError):
 
 
 # -- finite-field plumbing ---------------------------------------------------
-
-def from_rational(x, q):
-    """Residue of a rational number modulo the prime q."""
-    if type(x) is int:
-        return x % q
-    x = Fraction(x)
-    if x.denominator % q == 0:
-        raise ValueError(f"denominator of {x} vanishes modulo {q}")
-    return x.numerator * pow(x.denominator, q - 2, q) % q
-
 
 def _projective_vectors(d, q):
     """All length-d vectors over GF(q) with first nonzero coordinate 1."""
@@ -149,37 +142,6 @@ def _prepare_span_search(t, q):
 
 
 # -- quotient-space search ----------------------------------------------------
-#
-# Vectors over GF(q) are packed into ints, one 4-bit field per coordinate.
-# A field of a sum of two packed vectors holds at most 8; adding 8 - q to it
-# sets its top bit exactly when it reached q, which marks where to subtract
-# q.  So one vector sum costs a handful of integer operations.
-
-def _pack(vec):
-    out = 0
-    for x in reversed(vec):
-        out = out << 4 | x
-    return out
-
-
-@lru_cache(maxsize=64)
-def _carries(n, q):
-    """The carry masks (over, top) of _gf_add for n packed fields."""
-    return _pack([8 - q] * n), _pack([8] * n)
-
-
-def _gf_add(a, b, q, over, top):
-    s = a + b
-    return s - (((s + over) & top) >> 3) * q
-
-
-def _multiples(x, q, over, top):
-    """[0, x, 2x, ..., (q-1)x] for a packed vector x."""
-    out = [0, x]
-    while len(out) < q:
-        out.append(_gf_add(out[-1], x, q, over, top))
-    return out
-
 
 def _grow(space, e, q, over, top):
     """Span of a subspace and the vector e.
@@ -220,9 +182,8 @@ def _rank_is_dim_s(slice_rows, dims, q):
     points of S are looked up in _rank_one_points(dims, q): the points
     s_i + y, y in the span of the slices s_i+1, ..., s_k after s_i, each
     with its coordinates over slice_rows packed in k fields.  The
-    coordinates of the hits go into an echelon keyed by lowest nonzero
-    field, each row with its multiples; a hit independent of k - 1 rows
-    completes the span.
+    coordinates of the hits go through _linalg._insert into one echelon;
+    the span is complete when it holds k rows.
     """
     k = len(slice_rows)
     over, top = _carries(len(slice_rows[0]), q)
@@ -243,20 +204,10 @@ def _rank_is_dim_s(slice_rows, dims, q):
             later_coords = [c * unit + y for c in range(q)
                             for y in later_coords]
     over, top = _carries(k, q)
-    echelon = {}  # lowest nonzero field -> (its inverse, row multiples)
+    echelon = {}
     for c in hits:
-        while c:
-            lead = ((c & -c).bit_length() - 1) >> 2
-            x = c >> 4 * lead & 15
-            row = echelon.get(lead)
-            if row is None:
-                if len(echelon) == k - 1:
-                    return True
-                echelon[lead] = (pow(x, q - 2, q), _multiples(c, q, over, top))
-                break
-            inv, mults = row
-            s = c + mults[-x * inv % q]
-            c = s - (((s + over) & top) >> 3) * q
+        if _insert(echelon, c, q, over, top) and len(echelon) == k:
+            return True
     return False
 
 

@@ -314,7 +314,7 @@ def concise_core(t, q=None):
     mode of dimension at most 3 reads both the test and the kept slices
     from one ``gram_pivots`` call on its slices.  With a prime q every mode
     reads them from one ``gf_pivots`` call, which inserts the slices, read
-    as integers modulo q, into an echelon over GF(q).  The maps
+    modulo q, into an echelon over GF(q).  The maps
     (``ConciseCore.maps``) are computed only when read.
     """
     core = t

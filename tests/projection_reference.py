@@ -7,10 +7,8 @@ Kept to check _project_candidates field by field, with where in insertion
 order.
 """
 
-from border3._linalg import rref
-from border3.rank_oracle import (
-    _ZERO_SPACE, _Quotient, _gf_add, _grow, _multiples, _pack,
-)
+from border3._linalg import _gf_add, _multiples, _pack, rref
+from border3.rank_oracle import _ZERO_SPACE, _Quotient, _grow
 
 
 def project_candidates(slice_rows, cands, q):

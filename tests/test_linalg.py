@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from border3._linalg import (
-    Echelon, _axpy, _back_substitute, _norm, div, gf_pivots, gram_pivots,
-    inverse, mat_mul, pivot_columns, rank, rref, transpose,
+    Echelon, _axpy, _back_substitute, _carries, _gf_add, _norm, _pack,
+    _unpack, div, gf_pivots, gram_pivots, inverse, mat_mul, pivot_columns,
+    rank, rref, transpose,
 )
 from border3.classifier import _stabilizer_matrix
 from border3.normal_forms import ORBIT_IDS, orbit_representative
@@ -222,16 +223,17 @@ def test_gram_pivots_refuse_four_vectors():
         gram_pivots([[1, 0]] * 4)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+# 7 is the largest prime a 4-bit field holds: a field of a sum then
+# reaches 2q - 2 + 8 - q = 13 of 15
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(a=_pivot_cases(scalars=st.integers(-6, 6)))
 def test_pivot_columns_match_rref_over_gf(q, a):
     rows, pivots = rref(a, q)
     assert (rows, pivots) == _reference_rref(a, q)
-    assert pivot_columns(a, q) == pivots
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(vs=_pivot_cases(scalars=st.integers(-6, 6)))
 def test_gf_pivots_match_reference_pivots_of_the_transpose(q, vs):
@@ -241,9 +243,34 @@ def test_gf_pivots_match_reference_pivots_of_the_transpose(q, vs):
 
 
 def test_packed_gf_rows_refuse_a_modulus_past_a_byte():
-    # a byte holds a sum of two residues plus 128 - q only for q < 128
-    with pytest.raises(ValueError, match="packed"):
-        pivot_columns([[1, 2]], 131)
+    # a 4-bit field holds a sum of two residues plus 8 - q only for q < 9,
+    # and an echelon over Z/4 stored a zero row and looped on it for ever
+    for q in (4, 11, 131):
+        with pytest.raises(ValueError, match="packed"):
+            gf_pivots([[1, 2]], q)
+        with pytest.raises(ValueError, match="packed"):
+            rref([[1, 2]], q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_sum_matches_fieldwise_sum(q, data):
+    n = data.draw(st.integers(0, 27))
+    vec = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    a, b = data.draw(vec), data.draw(vec)
+    over, top = _carries(n, q)
+    assert _unpack(_pack(a), n) == a
+    assert (_unpack(_gf_add(_pack(a), _pack(b), q, over, top), n)
+            == [(x + y) % q for x, y in zip(a, b)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_packed_gf_elimination_of_empty_rows(q):
+    # an empty hex string is no int, so packing an empty row must not parse one
+    assert rref([[]], q) == ([[]], [])
+    assert rref([], q) == ([], [])
+    assert gf_pivots([[], []], q) == []
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -282,7 +309,7 @@ def test_rref_matches_reference_on_moved_stabilizer_matrices(oid):
         _assert_exact_types(rows)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(a=_matrices(scalars=st.integers(-6, 6)))
 def test_rref_matches_reference_over_gf(q, a):

@@ -7,13 +7,13 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from border3._linalg import _norm, rref, transpose
+from border3._linalg import _norm, from_rational, rref, transpose
 from border3.normal_forms import (
     ORBIT_IDS, orbit_representative, sigma2_point, sigma3_point,
 )
 from border3.tensor import (
-    GLTuple, Tensor, apply_gl, apply_mode_map, basis_tensor, concise_core,
-    dumps_tensor, flattening, group_modes, grouped_flattening,
+    ConciseCore, GLTuple, Tensor, apply_gl, apply_mode_map, basis_tensor,
+    concise_core, dumps_tensor, flattening, group_modes, grouped_flattening,
     loads_tensor, make_tensor, multilinear_rank, parse_scalar, permute_modes,
     random_gl_tuple, random_tensor, rank_one, slice_matrices, squeeze,
     zero_tensor,
@@ -344,6 +344,23 @@ def test_concise_core_matches_rref_alone(q, t):
     assert _typed(cc.core.entries) == _typed(core.entries)
     assert [[_typed(row) for row in m] for m in cc.maps] == \
         [[_typed(row) for row in m] for m in maps]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_concise_core_over_gf_reads_a_fraction_as_its_residue(q):
+    t = make_tensor((2, 2, 1), [Fraction(1, 2), 1, 2, 4])
+    residues = make_tensor(t.dims, [from_rational(x, q) for x in t.entries])
+    cc, want = concise_core(t, q), concise_core(residues, q)
+    assert cc.core.dims == want.core.dims
+    assert cc.maps == want.maps
+
+
+def test_concise_core_over_gf_refuses_a_denominator_divisible_by_q():
+    t = make_tensor((2, 2, 1), [Fraction(1, 3), 1, 2, 4])
+    with pytest.raises(ValueError, match="vanishes modulo 3"):
+        concise_core(t, 3)
+    with pytest.raises(ValueError, match="vanishes modulo 3"):
+        ConciseCore(t, t, 3).maps
 
 
 def test_concise_core_of_concise_tensor_is_identity_shaped():
