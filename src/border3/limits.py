@@ -5,8 +5,11 @@ polynomial curve is a polynomial in t with exact rational coefficients, and
 the model's embedding is a polynomial in those.  On a Segre chart the
 embedding is the outer product of the factor blocks (1, x_1, ..., x_{d-1}),
 so it is computed on plain coefficient lists, by convolving the blocks'
-coefficient vectors with Kronecker products (_segre_polynomial).  Other
-charts evaluate model.phi on _Poly ring elements.  The truncated series
+coefficient vectors with Kronecker products (_segre_polynomial); every
+Segre factor block is read through the model's _block_slices.  Other
+charts evaluate model.phi on _Poly ring elements.  Tangent frames and
+second-order offsets are coefficients of that same evaluation along a
+chart line (_line_coefficient).  The truncated series
 types (ScalarSeries, VectorSeries) are coefficient records with no
 arithmetic; APIs that take or return them truncate the exact polynomial
 value at the series' order.
@@ -168,9 +171,8 @@ class _Poly:
 
     Holds a polytools coefficient list (index k for t^k, trailing zeros
     trimmed, integral Fractions as int).  Sums and products are exact, so
-    no truncation order is tracked.  Its users are the chart maps of
-    non-Segre models (_ambient_polynomial), affine_tangent_frame and
-    second_order_offset.
+    no truncation order is tracked.  Its only user is _ambient_polynomial,
+    on the chart maps of non-Segre models.
     """
 
     __slots__ = ("coeffs",)
@@ -185,9 +187,6 @@ class _Poly:
         p.coeffs = coeffs
         return p
 
-    def coeff(self, k):
-        return self.coeffs[k] if k < len(self.coeffs) else 0
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _Poly((other,))
@@ -196,12 +195,6 @@ class _Poly:
         return _Poly._of(uadd(self.coeffs, other.coeffs))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -1 * other
-
-    def __rsub__(self, other):
-        return -1 * self + other
 
     def __mul__(self, other):
         if isinstance(other, _Poly):
@@ -267,24 +260,24 @@ def parameterize(model, tangent_series):
     return embed_curve(model, tangent_series)
 
 
+def _line_coefficient(model, chart_point, direction, k):
+    """s^k coefficient vector of the chart map along chart_point + s*direction."""
+    amb = _ambient_polynomial(model, _curve_data([chart_point, direction]))
+    return list(amb[k]) if k < len(amb) else [0] * model.ambient_dim
+
+
 def affine_tangent_frame(model, chart_point):
-    """Rows spanning the affine tangent space at the chart point's image."""
-    cp = list(chart_point)
-    if len(cp) != model.tangent_dim:
-        raise ValueError("chart point has wrong length")
-    frame = [[_norm(x) for x in model.phi(cp)]]
-    for j in range(model.tangent_dim):
-        v = [_Poly((cp[i], 1 if i == j else 0)) for i in range(len(cp))]
-        frame.append([a.coeff(1) if isinstance(a, _Poly) else 0
-                      for a in model.phi(v)])
-    return frame
+    """Rows spanning the affine tangent space at the chart point's image:
+    the image, then the s^1 coefficient along each chart axis."""
+    cp = tuple(chart_point)
+    axes = [[int(i == j) for i in range(len(cp))] for j in range(len(cp))]
+    return ([_line_coefficient(model, cp, (0,) * len(cp), 0)]
+            + [_line_coefficient(model, cp, e, 1) for e in axes])
 
 
 def second_order_offset(model, chart_point, direction):
     """s^2 coefficient vector of the chart map along chart_point + s*direction."""
-    cp, u = list(chart_point), list(direction)
-    amb = model.phi([_Poly((cp[i], u[i])) for i in range(len(cp))])
-    return [a.coeff(2) if isinstance(a, _Poly) else 0 for a in amb]
+    return _line_coefficient(model, chart_point, direction, 2)
 
 
 def second_fundamental_vanishes(model, chart_point, direction):
@@ -486,15 +479,9 @@ def _segre_polynomial(model, data):
     if len(data[0]) != model.tangent_dim:
         raise ValueError("tangent vector has wrong length")
     terms = {0: (1,)}
-    pos = 0
-    for d in model.dims:
-        if d == 1:
-            continue
-        end = pos + d - 1
-        blk = [(k, (0, *v[pos:end])) for k, v in enumerate(data)
-               if k and any(v[pos:end])]
-        blk.insert(0, (0, (1, *data[0][pos:end])))
-        pos = end
+    for b in model._block_slices:
+        blk = [(k, (0, *v[b])) for k, v in enumerate(data) if k and any(v[b])]
+        blk.insert(0, (0, (1, *data[0][b])))
         prod = {}
         for i, u in terms.items():
             for j, w in blk:
@@ -544,8 +531,7 @@ def _segre_single_block(model, u):
     """Index (1-based) of the unique factor block supporting u, else None."""
     if model.kind != "segre":
         return None
-    hits = [f + 1 for f, (s, o) in enumerate(zip(*_blocks(model)))
-            if any(u[o:o + s])]
+    hits = [f + 1 for f, b in enumerate(model._block_slices) if any(u[b])]
     return hits[0] if len(hits) == 1 else None
 
 
@@ -617,15 +603,6 @@ class CurveFamily:
     factor: int | None = None
 
 
-def _blocks(model):
-    sizes = [d - 1 for d in model.dims]
-    offs, pos = [], 0
-    for s in sizes:
-        offs.append(pos)
-        pos += s
-    return sizes, offs
-
-
 def _rand_block(rng, size):
     while True:
         v = tuple(rng.randint(-3, 3) for _ in range(size))
@@ -634,24 +611,20 @@ def _rand_block(rng, size):
 
 
 def _assemble(model, blocks):
-    sizes, _ = _blocks(model)
-    out = []
-    for b, s in zip(blocks, sizes):
-        b = tuple(b) if b is not None else (0,) * s
-        if len(b) != s:
-            raise ValueError("block has wrong size")
-        out.extend(b)
+    """The tangent vector with the given factor blocks, None a zero block."""
+    out = [0] * model.tangent_dim
+    for blk, b in zip(blocks, model._block_slices):
+        if blk is not None:
+            if len(blk) != b.stop - b.start:
+                raise ValueError("block has wrong size")
+            out[b] = blk
     return tuple(out)
 
 
 def _mode_frames_independent(model, chart_rows):
     """Each mode's projective frame (1, block) must be a basis."""
-    sizes, offs = _blocks(model)
-    for m, s in enumerate(sizes):
-        mat = []
-        for kind, vec in chart_rows:
-            blk = list(vec[offs[m]:offs[m] + s])
-            mat.append(([1] if kind == "point" else [0]) + blk)
+    for b in model._block_slices:
+        mat = [[int(kind == "point"), *vec[b]] for kind, vec in chart_rows]
         if rank(mat) != len(mat):
             return False
     return True
@@ -670,7 +643,8 @@ def secant_curve_family(tag, model=None, rng=None, factor=1):
         raise ValueError("curve families need a three-factor segre model with dims >= 3")
     if rng is None:
         rng = random.Random(0)
-    sizes, offs = _blocks(model)
+    slices = model._block_slices
+    sizes = [d - 1 for d in model.dims]
     tdim = model.tangent_dim
     zero = (0,) * tdim
     if tag == "i":
@@ -687,8 +661,7 @@ def secant_curve_family(tag, model=None, rng=None, factor=1):
             u1 = _assemble(model, [_rand_block(rng, s) for s in sizes])
             u2 = _assemble(model, [_rand_block(rng, s) for s in sizes])
             d = tuple(x - y for x, y in zip(u2, u1))
-            dblocks = [d[offs[m]:offs[m] + s] for m, s in enumerate(sizes)]
-            if not all(any(blk) for blk in dblocks):
+            if not all(any(d[sl]) for sl in slices):
                 continue
             rows = [("point", a), ("dir", d), ("point", b)]
             if _mode_frames_independent(model, rows):
@@ -719,13 +692,12 @@ def secant_curve_family(tag, model=None, rng=None, factor=1):
             # sampled frames: mode f sees {eta, v_f}; mode g != f sees
             # {v_g + w_g / sigma, w_g}; enforce independence everywhere
             ok = True
-            for m in range(3):
-                s, o = sizes[m], offs[m]
+            for m, sl in enumerate(slices):
                 if m == f:
-                    mat = [list(eta), list(v[o:o + s])]
+                    mat = [list(eta), list(v[sl])]
                 else:
-                    wg = list(w[o:o + s])
-                    vg = [x + Fraction(y, sigma) for x, y in zip(v[o:o + s], wg)]
+                    wg = list(w[sl])
+                    vg = [x + Fraction(y, sigma) for x, y in zip(v[sl], wg)]
                     mat = [vg, wg]
                 if rank(mat) != 2:
                     ok = False
@@ -746,13 +718,12 @@ def line_tangent_span(dims, factor):
     """Exact span dimension of affine tangent spaces along a factor line of
     the Segre product with the given factor dims."""
     model = segre_model(tuple(dims))
-    sizes, offs = _blocks(model)
     if not 1 <= factor <= len(dims):
         raise ValueError("factor out of range")
     rows = []
     for s in (0, 1, 2):
         c = [0] * model.tangent_dim
-        c[offs[factor - 1]] = s
+        c[model._block_slices[factor - 1].start] = s
         rows.extend(affine_tangent_frame(model, c))
     return rank(rows)
 
@@ -768,11 +739,11 @@ def fundamental_form(model, s, vectors):
     vectors = [list(v) for v in vectors]
     if s < 1 or len(vectors) != s:
         raise ValueError("need exactly s vectors for the degree-s form")
-    if s > model.base_degree:
-        return {}
     n = model.tangent_dim
     if any(len(v) != n for v in vectors):
         raise ValueError("vectors have wrong length")
+    if s > model.base_degree:
+        return {}
     total = {}
     for mask in range(1, 1 << s):
         w = [0] * n

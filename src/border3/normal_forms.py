@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 import math
 from operator import mul
 
@@ -294,6 +294,13 @@ class CominusculeModel:
             return sum(math.comb(math.comb(self.k, s) + 1, 2) for s in range(self.k + 1))
         return 2 ** (self.k - 1)
 
+    @cached_property
+    def _block_slices(self):
+        """Per Segre factor, the slice of the tangent coordinates holding its
+        block (x_1, ..., x_{d-1}), in factor order; empty when d = 1."""
+        ends = list(accumulate((d - 1 for d in self.dims), initial=0))
+        return tuple(map(slice, ends, ends[1:]))
+
     def slot_block(self, s):
         """Ambient indices of the degree-s slots (the N_s component)."""
         return [i for i, (deg, _) in enumerate(self.ambient_slots()) if deg == s]
@@ -304,11 +311,7 @@ class CominusculeModel:
         if len(v) != self.tangent_dim:
             raise ValueError("tangent vector has wrong length")
         if self.kind == "segre":
-            blocks, pos = [], 0
-            for d in self.dims:
-                blocks.append(list(v[pos:pos + d - 1]))
-                pos += d - 1
-            return blocks
+            return [list(v[b]) for b in self._block_slices]
         if self.kind == "grassmann":
             w = self.n - self.k
             return [list(v[r * w:(r + 1) * w]) for r in range(self.k)]
@@ -359,14 +362,14 @@ class CominusculeModel:
         its numeric zeros; ring-element values are all kept."""
         if s < 0:
             raise ValueError("form degree must be >= 0")
+        st = self._structure(v)  # refuses a wrong length at every degree
         if s > self.base_degree:
             return {}
         if self.kind == "segre":
-            part = _segre_outer(self._structure(v), s)[s]
+            part = _segre_outer(st, s)[s]
             return {i: x for i, x in zip(self.slot_block(s), part)
                     if not isinstance(x, (int, Fraction)) or x}
         slots = self.ambient_slots()
-        st = self._structure(v)
         vals = [self._slot_value(st, label) if deg == s else 0
                 for deg, label in slots]
         return {i: val for i, ((deg, _), val) in enumerate(zip(slots, vals))

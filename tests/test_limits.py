@@ -389,6 +389,12 @@ def test_fubini_form_values_and_errors():
     eps[0] = 1
     assert fundamental_form(gm, 2, [eps, eps]) == {}
     assert fundamental_form(model, 5, [[1] * 6] * 5) == {}
+    assert model.fundamental_form_diag(5, [1] * 6) == {}
+    # past the top block too, a vector of the wrong length is refused
+    with pytest.raises(ValueError):
+        fundamental_form(model, 4, [[1]] * 4)
+    with pytest.raises(ValueError):
+        model.fundamental_form_diag(4, [1])
     with pytest.raises(ValueError):
         fundamental_form(model, 0, [])
     with pytest.raises(ValueError):
@@ -429,6 +435,10 @@ def test_prolongation_check_vanishing_arguments():
         prolongation_check(model, [u], [u])
     with pytest.raises(ValueError):
         prolongation_check(model, [u, u], [])
+    # the combined degree 3 is past the Grassmannian's top block, and the
+    # second argument has the wrong length
+    with pytest.raises(ValueError):
+        prolongation_check(grassmann_model(2, 4), [[1, 0, 0, 0]] * 2, [[1, 2]])
 
 
 def rand_base_annihilating_curve(rng, model, kind):
@@ -876,6 +886,11 @@ def test_segre_chart_map_is_the_slot_product(case):
                  and (not isinstance(want[i], (int, Fraction)) or want[i])]
         assert list(got) == block
         assert _typed_entries(got.values()) == _typed_entries(want[i] for i in block)
+    # one slice per factor, d - 1 wide, covering the chart in factor order
+    slices = model._block_slices
+    assert [b.stop - b.start for b in slices] == [d - 1 for d in model.dims]
+    n = model.tangent_dim
+    assert [i for b in slices for i in range(n)[b]] == list(range(n))
 
 
 def test_plane_samples_satisfy_strassen_quartics():
@@ -945,6 +960,51 @@ def test_ambient_polynomial_matches_series_embedding(case, prec):
     assert amb.prec == prec
     want = (got + [(0,) * model.ambient_dim] * prec)[:prec]
     assert _typed([amb.coeff_vector(k) for k in range(prec)]) == _typed(want)
+
+
+def _line_coefficients(model, point, u):
+    """Coefficient vectors of tau -> model.phi(point + tau * u), a polynomial
+    of degree <= base_degree, by Lagrange interpolation at base_degree + 1
+    distinct rationals tau."""
+    degree = model.base_degree
+    taus = [Fraction(j - degree // 2, 3) for j in range(degree + 1)]
+    out = [[0] * model.ambient_dim for _ in range(degree + 1)]
+    for i, ti in enumerate(taus):
+        basis = [Fraction(1)]  # coefficients of prod_{j != i} (t - tj) / (ti - tj)
+        for tj in taus[:i] + taus[i + 1:]:
+            basis = [(a - tj * b) / (ti - tj)
+                     for a, b in zip([0] + basis, basis + [0])]
+        y = model.phi([p + ti * x for p, x in zip(point, u)])
+        out = [[o + c * v for o, v in zip(row, y)] for row, c in zip(out, basis)]
+    return out
+
+
+@pytest.mark.parametrize("model", _KIND_MODELS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("entry", [lambda rng: rng.randint(-3, 3),
+                                   lambda rng: Fraction(rng.randint(-6, 6),
+                                                        rng.randint(1, 4))],
+                         ids=["int", "fraction"])
+def test_tangent_frames_match_the_chart_map_along_lines(model, entry):
+    rng = random.Random(218)
+    n = model.tangent_dim
+    axes = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(2):
+        point, u = ([entry(rng) for _ in range(n)] for _ in range(2))
+        frame = affine_tangent_frame(model, point)
+        offset = second_order_offset(model, point, u)
+        assert frame[0] == _line_coefficients(model, point, [0] * n)[0]
+        assert frame[1:] == [_line_coefficients(model, point, e)[1] for e in axes]
+        assert offset == _line_coefficients(model, point, u)[2]
+        assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+                   for row in frame + [offset] for x in row)
+    # a point or direction of the wrong length is refused, not cut or padded
+    with pytest.raises(ValueError):
+        affine_tangent_frame(model, point[:-1])
+    for bad in (u[:2], u + [5, 5]):
+        with pytest.raises(ValueError):
+            second_order_offset(model, point, bad)
+        with pytest.raises(ValueError):
+            second_fundamental_vanishes(model, point, bad)
 
 
 def _phi_on_polys(model, data):
