@@ -281,10 +281,14 @@ def second_order_offset(model, chart_point, direction):
 
 
 def second_fundamental_vanishes(model, chart_point, direction):
-    """Whether the second-order offset along the direction stays tangent."""
+    """Whether the second-order offset along the direction stays tangent.
+
+    The frame is independent (its t^0 and t^1 slots read [[1, p], [0, I]]),
+    so its rank is its length.
+    """
     frame = affine_tangent_frame(model, chart_point)
     vec = second_order_offset(model, chart_point, direction)
-    return rank(frame + [vec]) == rank(frame)
+    return rank(frame + [vec]) == len(frame)
 
 
 @dataclass(frozen=True)
@@ -322,10 +326,6 @@ class LimitPlaneResult:
         if den == 1:
             return tuple(out)
         return tuple(Fraction(x, den) if x % den else x // den for x in out)
-
-    def contains(self, vec):
-        rows = [list(r) for r in self.plane]
-        return rank(rows + [list(vec)]) == rank(rows)
 
 
 def _order(row, start=0):
@@ -571,8 +571,7 @@ def limit_analysis(model, curves):
         return LimitAnalysis(plane, "ii", 2, u, None)
     c = distinct[0]
     frame = affine_tangent_frame(model, c)
-    base_rank = rank(frame)
-    if rank(frame + [list(r) for r in plane.plane]) == base_rank:
+    if rank(frame + [list(r) for r in plane.plane]) == len(frame):
         return LimitAnalysis(plane, "degenerate", 1, None, None)
     # relative direction of the collision: lowest-order pairwise difference
     best = None
@@ -720,6 +719,8 @@ def line_tangent_span(dims, factor):
     model = segre_model(tuple(dims))
     if not 1 <= factor <= len(dims):
         raise ValueError("factor out of range")
+    if dims[factor - 1] < 2:
+        raise ValueError("a factor of dimension 1 has no line")
     rows = []
     for s in (0, 1, 2):
         c = [0] * model.tangent_dim
@@ -884,8 +885,7 @@ def limit_type(cfg):
         return "i"
     if cfg.k >= 1:
         return "iii-iv"
-    # F_2(v0, v0) is the diagonal F_2(v0^2), whose zeros may be Fraction(0)
-    if not any(cfg.model.fundamental_form_diag(2, cfg.v.coeff_vector(0)).values()):
+    if not cfg.model.fundamental_form_diag(2, cfg.v.coeff_vector(0)):
         return "iii-iv"
     lam0 = cfg.lam.coeff(0)
     if lam0 != 0 and lam0 != 1:

@@ -182,26 +182,6 @@ def generic_pfaffian(m):
 
 # ---- cominuscule coordinate models ----
 
-def _segre_outer(blocks, top=None):
-    """The outer product of the blocks (1, x_1, ..., x_{d-1}), by degree:
-    entry k lists its degree-k entries in row-major order.
-
-    It is built from the last factor to the first, so that row-major order
-    is concatenation: the entries whose first index is j come after those
-    whose first index is below j.  The only degree-0 entry is the leading
-    1, and products with it are skipped, which leaves the entries
-    themselves.  With ``top`` set, no degree above it is built.
-    """
-    parts = [[1]]
-    for blk in reversed(blocks):
-        if top is None or len(parts) <= top:
-            parts.append([])
-        # from the top degree down, so each part is read before it grows
-        for k in range(len(parts) - 2, -1, -1):
-            parts[k + 1].extend([b * x for b in blk for x in parts[k]] if k else blk)
-    return parts
-
-
 @dataclass(frozen=True)
 class CominusculeModel:
     """An affine chart of a cominuscule variety, coordinatised by minors.
@@ -336,14 +316,20 @@ class CominusculeModel:
     def phi(self, v):
         """Full chart map on a tangent vector with ring-element entries.
 
-        On a Segre chart the slots run over the index tuples in row-major
-        order, so phi is the outer product of the blocks (1, x_1, ...,
-        x_{d-1}), read off ``_segre_outer`` degree by degree in slot order.
+        Slot order is ambient_slots() order.  On a Segre chart the slots run
+        over the index tuples in row-major order, so phi is the outer
+        product of the blocks (1, x_1, ..., x_{d-1}), built factor by
+        factor: each entry is the raw product of the block entries its index
+        picks, first factor first, and the all-zero index gives 1.
         """
         st = self._structure(v)
         if self.kind == "segre":
-            parts = [iter(p) for p in _segre_outer(st)]
-            return [next(parts[deg]) for deg, _ in self._slots]
+            out = [1]
+            for blk in st:
+                # the leading 1 (no index picked yet) gives the entries themselves
+                rest = [y for x in out[1:] for y in (x, *[x * e for e in blk])]
+                out = [1, *blk, *rest]
+            return out
         return [self._slot_value(st, label) for _, label in self.ambient_slots()]
 
     def _slot_value(self, st, label):
@@ -358,22 +344,13 @@ class CominusculeModel:
         return generic_pfaffian([[st[r][c] for c in sub] for r in sub])
 
     def fundamental_form_diag(self, s, v):
-        """F_s(v^s) as {ambient_slot: value} on the degree-s block, without
-        its numeric zeros; ring-element values are all kept."""
+        """F_s(v^s) as {ambient_slot: value}: the degree-s slots of phi(v),
+        without their numeric zeros; ring-element values are all kept."""
         if s < 0:
             raise ValueError("form degree must be >= 0")
-        st = self._structure(v)  # refuses a wrong length at every degree
-        if s > self.base_degree:
-            return {}
-        if self.kind == "segre":
-            part = _segre_outer(st, s)[s]
-            return {i: x for i, x in zip(self.slot_block(s), part)
-                    if not isinstance(x, (int, Fraction)) or x}
-        slots = self.ambient_slots()
-        vals = [self._slot_value(st, label) if deg == s else 0
-                for deg, label in slots]
-        return {i: val for i, ((deg, _), val) in enumerate(zip(slots, vals))
-                if deg == s and (not isinstance(val, (int, Fraction)) or val)}
+        vals = self.phi(v)  # refuses a wrong length at every degree
+        return {i: x for i, ((deg, _), x) in enumerate(zip(self._slots, vals))
+                if deg == s and (not isinstance(x, (int, Fraction)) or x)}
 
 
 def segre_model(dims):

@@ -341,6 +341,10 @@ def test_line_tangent_span_matches_formula():
             assert exact == expected[factor - 1]
     with pytest.raises(ValueError, match="factor out of range"):
         line_tangent_span((3, 3, 3), 4)
+    # a factor of dimension 1 has no line, and the next factor may not stand in
+    for dims, factor in (((3, 1, 3), 2), ((3, 3, 1), 3)):
+        with pytest.raises(ValueError, match="dimension 1 has no line"):
+            line_tangent_span(dims, factor)
 
 
 def test_parameterize_matches_graded_blocks():
@@ -1005,6 +1009,44 @@ def test_tangent_frames_match_the_chart_map_along_lines(model, entry):
             second_order_offset(model, point, bad)
         with pytest.raises(ValueError):
             second_fundamental_vanishes(model, point, bad)
+
+
+@pytest.mark.parametrize("model", _KIND_MODELS + (segre_model((3, 1, 3)),
+                                                  grassmann_model(3, 6),
+                                                  spinor_model(5)),
+                         ids=lambda m: m.kind)
+def test_affine_tangent_frame_has_full_rank(model):
+    # its t^0 and t^1 slots read [[1, p], [0, I]], so the rank is its length
+    rng = random.Random(227)
+    n = model.tangent_dim
+    for _ in range(3):
+        point = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+        assert rank(affine_tangent_frame(model, point)) == n + 1
+
+
+@st.composite
+def _form_cases(draw):
+    """A model of any kind (Segre factors of dims 1-3), a chart vector with
+    int or Fraction entries, and a form degree s in 0..base_degree + 1."""
+    model = draw(st.one_of(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).map(segre_model),
+        st.sampled_from(_KIND_MODELS[1:])))
+    n = model.tangent_dim
+    entries = draw(st.sampled_from((st.integers(-3, 3), _RATIONALS, _ENTRIES)))
+    v = draw(st.lists(entries, min_size=n, max_size=n))
+    return model, v, draw(st.integers(0, model.base_degree + 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_form_cases())
+@example((segre_model((3, 1, 3)), [1, Fraction(1, 2), 0, 2], 2))
+@example((segre_model((1, 1)), [], 0))
+def test_fundamental_form_diag_is_the_line_coefficient(case):
+    # F_s(v^s) is the t^s coefficient of the chart map along the line t * v
+    model, v, s = case
+    coeff = limits._line_coefficient(model, [0] * model.tangent_dim, v, s)
+    want = {i: x for i, x in enumerate(coeff) if x}
+    assert model.fundamental_form_diag(s, v) == want
 
 
 def _phi_on_polys(model, data):

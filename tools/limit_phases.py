@@ -7,6 +7,8 @@ Builds the workload's fixed batch with ``perfbench/workloads.py`` (read,
 not changed) and times, in-process, the parts of every ``limit`` CLI op
 and every ``limit_config`` op, in the order the library runs them:
 
+- limit type: ``limit_type`` (``limit_config`` ops only), which the op runs
+  before its plane;
 - config curves: ``limit_config_curves`` (``limit_config`` ops only);
 - embedding: ``_ambient_polynomial`` on each of the three chart curves;
 - reduce: ``_reduce_rows`` on the embedded curves, modulo t^D;
@@ -18,7 +20,6 @@ and every ``limit_config`` op, in the order the library runs them:
 - JSON: reading the verb's config and writing its output (``limit`` ops
   only).
 
-``limit_type``, which the ``limit_config`` ops also call, is not timed.
 Each part is the best of N runs.  Prints one line per op label with the
 summed best times in ms, then the totals.  The package is imported from
 the ``src/`` next to this script.
@@ -40,8 +41,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 from bench import import_package  # noqa: E402
 
-PHASES = ("config curves", "embedding", "reduce", "span basis", "sample",
-          "classify", "JSON")
+PHASES = ("limit type", "config curves", "embedding", "reduce", "span basis",
+          "sample", "classify", "JSON")
 
 
 def _best(fn, repeat):
@@ -85,7 +86,7 @@ def _plane_phases(model, curves, repeat, times):
 def config_op_phases(key, repeat):
     """{phase: best s} of one limit_config op, rebuilt from its key."""
     from border3.limits import (LimitConfig, ScalarSeries, VectorSeries,
-                                limit_config_curves, segre_model)
+                                limit_config_curves, limit_type, segre_model)
 
     _, k, l, (vdata, wdata), lamdata = json.loads(key)
     vdata, wdata = ([[Fraction(x) for x in r] for r in d] for d in (vdata, wdata))
@@ -96,6 +97,7 @@ def config_op_phases(key, repeat):
                       VectorSeries.from_polynomial(wdata, prec),
                       ScalarSeries(lamdata, prec))
     times = {}
+    times["limit type"], _ = _best(lambda: limit_type(cfg), repeat)
     times["config curves"], curves = _best(lambda: limit_config_curves(cfg), repeat)
     _plane_phases(model, curves, repeat, times)
     return times
