@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from ._linalg import _norm, inverse, mat_mul, rank, rref, transpose
+from ._linalg import _norm, inverse, mat_mul, pivot_columns, rank, rref, transpose
 from .equations import LinePattern, cubic_line_pattern, slice_det_cubic, strassen_equations
 from .normal_forms import ORBIT_INFO
 from .tensor import (
-    Tensor, _gather, concise_core, flattening, group_modes, grouped_flattening,
-    slice_matrices, squeeze,
+    Tensor, _gather, concise_core, flattening, grouped_flattening, pivot_set,
+    restrict, slice_matrices, squeeze,
 )
 
 GREATER_THAN_3 = "greater_than_3"
@@ -206,14 +206,19 @@ def _partitions_into_3(m):
     return out
 
 
-def _grouped_core(sq, blocks):
-    return concise_core(group_modes(sq, blocks)).core
+def _grouped_core(sq, blocks, pivots):
+    """The concise core of sq with its modes merged into sorted blocks: sq
+    read at every block's pivot set (see ``concise_core``), which the dict
+    pivots holds per block, computed from its flattening when missing."""
+    for b in map(tuple, blocks):
+        if b not in pivots:
+            pivots[b] = pivot_set(grouped_flattening(sq, b))
+    return restrict(sq, blocks, [pivots[tuple(b)] for b in blocks])
 
 
 # ---- the classifier ----
 
 def classify(t):
-    wit = []
     dims = t.dims
     if t.is_zero():
         return ClassificationReport(dims, 0, rank=0, core_dims=(0,) * len(dims),
@@ -278,13 +283,17 @@ def classify(t):
                        "of rank 3 gives the matching lower bound",))
 
     # m >= 4; a single factor's flattening has rank its core dimension, at
-    # most 3, so the bipartitions to check start at two factors
+    # most 3, so the bipartitions to check start at two factors.  The pivot
+    # columns of a flattening are the pivot set of the modes not in its rows.
+    pivots = {}
     bip_ok2 = max(sq.dims) == 2
     for size in range(2, m // 2 + 1):
         for s in combinations(range(m), size):
             if 0 not in s and len(s) * 2 == m:
                 continue  # avoid double-counting complementary halves
-            r = rank(grouped_flattening(sq, list(s)))
+            keep = pivot_columns(grouped_flattening(sq, s))
+            pivots[tuple(x for x in range(m) if x not in s)] = tuple(keep)
+            r = len(keep)
             if r >= 4:
                 return ClassificationReport(
                     dims, GREATER_THAN_3, core_dims=core_dims,
@@ -302,7 +311,7 @@ def classify(t):
 
     # strassen screen over every 3-block grouping
     for blocks in _partitions_into_3(m):
-        gcore = _grouped_core(sq, blocks)
+        gcore = _grouped_core(sq, blocks, pivots)
         if gcore.dims == (3, 3, 3):
             res, data = _decide_concise_333(gcore)
             if res == "gt3":
@@ -323,7 +332,7 @@ def classify(t):
             for j in range(m):
                 k2 = min(x for x in range(m) if x != j)
                 blocks = [[j], [k2], [x for x in range(m) if x not in (j, k2)]]
-                gcore = _grouped_core(sq, blocks)
+                gcore = _grouped_core(sq, blocks, pivots)
                 if gcore.dims != (3, 3, 3):
                     ok = False
                     break

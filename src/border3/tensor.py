@@ -4,7 +4,7 @@ Entries are stored flat in row-major order: index (i_0, ..., i_{n-1}) of a
 tensor with dims (d_0, ..., d_{n-1}) sits at sum_m i_m * stride_m, where
 stride_m is the product of the dims after m, so the last index varies
 fastest.  Only ``_gather`` decodes that layout for whole tensors; permuting,
-flattening, grouping and mode maps all read their entries through it.
+flattening, restriction and mode maps all read their entries through it.
 A flattening reads a cached layout built on ``_gather``: one
 ``operator.itemgetter`` over its positions, applied to the entries in a
 single call and cut into rows.
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from ._linalg import (_norm, gf_pivots, gram_pivots, mat_mul, pivot_columns,
                       rank, rref, transpose)
@@ -48,6 +48,11 @@ def _check_dims(dims):
             raise OverflowError(f"tensor with {_dims_text(dims)} exceeds the "
                                 f"{MAX_ENTRIES}-entry guard")
     return dims
+
+
+def _fits(idx, dims):
+    """Whether idx has one entry per mode of dims, each in range."""
+    return len(idx) == len(dims) and all(0 <= j < d for j, d in zip(idx, dims))
 
 
 def _strides(dims):
@@ -85,13 +90,9 @@ class Tensor:
     def __getitem__(self, idx):
         if isinstance(idx, int):
             idx = (idx,)
-        st = _strides(self.dims)
-        flat = 0
-        for i, (j, d) in enumerate(zip(idx, self.dims)):
-            if not 0 <= j < d:
-                raise IndexError(f"index {idx} out of range for dims {self.dims}")
-            flat += j * st[i]
-        return self.entries[flat]
+        if not _fits(idx, self.dims):
+            raise IndexError(f"index {idx} out of range for dims {self.dims}")
+        return self.entries[sum(map(mul, idx, _strides(self.dims)))]
 
     def is_zero(self):
         return not any(self.entries)
@@ -123,11 +124,11 @@ def zero_tensor(dims):
 
 
 def basis_tensor(dims, idx):
-    dims = _check_dims(dims)
-    st = _strides(dims)
-    flat = sum(j * s for j, s in zip(idx, st))
+    dims, idx = _check_dims(dims), tuple(idx)
+    if not _fits(idx, dims):
+        raise ValueError(f"index {idx} does not fit dims {dims}")
     e = [0] * math.prod(dims)
-    e[flat] = 1
+    e[sum(map(mul, idx, _strides(dims)))] = 1
     return Tensor(dims, tuple(e))
 
 
@@ -241,30 +242,41 @@ def slice_matrices(t, mode):
             for a in range(0, len(flat), size)]
 
 
-def group_modes(t, partition):
-    """Merge modes into blocks (a partition of range(order), blocks ordered)."""
-    blocks = [list(b) for b in partition]
-    flatmodes = [m for b in blocks for m in b]
-    if sorted(flatmodes) != list(range(t.order)):
-        raise ValueError("partition must cover each mode exactly once")
-    p = permute_modes(t, flatmodes)
-    dims = tuple(math.prod(t.dims[m] for m in b) for b in blocks)
-    return Tensor(dims, p.entries)
-
-
 @lru_cache(maxsize=256)
-def _slice_gather(dims, mode, keep):
-    """Flat positions of the entries of a dims-shaped tensor whose index
-    along mode lies in keep, in the row-major order of the tensor that
-    keeps just those slices, in the order of keep."""
-    order = (mode,) + tuple(m for m in range(len(dims)) if m != mode)
-    pos = _gather(dims, order)
-    size = len(pos) // dims[mode]
-    kept = [x for p in keep for x in pos[p * size:(p + 1) * size]]
-    # kept reads the slices with mode first; move mode back into place
-    back = _gather(tuple(len(keep) if m == mode else dims[m] for m in order),
-                   (*range(1, mode + 1), 0, *range(mode + 1, len(dims))))
-    return tuple(kept[i] for i in back)
+def _restriction(dims, blocks, keeps):
+    """The flat positions that ``restrict`` reads, in its row-major order."""
+    if sorted(sum(blocks, ())) != list(range(len(dims))):
+        raise ValueError("blocks must cover each mode exactly once")
+    pos = [0]
+    for b, keep in zip(blocks, keeps):
+        offsets = _gather(dims, b)
+        if not all(0 <= k < len(offsets) for k in keep):
+            raise ValueError(f"kept indices {keep} do not fit block {b}")
+        pos = [p + offsets[k] for p in pos for k in keep]
+    return tuple(pos)
+
+
+def restrict(t, blocks, keeps):
+    """t read where each block's row-major index, over its modes in
+    increasing order as in ``grouped_flattening``, lies in its kept set:
+    entry (k_0, k_1, ..) is t at index keeps[0][k_0] of block 0, and so on.
+    Integral Fractions become ints, as a 0/1 restriction map leaves them."""
+    blocks = tuple(tuple(sorted(b)) for b in blocks)
+    pos = _restriction(t.dims, blocks, tuple(map(tuple, keeps)))
+    return Tensor(tuple(map(len, keeps)), tuple(_norm(t.entries[i]) for i in pos))
+
+
+def pivot_set(rows, q=None):
+    """The indices of the rows independent of the rows before them, or (0,)
+    when all are zero: ``gf_pivots`` over GF(q) with a prime q; over Q
+    ``gram_pivots`` for at most three rows, else ``pivot_columns``."""
+    if q is not None:
+        keep = gf_pivots(rows, q)
+    elif len(rows) <= 3:
+        keep = gram_pivots(rows)
+    else:
+        keep = pivot_columns(transpose(rows))
+    return tuple(keep) or (0,)
 
 
 @dataclass(frozen=True)
@@ -282,9 +294,9 @@ class ConciseCore:
         """maps[i]: dims[i] x core.dims[i], the columns of the rref of the
         tensor's transposed mode-i flattening (one zero column for zero).
 
-        Restricting a mode to a spanning set of its slices leaves the column
-        space of every other mode's flattening unchanged, so these are the
-        maps of the core's modes however the earlier modes were restricted.
+        The pivots of this rref are the mode's pivot set, at which the core
+        was gathered with every other mode's, all read off the tensor, so
+        these are the maps of the core's modes.
         """
         maps = []
         for mode, d in enumerate(self.tensor.dims):
@@ -302,40 +314,17 @@ class ConciseCore:
 
 
 def concise_core(t, q=None):
-    """Concise representative: restrict each mode to a pivot set of slices.
-
-    Mode by mode: when the flattening of the core so far has full row rank,
-    its d slices are independent and the mode is concise.  Otherwise the
-    slices kept are the pivot columns of the transposed flattening, the
-    first slices, in order, independent of the slices before them, and the
-    core is restricted to them by one gather (a zero tensor keeps slice 0,
-    to stay well-formed).  Kept entries are normalized as a restriction by
-    a 0/1 matrix would leave them: integral Fractions become ints.  Over Q a
-    mode of dimension at most 3 reads both the test and the kept slices
-    from one ``gram_pivots`` call on its slices.  With a prime q every mode
-    reads them from one ``gf_pivots`` call, which inserts the slices, read
-    modulo q, into an echelon over GF(q).  The maps
-    (``ConciseCore.maps``) are computed only when read.
-    """
-    core = t
-    for mode in range(t.order):
-        d = core.dims[mode]
-        flat = flattening(core, mode)
-        if q is not None:
-            keep = gf_pivots(flat, q)
-        elif d <= 3:
-            keep = gram_pivots(flat)
-        elif len(pivot_columns(flat)) == d:
-            continue
-        else:
-            keep = pivot_columns(transpose(flat))
-        if len(keep) == d:
-            continue
-        keep = tuple(keep) or (0,)
-        pos = _slice_gather(core.dims, mode, keep)
-        dims = core.dims[:mode] + (len(keep),) + core.dims[mode + 1:]
-        core = Tensor(dims, tuple(_norm(core.entries[i]) for i in pos))
-    return ConciseCore(core, t, q)
+    """Concise representative: t gathered once, by ``restrict``, at every
+    mode's pivot set, the ``pivot_set`` of the input's own flattening (over
+    GF(q) with a prime q, which reads a ``Fraction`` as its residue).
+    Restricting one mode to a spanning set of its slices leaves the
+    relations among every other mode's slices unchanged, so no pivot set
+    depends on another mode's restriction.  A concise input is its own
+    core; the maps (``ConciseCore.maps``) are computed only when read."""
+    keeps = [pivot_set(flattening(t, mode), q) for mode in range(t.order)]
+    if all(len(k) == d for k, d in zip(keeps, t.dims)):
+        return ConciseCore(t, t, q)
+    return ConciseCore(restrict(t, [(m,) for m in range(t.order)], keeps), t, q)
 
 
 def squeeze(t):

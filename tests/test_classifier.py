@@ -1,12 +1,15 @@
+import math
 import random
 import re
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from border3 import classifier
+from border3._linalg import _norm, pivot_columns
 from border3.classifier import (
     GREATER_THAN_3, UNKNOWN, classify, orbit_dimension,
     scheme_intersection_check, stabilizer_dimension,
@@ -16,9 +19,10 @@ from border3.normal_forms import (
     ORBIT_IDS, ORBIT_INFO, orbit_representative, sigma2_point, sigma3_point,
 )
 from border3.tensor import (
-    apply_gl, basis_tensor, concise_core, make_tensor, random_gl_tuple,
-    random_tensor, rank_one, squeeze, zero_tensor,
+    apply_gl, basis_tensor, concise_core, grouped_flattening, make_tensor,
+    random_gl_tuple, random_tensor, rank_one, squeeze, zero_tensor,
 )
+from grouping_reference import group_modes
 
 
 def test_trivial_classes():
@@ -285,6 +289,96 @@ def test_moved_type_iv_points_locate_their_distinguished_factor():
             rep = classify(apply_gl(t, random_gl_tuple(t.dims, rng)))
             assert (rep.border_rank_class, rep.limit_type,
                     rep.distinguished_factor) == (3, "iv", f), (n, f)
+
+
+def _check_every_grouping(t):
+    """Every 3-block grouping of t, in every block order, gathered at the
+    pivot sets of a fresh cache and of one filled as the bipartition
+    screen fills it, against concise_core of the merged tensor."""
+    m = t.order
+    fresh, screened = {}, {}
+    for size in range(2, m // 2 + 1):
+        for rows in combinations(range(m), size):
+            keep = pivot_columns(grouped_flattening(t, rows))
+            screened[tuple(x for x in range(m) if x not in rows)] = tuple(keep) or (0,)
+    for partition in classifier._partitions_into_3(m):
+        for blocks in permutations(partition):
+            want = concise_core(group_modes(t, blocks)).core
+            for pivots in (fresh, screened):
+                got = classifier._grouped_core(t, blocks, pivots)
+                assert got.dims == want.dims, blocks
+                assert [(type(x), x) for x in got.entries] == \
+                    [(type(x), x) for x in want.entries], blocks
+
+
+_SIGMA3_SPECS = [(kind, n, f) for n in (4, 5) for kind in ("i", "ii", "iii", "iv")
+                 for f in (range(1, n + 1) if kind == "iv" else (1,))]
+
+
+@pytest.mark.parametrize("kind,n,factor", _SIGMA3_SPECS)
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_grouped_cores_of_moved_sigma3_points_match_the_merged_tensor(kind, n, factor, seed):
+    t = sigma3_point(kind, n, factor=factor)
+    _check_every_grouping(apply_gl(t, random_gl_tuple(t.dims, random.Random(seed))))
+
+
+@st.composite
+def _sparse_tensors(draw):
+    """3-5 factors of dims 2-3 with a few int or Fraction entries, and some
+    with whole slices, or everything, set to zero."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=3, max_size=5)))
+    size = math.prod(dims)
+    scalars = st.one_of(st.integers(-3, 3),
+                        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+    entries = [0] * size
+    for pos, x in draw(st.lists(st.tuples(st.integers(0, size - 1), scalars),
+                                max_size=8)):
+        entries[pos] = x
+    t = make_tensor(dims, map(_norm, entries))
+    for mode, i in draw(st.lists(st.tuples(st.integers(0, len(dims) - 1),
+                                           st.integers(0, 1)), max_size=2)):
+        # a zero fiber: slice i along mode
+        t = make_tensor(dims, [0 if idx[mode] == i else x for idx, x in
+                               zip(product(*map(range, dims)), t.entries)])
+    return t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=_sparse_tensors())
+def test_grouped_cores_of_sparse_tensors_match_the_merged_tensor(t):
+    _check_every_grouping(t)
+
+
+def test_classify_builds_no_core_per_grouping(monkeypatch):
+    """On a moved type-ii point at n = 5 the only concise_core is the
+    input's (31 when every grouping built its own: 1 + 25 + 5 singleton
+    groupings).  Each pivot set computed, by the screen's pivot_columns or
+    a grouping's pivot_set, is stored in the one cache under a block of
+    its own, so no block's pivot set is computed twice."""
+    calls, caches = {"concise_core": 0, "pivot_columns": 0, "pivot_set": 0}, []
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(classifier, name, counted(name, getattr(classifier, name)))
+    real_grouped = classifier._grouped_core
+
+    def grouped(sq, blocks, pivots):
+        caches.append(pivots)
+        return real_grouped(sq, blocks, pivots)
+
+    monkeypatch.setattr(classifier, "_grouped_core", grouped)
+    t = sigma3_point("ii", 5)
+    rep = classify(apply_gl(t, random_gl_tuple(t.dims, random.Random(5))))
+    assert (rep.border_rank_class, rep.limit_type) == (3, "ii")
+    assert calls["concise_core"] == 1
+    assert len(caches) == 30 and all(c is caches[0] for c in caches)
+    assert calls["pivot_columns"] + calls["pivot_set"] == len(caches[0])
 
 
 def test_stabilizer_dims_of_families_general_n():

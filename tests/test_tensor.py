@@ -8,21 +8,25 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from border3._linalg import _norm, from_rational, rref, transpose
+from grouping_reference import group_modes
 from border3.normal_forms import (
     ORBIT_IDS, orbit_representative, sigma2_point, sigma3_point,
 )
 from border3.tensor import (
     ConciseCore, GLTuple, Tensor, apply_gl, apply_mode_map, basis_tensor,
-    concise_core, dumps_tensor, flattening, group_modes, grouped_flattening,
-    loads_tensor, make_tensor, multilinear_rank, parse_scalar, permute_modes,
-    random_gl_tuple, random_tensor, rank_one, slice_matrices, squeeze,
-    zero_tensor,
+    concise_core, dumps_tensor, flattening, grouped_flattening, loads_tensor,
+    make_tensor, multilinear_rank, parse_scalar, permute_modes, random_gl_tuple,
+    random_tensor, rank_one, restrict, slice_matrices, squeeze, zero_tensor,
 )
 
 
 def test_make_and_index():
     t = make_tensor((2, 2), [1, 2, 3, 4])
     assert t[0, 1] == 2 and t[1, 0] == 3
+    t = make_tensor((3, 3, 3), range(27))
+    for idx in (1, (0, 0), (0, 0, 0, 5), (0, 3, 0), (0, -1, 0)):
+        with pytest.raises(IndexError):
+            t[idx]
     with pytest.raises(ValueError):
         make_tensor((2, 2), [1, 2, 3])
     with pytest.raises(OverflowError):
@@ -87,6 +91,19 @@ def test_permute_modes_roundtrip():
     assert q == t
 
 
+def test_basis_tensor_refuses_a_wrong_length_index():
+    for idx in ((0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="does not fit"):
+            basis_tensor((2, 2), idx)
+
+
+def test_basis_tensor_refuses_an_out_of_range_index():
+    for idx in ((1, -1), (2, 0)):
+        with pytest.raises(ValueError, match="does not fit"):
+            basis_tensor((2, 2), idx)
+    assert basis_tensor((2, 2), (0, 1)).entries == (0, 1, 0, 0)
+
+
 def test_group_modes_matches_grouped_flattening():
     rng = random.Random(2)
     t = random_tensor((2, 2, 2, 3), rng)
@@ -95,6 +112,17 @@ def test_group_modes_matches_grouped_flattening():
     assert g[1, 0, 5] == t[1, 0, 1, 2]
     f = grouped_flattening(t, [0, 1])
     assert len(f) == 4 and len(f[0]) == 6
+
+
+def test_restrict_refuses_blocks_or_keeps_that_do_not_fit():
+    t = make_tensor((2, 3, 2), range(12))
+    for blocks, keeps in (([[0], [1]], [[0], [0]]),
+                          ([[0, 1], [1, 2]], [[0], [0]]),
+                          ([[0], [1, 2]], [[0], [6]]),
+                          ([[0], [1, 2]], [[0], [-1]]),
+                          ([[0], [1, 2]], [[], [0]])):
+        with pytest.raises(ValueError):
+            restrict(t, blocks, keeps)
 
 
 def test_apply_mode_map_and_gl():
@@ -123,7 +151,9 @@ def _reshape_case(draw):
     matrix = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dims[mode],
                                     max_size=dims[mode]), min_size=1, max_size=4))
     rows = sorted(draw(st.sets(st.integers(0, n - 1))))
-    return t, order, blocks, mode, matrix, rows
+    keeps = [draw(st.lists(st.integers(0, math.prod(dims[m] for m in b) - 1),
+                           min_size=1, max_size=4, unique=True)) for b in blocks]
+    return t, order, blocks, keeps, mode, matrix, rows
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -131,7 +161,7 @@ def _reshape_case(draw):
 def test_reshapes_match_their_index_definitions(case):
     """Every reshape against its definition by index: row-major means the
     order in which itertools.product lists the index tuples."""
-    t, order, blocks, mode, matrix, rows = case
+    t, order, blocks, keeps, mode, matrix, rows = case
     dims, n = t.dims, t.order
     cells = list(product(*map(range, dims)))
 
@@ -148,12 +178,17 @@ def test_reshapes_match_their_index_definitions(case):
     assert p.dims == tuple(dims[m] for m in order)
     assert all(p[tuple(idx[m] for m in order)] == t[idx] for idx in cells)
 
-    g = group_modes(t, blocks)
-    assert g.dims == tuple(math.prod(dims[m] for m in b) for b in blocks)
-    labels = [{sub: k for k, sub in enumerate(ranges(b))} for b in blocks]
-    for idx in cells:
-        gidx = tuple(lab[tuple(idx[m] for m in b)] for lab, b in zip(labels, blocks))
-        assert g[gidx] == t[idx]
+    # restrict: block b's kept index k is the k-th tuple over its sorted
+    # modes, and the restricted tensor lists the kept tuples in keep order
+    g = restrict(t, blocks, keeps)
+    assert g.dims == tuple(map(len, keeps))
+    subs = [list(ranges(sorted(b))) for b in blocks]
+    for ridx in product(*map(range, g.dims)):
+        idx = [0] * n
+        for b, sub, keep, k in zip(blocks, subs, keeps, ridx):
+            for m, x in zip(sorted(b), sub[keep[k]]):
+                idx[m] = x
+        assert g[ridx] == t[tuple(idx)]
 
     cols = [m for m in range(n) if m not in rows]
     expected = [[t[merge(rows, r, cols, c)] for c in ranges(cols)] for r in ranges(rows)]
