@@ -258,9 +258,21 @@ def gram_pivots(vectors):
     spares the Gram sums their Fractions; all-int vectors are read as
     given, since nothing here writes to them.  Over GF(q) a nonzero vector
     can be isotropic ((1, 1) over F2), so there is no such test there.
+
+    Three vectors of at least three entries whose leading 3x3 minor is
+    nonzero are independent, and that minor, nine products, certifies it
+    before the type scan and the Gram sums.
     """
     if len(vectors) > 3:
         raise ValueError("gram_pivots takes at most three vectors")
+    if len(vectors) == 3:
+        u, v, w = vectors
+        if len(u) >= 3 and len(v) >= 3 and len(w) >= 3:
+            v0, v1, v2 = v[0], v[1], v[2]
+            w0, w1, w2 = w[0], w[1], w[2]
+            if (u[0] * (v1 * w2 - v2 * w1) - u[1] * (v0 * w2 - v2 * w0)
+                    + u[2] * (v0 * w1 - v1 * w0)):
+                return [0, 1, 2]
     vs = _scaled_rows(vectors)
     keep = []
     if not vs:

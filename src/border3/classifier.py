@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from ._linalg import _norm, inverse, mat_mul, pivot_columns, rank, rref, transpose
-from .equations import LinePattern, cubic_line_pattern, slice_det_cubic, strassen_equations
+from .equations import LinePattern, _adjugate, _block, _cubic_coefficients, _line_pattern
 from .normal_forms import ORBIT_INFO
 from .tensor import (
     Tensor, _gather, concise_core, flattening, grouped_flattening, pivot_set,
@@ -116,6 +116,15 @@ def _orbit_from_patterns(pats):
 def _decide_concise_333(core):
     """('gt3', witness) / ('orbit', k) / ('unknown', witness) for concise cores.
 
+    One pass over the slicing directions: each direction's slices are
+    gathered once, and its nine quartics, the block Z adj(X) Y - Y adj(X) Z
+    of ``strassen_equations``, are evaluated before the next direction's.
+    The first nonzero block ends the decision: every block before it is
+    zero, so its first nonzero entry i in direction m is the first nonzero
+    of the 27 values, number 9m + i.  When all 27 vanish, the same slices
+    give each direction's ten cubic coefficients, and the three line
+    patterns pick the catalog orbit.
+
     The decision runs on den * core, with den the lcm of the entries'
     denominators, so on integers.  That changes no verdict: the quartics are
     homogeneous of degree 4, so each one vanishes on den * core exactly when
@@ -126,12 +135,15 @@ def _decide_concise_333(core):
     den = math.lcm(*(x.denominator for x in core.entries))
     if den != 1:
         core = den * core
-    vals = strassen_equations(core)
-    for i, v in enumerate(vals):
-        if v:
-            v = _norm(Fraction(v, den ** 4))
-            return ("gt3", f"degree-4 commutation equation {i} is nonzero ({v})")
-    pats = [cubic_line_pattern(slice_det_cubic(core, m)) for m in range(3)]
+    directions = []
+    for m in range(3):
+        x, y, z = slices = slice_matrices(core, m)
+        for i, v in enumerate(_block(_adjugate(x), y, z)):
+            if v:
+                v = _norm(Fraction(v, den ** 4))
+                return ("gt3", f"degree-4 commutation equation {9 * m + i} is nonzero ({v})")
+        directions.append(slices)
+    pats = [_line_pattern(_cubic_coefficients(s)) for s in directions]
     k = _orbit_from_patterns(pats)
     if k is None:
         return ("unknown", "slice determinant patterns "

@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .classifier import UNKNOWN, classify, orbit_dimension, stabilizer_dimension
 from .equations import strassen_equations, strassen_jacobian_rank
@@ -56,8 +57,35 @@ def _load_tensor_arg(path):
         raise _UsageError(f"could not read tensor from {path!r}: {exc}")
 
 
+def _json_text(obj, pad=""):
+    """``json.dumps(obj, indent=2)``, written out by recursion, for a value
+    nested at indent pad: strings, ints, None, lists and dicts with string
+    keys here, anything else by ``json.dumps`` with every line after its
+    first indented by pad."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    inner = pad + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        return ("[\n" + inner + (",\n" + inner).join([_json_text(x, inner) for x in obj])
+                + "\n" + pad + "]")
+    if kind is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        return ("{\n" + inner + (",\n" + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()])
+            + "\n" + pad + "}")
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj))
 
 
 def _seed_rng():

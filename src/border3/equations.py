@@ -6,23 +6,31 @@ of that direction and adj is the classical adjugate.  Vanishing of all 27
 values characterises border rank <= 3 for concise 3x3x3 tensors.
 
 The quartics exist only as this numeric evaluation, in product form: with
-A = adj(X) written out entry by entry, a block is Z (A Y) - Y (A Z), read
-off the products A Y and A Z in 108 multiplications, where summing the
-terms cof_jk (y_jt z_sk - y_sk z_jt) one by one takes up to 162.  Their
-Jacobian is in closed form: each block is linear in Y and Z, so those
-partials are entries of the products of adj(X) with Y and Z, and quadratic
-in X, so an X-partial is the same block function with adj(X) replaced by
-the four-entry change of the adjugate along a unit matrix; the products
-skip its zero entries.
+A = adj(X) written out entry by entry, a block (``_block``) is Z (A Y) -
+Y (A Z), read off the products A Y and A Z in 108 multiplications, where
+summing the terms cof_jk (y_jt z_sk - y_sk z_jt) one by one takes up to
+162.  Their Jacobian is in closed form: each block is linear in Y and Z, so
+those partials are entries of the products of adj(X) with Y and Z, and
+quadratic in X, so an X-partial is the same block function with adj(X)
+replaced by the four-entry change of the adjugate along a unit matrix; the
+products skip its zero entries.
 
-The slice cubic det(s S0 + t S1 + u S2), whose coefficients are sums of
-mixed determinants of the slices' rows, splits into lines in one of four
-ways (zero, a cube, a square times a line, squarefree), and linear algebra
-tells them apart: the rank of its three partials is 1 for a cube and 3 for
-a squarefree cubic, and at rank 2 the cubic is a cone over a binary cubic,
-whose discriminant says whether a line repeats.  The partials are three
-vectors of six coefficients, one per quadratic monomial, filled from the
-cubic's ten coefficients through a fixed table.
+The slice cubic det(s S0 + t S1 + u S2), whose ten coefficients
+(``_cubic_coefficients``) are sums of mixed determinants of the slices'
+rows, splits into lines in one of four ways (zero, a cube, a square times a
+line, squarefree), and ``_line_pattern`` tells them apart by linear algebra
+on those coefficients: the rank of the cubic's three partials is 1 for a
+cube and 3 for a squarefree cubic, and at rank 2 the cubic is a cone over a
+binary cubic, whose discriminant says whether a line repeats.  The partials
+are three vectors of six coefficients, one per quadratic monomial, filled
+from the ten coefficients through a fixed table.
+
+The block, the coefficients and the pattern take a direction's slices, so
+a caller that decides a core (``classifier._decide_concise_333``) gathers
+each direction's slices once, evaluates its block, stops at the first
+nonzero one, and reads the line patterns off the same slices.  The public
+``strassen_equations``, ``slice_det_cubic`` and ``cubic_line_pattern`` are
+thin wrappers that gather the slices or unpack a ``TernaryCubic``.
 """
 
 from __future__ import annotations
@@ -212,20 +220,17 @@ def _partials_table():
 _PARTIALS = _partials_table()
 
 
-def slice_det_cubic(t, mode):
-    """det(s*S0 + t*S1 + u*S2) for the slices along a mode of a 3x3x3 tensor.
+def _cubic_coefficients(slices):
+    """The ten coefficients of det(s S0 + t S1 + u S2), zeros included, in
+    the order of _MIXED_TERMS, for the three 3x3 slices S0, S1, S2.
 
     The determinant is linear in each row, so the coefficient of s^i t^j u^k
     is the sum of the mixed determinants det(row 0 of S_a, row 1 of S_b,
     row 2 of S_c) over the assignments (a, b, c) that use slice 0 i times,
     slice 1 j times and slice 2 k times.  Each is row 0 of S_a dotted with
-    the cross product of the other two rows.  The cubic of c*T is c^3 times
-    that of T, so a caller that only reads its line pattern may clear the
-    denominators of T first and work on integers.
+    the cross product of the other two rows.  Integer slices give integer
+    coefficients.
     """
-    if t.dims != (3, 3, 3):
-        raise ValueError("slice determinants are defined for dims (3, 3, 3)")
-    slices = slice_matrices(t, mode)
     first = [m[0] for m in slices]
     # cross[3b + c] = (row 1 of S_b) x (row 2 of S_c)
     cross = []
@@ -235,16 +240,28 @@ def slice_det_cubic(t, mode):
             z0, z1, z2 = n[2]
             cross.append((y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0))
     coeffs = []
-    for e, terms in _MIXED_TERMS:
+    for _, terms in _MIXED_TERMS:
         c = 0
         for a, bc in terms:
             x0, x1, x2 = first[a]
             w0, w1, w2 = cross[bc]
             c += x0 * w0 + x1 * w1 + x2 * w2
-        if c:
-            coeffs.append((e, _norm(c)))
+        coeffs.append(c)
+    return coeffs
+
+
+def slice_det_cubic(t, mode):
+    """det(s*S0 + t*S1 + u*S2) for the slices along a mode of a 3x3x3 tensor,
+    from ``_cubic_coefficients``.  The cubic of c*T is c^3 times that of T,
+    so a caller that only reads its line pattern may clear the denominators
+    of T first and work on integers.
+    """
+    if t.dims != (3, 3, 3):
+        raise ValueError("slice determinants are defined for dims (3, 3, 3)")
+    coeffs = _cubic_coefficients(slice_matrices(t, mode))
     # _MIXED_TERMS is sorted, so these are already in from_dict's order
-    return TernaryCubic(tuple(coeffs))
+    return TernaryCubic(tuple((e, _norm(c)) for (e, _), c in zip(_MIXED_TERMS, coeffs)
+                              if c))
 
 
 class LinePattern(Enum):
@@ -254,8 +271,10 @@ class LinePattern(Enum):
     SQUAREFREE = "squarefree"
 
 
-def cubic_line_pattern(cubic):
-    """Classify det-slice cubics: zero, a cube, a square times a line, or squarefree.
+def _line_pattern(coeffs):
+    """The line pattern of the cubic with these ten coefficients, in the
+    order of _MIXED_TERMS: zero, a cube, a square times a line, or
+    squarefree.
 
     Read off the rank of the three partials of F.  Rank 1: F is the cube of
     a linear form.  Rank 3: F is squarefree, since F = L^2 M would put every
@@ -264,22 +283,28 @@ def cubic_line_pattern(cubic):
     rref, F(x) = G(x - x_f v) with G the binary cubic F|_{x_f = 0}, and F
     has a repeated line exactly when G has a repeated root, that is when
     its discriminant is 0.  The rank and the free column are read from the
-    Gram determinants of the three partials (``gram_pivots``).
+    three partials by ``gram_pivots``.
     """
-    if not cubic.coeffs:
+    if not any(coeffs):
         return LinePattern.IDENTICALLY_ZERO
-    coef = [0] * len(_MIXED_TERMS)
-    for e, c in cubic.coeffs:
-        coef[_CUBIC_INDEX[e]] = c
-    pivots = gram_pivots([[k * coef[i] for i, k in col] for col in _PARTIALS])
+    pivots = gram_pivots([[k * coeffs[i] for i, k in col] for col in _PARTIALS])
     if len(pivots) == 1:
         return LinePattern.TRIPLE_LINE
     if len(pivots) == 3:
         return LinePattern.SQUAREFREE
     f = next(v for v in range(3) if v not in pivots)
     # G = a u^3 + b u^2 w + c u w^2 + e w^3 in the pivot variables (u, w)
-    g = {m[pivots[0]]: x for m, x in cubic.coeffs if not m[f]}
-    a, b, c, e = (g.get(k, 0) for k in (3, 2, 1, 0))
+    g = {m[pivots[0]]: x for (m, _), x in zip(_MIXED_TERMS, coeffs) if not m[f]}
+    a, b, c, e = (g[k] for k in (3, 2, 1, 0))
     disc = (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * e - 27 * a * a * e * e
             + 18 * a * b * c * e)
     return LinePattern.SQUAREFREE if disc else LinePattern.DOUBLE_LINE_PLUS_LINE
+
+
+def cubic_line_pattern(cubic):
+    """Classify det-slice cubics: zero, a cube, a square times a line, or
+    squarefree, by ``_line_pattern`` on the cubic's ten coefficients."""
+    coeffs = [0] * len(_MIXED_TERMS)
+    for e, c in cubic.coeffs:
+        coeffs[_CUBIC_INDEX[e]] = c
+    return _line_pattern(coeffs)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from math import lcm
 from operator import add
 
 from ._linalg import (Echelon, _carries, _gf_add, _insert, _multiples, _norm,
@@ -506,15 +507,25 @@ class Decomposition:
     terms: tuple  # (coefficient, per-mode vectors) pairs
 
     def tensor(self):
+        """The sum of the terms.  It is taken on den times each coefficient,
+        den the lcm of the coefficients' denominators, so integer vectors
+        add up on integers, and divided by den once at the end."""
         acc = list(zero_tensor(self.dims).entries)
+        den = 1
+        for coeff, _ in self.terms:
+            if type(coeff) is not int:
+                den = lcm(den, coeff.denominator)
         for coeff, vectors in self.terms:
             if tuple(map(len, vectors)) != self.dims:
                 raise ValueError("dimension mismatch")
-            term = [coeff]
+            term = [coeff if den == 1 else coeff.numerator * (den // coeff.denominator)]
             for v in vectors:
                 term = [a * x for a in term for x in v]
             acc = list(map(add, acc, term))
-        return Tensor(self.dims, tuple(map(_norm, acc)))
+        if den == 1:
+            return Tensor(self.dims, tuple(map(_norm, acc)))
+        return Tensor(self.dims, tuple(Fraction(x, den) if x % den else x // den
+                                       for x in acc))
 
     def verify(self, target):
         return self.dims == target.dims and self.tensor() == target

@@ -19,8 +19,9 @@ from border3.normal_forms import (
     ORBIT_IDS, ORBIT_INFO, orbit_representative, sigma2_point, sigma3_point,
 )
 from border3.tensor import (
-    apply_gl, basis_tensor, concise_core, grouped_flattening, make_tensor,
-    random_gl_tuple, random_tensor, rank_one, squeeze, zero_tensor,
+    apply_gl, apply_mode_map, basis_tensor, concise_core, flattening,
+    grouped_flattening, make_tensor, random_gl_tuple, random_tensor,
+    random_unimodular, rank_one, squeeze, zero_tensor,
 )
 from grouping_reference import group_modes
 
@@ -183,25 +184,82 @@ _small_rationals = st.one_of(
     st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
 
 
+def _moved(draw, t, modes):
+    """t moved by a random unimodular matrix in each of the given modes."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    for mode in modes:
+        t = apply_mode_map(t, random_unimodular(3, rng), mode)
+    return t
+
+
+def _leading_minor(rows):
+    """The determinant of the first three entries of three rows."""
+    (a, b, c), (d, e, f), (g, h, i) = (r[:3] for r in rows)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 @st.composite
 def _rational_333(draw):
-    """A sparse rational 3x3x3 tensor, or a GL-moved orbit point scaled by p/q."""
-    if draw(st.booleans()):
+    """(kind, tensor, data), a rational 3x3x3 tensor, all but "sparse" ones
+    scaled by p/q:
+
+    - "sparse": a sparse tensor of small rationals;
+    - "orbit": a GL-moved orbit point;
+    - "block": a dense tensor whose first k of the mode-0 and mode-1 leading
+      slices (k = data, 1 or 2) have rank at most 1, so adj of each is zero
+      and the first k quartic blocks vanish; it is moved only in the modes
+      that keep those slices' ranks;
+    - "minor": an orbit point whose direction-data flattening has three
+      rows with a zero leading 3x3 minor, moved only in the two modes that
+      keep that minor zero, so ``gram_pivots`` falls back to Gram sums.
+    """
+    kind = draw(st.sampled_from(("sparse", "orbit", "block", "minor")))
+    scale = Fraction(draw(st.integers(-20, 20).filter(bool)), draw(st.integers(1, 20)))
+    data = None
+    if kind == "sparse":
         entries = draw(st.lists(_small_rationals, min_size=27, max_size=27))
         keep = draw(st.lists(st.integers(0, 2), min_size=27, max_size=27))
-        return make_tensor((3, 3, 3), [v if k else 0 for v, k in zip(entries, keep)])
-    rep = orbit_representative(draw(st.sampled_from(ORBIT_IDS)))
-    g = random_gl_tuple((3, 3, 3), random.Random(draw(st.integers(0, 10 ** 6))))
-    scale = Fraction(draw(st.integers(-20, 20).filter(bool)), draw(st.integers(1, 20)))
-    return scale * apply_gl(rep, g)
+        return kind, make_tensor((3, 3, 3), [v if k else 0 for v, k in zip(entries, keep)]), data
+    if kind == "orbit":
+        rep = orbit_representative(draw(st.sampled_from(ORBIT_IDS)))
+        g = random_gl_tuple((3, 3, 3), random.Random(draw(st.integers(0, 10 ** 6))))
+        return kind, scale * apply_gl(rep, g), data
+    if kind == "block":
+        data = draw(st.integers(1, 2))
+        small = st.integers(-5, 5)
+        e = draw(st.lists(small, min_size=27, max_size=27))
+        a, b, c = (draw(st.lists(small, min_size=3, max_size=3)) for _ in range(3))
+        for j in range(3):
+            for k in range(3):
+                e[3 * j + k] = a[j] * b[k]  # mode-0 slice 0 is a b^T
+        if data == 2:
+            for i in range(1, 3):
+                for k in range(3):
+                    e[9 * i + k] = c[i] * b[k]  # mode-1 slice 0 is (a0, c1, c2) b^T
+        t = make_tensor((3, 3, 3), e)
+        return kind, scale * _moved(draw, t, (1, 2) if data == 1 else (2,)), data
+    # a direction whose minor vanishes on the representative, and the two
+    # modes other than the smaller of its two others: the minor's matrix is
+    # the representative at index 0 of that smaller mode
+    oid, data = draw(st.sampled_from(((34, 1), (34, 2), (35, 0), (38, 0), (38, 1),
+                                      (38, 2), (39, 0), (39, 1), (39, 2))))
+    fixed = min(m for m in range(3) if m != data)
+    t = _moved(draw, orbit_representative(oid), [m for m in range(3) if m != fixed])
+    return kind, scale * t, data
 
 
 _QUARTIC_WITNESS = re.compile(r"degree-4 commutation equation (\d+) is nonzero \((.+)\)")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(_rational_333())
-def test_integer_decision_changes_no_report(t):
+def test_integer_decision_changes_no_report(case):
+    """Whole reports agree with the decision on the unscaled core; a
+    "block" case's quartic witness lies past its vanishing blocks, and a
+    "minor" case's flattening has a zero leading minor."""
+    kind, t, data = case
+    if kind == "minor":
+        assert _leading_minor(flattening(t, data)) == 0
     rep = classify(t).as_dict()
     with patch.object(classifier, "_decide_concise_333", _decide_unscaled):
         assert rep == classify(t).as_dict()
@@ -210,6 +268,8 @@ def test_integer_decision_changes_no_report(t):
         if m:
             core, _ = squeeze(concise_core(t).core)
             assert m.group(2) == str(strassen_equations(core)[int(m.group(1))])
+            if kind == "block":
+                assert int(m.group(1)) >= 9 * data
 
 
 def test_greater_than_3_detection():

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -708,3 +709,48 @@ def test_cli_fuzz_exits_with_a_documented_code(case):
     assert code in (0, 1, 2, 3)
     if code in (1, 3):
         assert err.getvalue().startswith("error:") and not out.getvalue()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text() | st.sampled_from(["", "é", "☃", "\U0001f600", "\"\\/\n\t\x00"]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=4)
+                      | st.dictionaries(st.integers(), children, max_size=2)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+def _verb_cases():
+    """(argv, stdin) for every verb on a fixed input."""
+    moved = apply_gl(orbit_representative(37), random_gl_tuple((3, 3, 3), random.Random(3)))
+    scaled = dumps_tensor(Fraction(-2, 3) * moved)
+    v, w, zero = [1, 2, 1, 1, 1, -1], [1, 1, 2, 1, 1, 2], [0] * 6
+    cfg = _limit_config([[zero], [zero, v], [zero, [3 * c for c in v], w]])
+    return [
+        (["classify"], dumps_tensor(moved)),
+        (["classify"], scaled),
+        (["classify"], json.dumps({"dims": [3, 3, 3], "entries": [
+            str(Fraction(k ** 3 % 23 - 11, k % 4 + 1)) for k in range(27)]})),
+        (["generate", "--type", "orbit", "--orbit", "36"], None),
+        (["generate", "--type", "iv", "--n", "4", "--factor", "2"], None),
+        (["strassen", "--jacobian"], scaled),
+        (["limit"], cfg),
+        (["rank", "--field", "3"], dumps_tensor(orbit_representative(38))),
+        (["stabilizer"], dumps_tensor(moved)),
+    ]
+
+
+def test_every_verb_prints_what_json_dumps_prints(capsys, monkeypatch):
+    for argv, stdin in _verb_cases():
+        code, out, _ = run_cli(capsys, argv, stdin, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_emit", lambda obj: print(json.dumps(obj, indent=2)))
+            want = run_cli(capsys, argv, stdin, monkeypatch)
+        assert (code, out) == want[:2] and out.startswith("{")

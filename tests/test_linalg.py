@@ -189,19 +189,26 @@ _GRAM_SCALARS = st.one_of(
 @st.composite
 def _gram_cases(draw):
     """One to three vectors of one length from 1 to 9: drawn, zero, a repeat
-    or a multiple of an earlier vector, or the sum of the earlier ones."""
+    or a multiple of an earlier vector, the sum of the earlier ones, or a
+    multiple of an earlier vector on the first three entries and drawn
+    after them, which makes the leading 3x3 minor of three vectors zero
+    while they may still be independent."""
     n = draw(st.integers(1, 9))
     cells = st.one_of(st.just(0), _GRAM_SCALARS)
     vs = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(("drawn", "zero", "repeat", "multiple",
-                                     "sum") if vs else ("drawn", "zero")))
+                                     "sum", "head") if vs else ("drawn", "zero")))
         if kind == "drawn":
             v = draw(st.lists(cells, min_size=n, max_size=n))
         elif kind == "zero":
             v = [0] * n
         elif kind == "sum":
             v = [sum(col) for col in zip(*vs)]
+        elif kind == "head":
+            c = draw(_GRAM_SCALARS)
+            v = [c * x for x in draw(st.sampled_from(vs))[:3]]
+            v += draw(st.lists(cells, min_size=n - len(v), max_size=n - len(v)))
         else:
             v = draw(st.sampled_from(vs))
             if kind == "multiple":
@@ -211,10 +218,26 @@ def _gram_cases(draw):
     return vs
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(vs=_gram_cases())
 def test_gram_pivots_match_pivot_columns(vs):
     assert gram_pivots(vs) == pivot_columns(transpose(vs))
+
+
+@pytest.mark.parametrize("vs, pivots", [
+    # a nonzero leading minor: the certificate alone
+    ([[1, 2, 3, 0], [0, 1, 4, 0], [5, 6, 0, 0]], [0, 1, 2]),
+    ([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, -3]], [0, 1, 2]),
+    # a zero leading minor: independent, and dependent, by the Gram sums
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 1]], [0, 1, 2]),
+    ([[0, 0, 0, 1], [0, 0, 0, 2], [1, 0, 0, 0]], [0, 2]),
+    ([[1, 2, 3, 4], [2, 4, 6, 8], [3, 6, 9, 12]], [0]),
+    # one or two entries: three vectors are dependent
+    ([[1, 2], [3, 4], [5, 6]], [0, 1]),
+    ([[0], [Fraction(2, 3)], [1]], [1]),
+])
+def test_gram_pivots_minor_and_gram_paths(vs, pivots):
+    assert gram_pivots(vs) == pivot_columns(transpose(vs)) == pivots
 
 
 def test_gram_pivots_refuse_four_vectors():
