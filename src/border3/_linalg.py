@@ -13,8 +13,16 @@ matrix, up to a deferred scaling) by dividing exactly by an earlier pivot
 (Bareiss).  Ranks and pivot sets (``pivot_columns``) read its pivots and
 nothing else.  ``rref``, for callers that read the reduced rows,
 back-substitutes on its rows (``_back_substitute``, which ``limit_plane``
-runs on the integer echelon of its own reduction) and divides each row by
-its pivot once, so no ``Fraction`` is made before the result.
+runs on the last ``_small_echelon`` of its reduction) and divides each row
+by its pivot once, so no ``Fraction`` is made before the result.
+
+A few integer vectors, at most three in every caller, are eliminated by
+``_small_echelon``, with no division: it names each vector's pivot column,
+or says that the vector depends on those before it.  ``small_pivots``
+(the concise test of a small mode and the rank of a cubic's partials)
+reads those pivots, and ``limit_plane``'s valuation reduction reads the
+dependency of its leading vectors off the same elimination with a unit
+vector appended to each.
 
 Over GF(q) a vector is packed into an int, one 4-bit field per coordinate
 (``_pack``).  A field of the sum of two packed vectors holds at most
@@ -37,7 +45,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter
 
 
 def _norm(x):
@@ -247,24 +255,48 @@ def gf_pivots(vectors, q):
     return _gf_echelon(vectors, q)[1]
 
 
-def gram_pivots(vectors):
+def _small_echelon(vectors):
+    """Yield one (pivot, reduced vector) pair per integer vector, in order.
+
+    Each vector is reduced by the independent ones before it, at their
+    pivots in turn, by cross-multiplication: with e the earlier row's
+    pivot entry and f the vector's entry there, vec becomes e * vec - f *
+    row, so every entry stays an integer and vec a nonzero multiple of the
+    input minus a combination of the inputs before it.  Its pivot is then
+    its first nonzero column, or None when it is zero and the vector
+    depends on those before it.  Meant for a few vectors: with no division
+    the entries grow with each step.  A vector that no step reduces is
+    yielded as given.  Pairs are yielded as they are found, so a caller
+    may stop at the first dependent vector.
+    """
+    ech = []
+    for vec in vectors:
+        for p, row in ech:
+            f = vec[p]
+            if f:
+                e = row[p]
+                vec = [e * x - f * y for x, y in zip(vec, row)]
+        lead = next(filter(None, vec), 0)
+        if lead:
+            ech.append((vec.index(lead), vec))
+            yield ech[-1]
+        else:
+            yield None, vec
+
+
+def small_pivots(vectors):
     """The indices of the vectors independent of those before them, over Q:
     ``pivot_columns(transpose(vectors))`` for at most three vectors.
 
-    Over Q, x^T (M M^T) x = |M^T x|^2, so a set of vectors is independent
-    exactly when its Gram determinant is nonzero; vector j is kept when the
-    Gram determinant of the kept vectors and j is.  The vectors are first
-    scaled to integers by ``_scaled_rows``, which keeps every pivot and
-    spares the Gram sums their Fractions; all-int vectors are read as
-    given, since nothing here writes to them.  Over GF(q) a nonzero vector
-    can be isotropic ((1, 1) over F2), so there is no such test there.
-
     Three vectors of at least three entries whose leading 3x3 minor is
     nonzero are independent, and that minor, nine products, certifies it
-    before the type scan and the Gram sums.
+    before any scan or elimination.  Otherwise the vectors are scaled to
+    integers by ``_scaled_rows``, which keeps every pivot (all-int vectors
+    are read as given, since nothing here writes to them), and the indices
+    are those with a pivot in ``_small_echelon``.
     """
     if len(vectors) > 3:
-        raise ValueError("gram_pivots takes at most three vectors")
+        raise ValueError("small_pivots takes at most three vectors")
     if len(vectors) == 3:
         u, v, w = vectors
         if len(u) >= 3 and len(v) >= 3 and len(w) >= 3:
@@ -273,44 +305,8 @@ def gram_pivots(vectors):
             if (u[0] * (v1 * w2 - v2 * w1) - u[1] * (v0 * w2 - v2 * w0)
                     + u[2] * (v0 * w1 - v1 * w0)):
                 return [0, 1, 2]
-    vs = _scaled_rows(vectors)
-    keep = []
-    if not vs:
-        return keep
-    u = vs[0]
-    a = sum(map(mul, u, u))
-    if a:
-        keep.append(0)
-    if len(vs) == 1:
-        return keep
-    v = vs[1]
-    b = sum(map(mul, v, v))
-    if a:
-        d = sum(map(mul, u, v))
-        g = a * b - d * d
-    else:
-        g = b
-    if g:
-        keep.append(1)
-    if len(vs) == 2:
-        return keep
-    w = vs[2]
-    c = sum(map(mul, w, w))
-    if len(keep) == 2:
-        e = sum(map(mul, u, w))
-        f = sum(map(mul, v, w))
-        g = a * (b * c - f * f) - d * (d * c - e * f) + e * (d * f - b * e)
-    elif keep == [0]:
-        e = sum(map(mul, u, w))
-        g = a * c - e * e
-    elif keep == [1]:
-        f = sum(map(mul, v, w))
-        g = b * c - f * f
-    else:
-        g = c
-    if g:
-        keep.append(2)
-    return keep
+    return [k for k, (p, _) in enumerate(_small_echelon(_scaled_rows(vectors)))
+            if p is not None]
 
 
 def rank(a):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from ._linalg import _norm, gram_pivots, rank
+from ._linalg import _norm, rank, small_pivots
 from .tensor import _gather, slice_matrices
 
 
@@ -283,11 +283,13 @@ def _line_pattern(coeffs):
     rref, F(x) = G(x - x_f v) with G the binary cubic F|_{x_f = 0}, and F
     has a repeated line exactly when G has a repeated root, that is when
     its discriminant is 0.  The rank and the free column are read from the
-    three partials by ``gram_pivots``.
+    three partials by ``small_pivots``: all three when their leading 3x3
+    minor is nonzero, else the partials that keep a pivot in the integer
+    elimination of ``_linalg._small_echelon``.
     """
     if not any(coeffs):
         return LinePattern.IDENTICALLY_ZERO
-    pivots = gram_pivots([[k * coeffs[i] for i, k in col] for col in _PARTIALS])
+    pivots = small_pivots([[k * coeffs[i] for i, k in col] for col in _PARTIALS])
     if len(pivots) == 1:
         return LinePattern.TRIPLE_LINE
     if len(pivots) == 3:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import chain, zip_longest
 from operator import add
 
-from ._linalg import _back_substitute, _denominator, _norm, rank
+from ._linalg import _back_substitute, _denominator, _norm, _small_echelon, rank
 from .normal_forms import segre_model
 from .polytools import uadd, umul, uscale, utrim
 
@@ -360,8 +360,11 @@ def _reduce_rows(rows, bound):
     pivot, each row zero left of its pivot.
 
     The reduction is fraction-free.  Each row is first scaled by the lcm of
-    its denominators.  A dependency s * lead_i + sum_j c_j * lead_j = 0 is
-    found by integer elimination of the at most three leading vectors and
+    its denominators.  Each pass runs ``_small_echelon`` on the leading
+    vectors, by increasing order, with unit vector n appended to the n-th.
+    The first whose reduced vector is zero on the ambient entries, so that
+    its pivot lies in the appended part, depends on those before it, and
+    that part is an integer dependency s * lead_i + sum_j c_j * lead_j = 0,
     made primitive with s > 0; row_i then becomes s * row_i + sum_j c_j *
     t^(order_i - order_j) * row_j, divided by the gcd of its entries when
     s != 1.  Every row stays a positive rational multiple of the row a
@@ -372,47 +375,42 @@ def _reduce_rows(rows, bound):
     # each row list is a fresh slice, which the updates below may extend
     rows = [_integer_row(r[:bound]) for r in rows]
     orders = [_order(r) for r in rows]
+    units = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
     while None not in orders:
         idx = sorted(range(len(rows)), key=orders.__getitem__)
-        ech = []  # (pivot, reduced lead, its coefficients over the leads by idx)
-        for n, i in enumerate(idx):
-            lead = rows[i][orders[i]]
-            vec, combo = lead, [0] * len(idx)
-            combo[n] = 1
-            for p, erow, ecombo in ech:
-                f = vec[p]
-                if f:
-                    e = erow[p]
-                    vec = [e * x - f * y for x, y in zip(vec, erow)]
-                    combo = [e * x - f * y for x, y in zip(combo, ecombo)]
-            p = next((k for k, x in enumerate(vec) if x), None)
-            if p is not None:
-                ech.append((p, vec, combo))
-                continue
-            g = math.gcd(*combo)
-            if combo[n] < 0:
-                g = -g
-            s = combo[n] // g
-            row = rows[i] if s == 1 else [[s * a for a in v] for v in rows[i]]
-            for m in range(n):
-                c = combo[m] // g
-                if c:
-                    j = idx[m]
-                    sh = orders[i] - orders[j]
-                    src = rows[j][:bound - sh]
-                    row.extend([[0] * len(lead)] * (sh + len(src) - len(row)))
-                    for k, v in enumerate(src, sh):
-                        row[k] = [a + c * b for a, b in zip(row[k], v)]
-            if s != 1:
-                content = math.gcd(*(a for v in row for a in v))
-                if content > 1:
-                    row = [[a // content for a in v] for v in row]
-            rows[i] = row
-            orders[i] = _order(row, orders[i] + 1)
-            break
+        leads = [rows[i][orders[i]] for i in idx]
+        width = len(leads[0])
+        ech = []
+        for p, vec in _small_echelon([[*lead, *e] for lead, e in zip(leads, units)]):
+            if p >= width:
+                break
+            ech.append((p, vec))
         else:
-            return ([(orders[i], rows[i][orders[i]]) for i in idx],
-                    sorted((p, vec) for p, vec, _ in ech))
+            return ([(orders[i], lead) for i, lead in zip(idx, leads)],
+                    sorted((p, vec[:width]) for p, vec in ech))
+        n = len(ech)
+        combo = vec[width:]
+        i = idx[n]
+        g = math.gcd(*combo)
+        if combo[n] < 0:
+            g = -g
+        s = combo[n] // g
+        row = rows[i] if s == 1 else [[s * a for a in v] for v in rows[i]]
+        for m in range(n):
+            c = combo[m] // g
+            if c:
+                j = idx[m]
+                sh = orders[i] - orders[j]
+                src = rows[j][:bound - sh]
+                row.extend([[0] * width] * (sh + len(src) - len(row)))
+                for k, v in enumerate(src, sh):
+                    row[k] = [a + c * b for a, b in zip(row[k], v)]
+        if s != 1:
+            content = math.gcd(*(a for v in row for a in v))
+            if content > 1:
+                row = [[a // content for a in v] for v in row]
+        rows[i] = row
+        orders[i] = _order(row, orders[i] + 1)
     return None
 
 
@@ -448,8 +446,7 @@ def limit_plane(c1, c2, c3):
         return LimitPlaneResult((), (), None, degenerate=True)
     leads, echelon = reduced
     orders = tuple(o for o, _ in leads)
-    # the echelon may hold the caller's own vectors, which stay unwritten
-    rows = [list(v) for _, v in echelon]
+    rows = [v for _, v in echelon]
     _back_substitute(rows, [p for p, _ in echelon])
     return LimitPlaneResult(tuple(map(tuple, rows)), orders, sum(orders))
 
@@ -689,19 +686,10 @@ def secant_curve_family(tag, model=None, rng=None, factor=1):
             sigma = rng.choice([1, 2, -1, -2, 3])
             etahat = _assemble(model, [eta if m == f else None for m in range(3)])
             # sampled frames: mode f sees {eta, v_f}; mode g != f sees
-            # {v_g + w_g / sigma, w_g}; enforce independence everywhere
-            ok = True
-            for m, sl in enumerate(slices):
-                if m == f:
-                    mat = [list(eta), list(v[sl])]
-                else:
-                    wg = list(w[sl])
-                    vg = [x + Fraction(y, sigma) for x, y in zip(v[sl], wg)]
-                    mat = [vg, wg]
-                if rank(mat) != 2:
-                    ok = False
-                    break
-            if not ok:
+            # {v_g + w_g / sigma, w_g}, of the rank of {w_g, v_g}; w is zero
+            # in mode f and etahat outside it, so etahat + w holds eta, w_g
+            if not _mode_frames_independent(
+                    model, [("dir", tuple(map(add, etahat, w))), ("dir", v)]):
                 continue
             sig_eta = tuple(sigma * x for x in etahat)
             p = (zero, etahat)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter, mul
 
-from ._linalg import (_norm, gf_pivots, gram_pivots, mat_mul, pivot_columns,
-                      rank, rref, transpose)
+from ._linalg import (_norm, gf_pivots, mat_mul, pivot_columns, rank, rref,
+                      small_pivots, transpose)
 
 MAX_ENTRIES = 10 ** 6
 
@@ -269,11 +269,13 @@ def restrict(t, blocks, keeps):
 def pivot_set(rows, q=None):
     """The indices of the rows independent of the rows before them, or (0,)
     when all are zero: ``gf_pivots`` over GF(q) with a prime q; over Q
-    ``gram_pivots`` for at most three rows, else ``pivot_columns``."""
+    ``small_pivots`` for at most three rows, a nonzero leading 3x3 minor or
+    else the pivots of their integer elimination, and ``pivot_columns`` for
+    more."""
     if q is not None:
         keep = gf_pivots(rows, q)
     elif len(rows) <= 3:
-        keep = gram_pivots(rows)
+        keep = small_pivots(rows)
     else:
         keep = pivot_columns(transpose(rows))
     return tuple(keep) or (0,)

@@ -211,7 +211,8 @@ def _rational_333(draw):
       that keep those slices' ranks;
     - "minor": an orbit point whose direction-data flattening has three
       rows with a zero leading 3x3 minor, moved only in the two modes that
-      keep that minor zero, so ``gram_pivots`` falls back to Gram sums.
+      keep that minor zero, so ``small_pivots`` falls back to its
+      elimination.
     """
     kind = draw(st.sampled_from(("sparse", "orbit", "block", "minor")))
     scale = Fraction(draw(st.integers(-20, 20).filter(bool)), draw(st.integers(1, 20)))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fractions import Fraction
 from itertools import combinations, product, zip_longest
+from operator import add
 
 from border3 import limits
 from border3.classifier import classify
@@ -222,6 +223,93 @@ def test_curve_families_have_expected_orders_and_tags():
             assert ana.distinguished_factor == factor
             assert ana.plane.orders == (0, 0, 2)
             assert ana.plane.leading_order == 2
+
+
+def _reference_iv_frames_independent(model, f, eta, v, w, sigma):
+    """The type-iv frame test of secant_curve_family: mode f sees {eta,
+    v_f}, and mode g != f the Fraction vectors {v_g + w_g / sigma, w_g}."""
+    for m, sl in enumerate(model._block_slices):
+        if m == f:
+            mat = [list(eta), list(v[sl])]
+        else:
+            wg = list(w[sl])
+            vg = [x + Fraction(y, sigma) for x, y in zip(v[sl], wg)]
+            mat = [vg, wg]
+        if rank(mat) != 2:
+            return False
+    return True
+
+
+@st.composite
+def _iv_frames(draw):
+    """(model, f, eta, v, w, sigma) of a type-iv draw, each v block free or
+    a multiple of the block it is tested against, so dependent frames are
+    common."""
+    model = segre_model(draw(st.sampled_from(((3, 3, 3), (3, 4, 3), (4, 3, 5)))))
+    f = draw(st.integers(0, 2))
+    sizes = [d - 1 for d in model.dims]
+
+    def block(size):
+        return tuple(draw(st.lists(st.integers(-3, 3), min_size=size,
+                                   max_size=size).filter(any)))
+
+    eta = block(sizes[f])
+    wblocks = [None if m == f else block(sizes[m]) for m in range(3)]
+    vblocks = []
+    for m in range(3):
+        against = eta if m == f else wblocks[m]
+        if draw(st.booleans()):
+            vblocks.append(block(sizes[m]))
+        else:
+            c = draw(st.integers(-2, 2))
+            vblocks.append(tuple(c * x for x in against))
+    v = limits._assemble(model, vblocks)
+    w = limits._assemble(model, wblocks)
+    sigma = draw(st.sampled_from((1, 2, -1, -2, 3)))
+    return model, f, eta, v, w, sigma
+
+
+def _reference_iv_family(model, rng, factor):
+    """secant_curve_family("iv", model, rng, factor), its frames tested by
+    _reference_iv_frames_independent."""
+    f = factor - 1
+    sizes = [d - 1 for d in model.dims]
+    zero = (0,) * model.tangent_dim
+    block, assemble = limits._rand_block, limits._assemble
+    while True:
+        eta = block(rng, sizes[f])
+        v = assemble(model, [block(rng, s) for s in sizes])
+        w = assemble(model, [None if m == f else block(rng, sizes[m])
+                             for m in range(3)])
+        sigma = rng.choice([1, 2, -1, -2, 3])
+        if _reference_iv_frames_independent(model, f, eta, v, w, sigma):
+            etahat = assemble(model, [eta if m == f else None for m in range(3)])
+            curves = ((zero, etahat), (zero, zero, v),
+                      (tuple(sigma * x for x in etahat), w))
+            return CurveFamily("iv", curves, factor=factor)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(((3, 3, 3), (3, 4, 3), (4, 3, 5))), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_type_iv_family_draws_as_the_fraction_ranks_did(dims, factor, seed):
+    model = segre_model(dims)
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert secant_curve_family("iv", model, rng, factor) == \
+        _reference_iv_family(model, ref, factor)
+    assert rng.getstate() == ref.getstate()  # the same draws, redraws too
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_iv_frames())
+def test_type_iv_frame_test_matches_fraction_ranks(case):
+    # rank [v_g + w_g / sigma, w_g] = rank [v_g, w_g], so the integer frame
+    # test secant_curve_family reads decides as the Fraction ranks did
+    model, f, eta, v, w, sigma = case
+    etahat = limits._assemble(model, [eta if m == f else None for m in range(3)])
+    got = limits._mode_frames_independent(
+        model, [("dir", tuple(map(add, etahat, w))), ("dir", v)])
+    assert got == _reference_iv_frames_independent(model, f, eta, v, w, sigma)
 
 
 def test_limit_plane_samples_classify_to_expected_orbits():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from border3._linalg import (
     Echelon, _axpy, _back_substitute, _carries, _gf_add, _norm, _pack,
-    _unpack, div, gf_pivots, gram_pivots, inverse, mat_mul, pivot_columns,
-    rank, rref, transpose,
+    _small_echelon, _unpack, div, gf_pivots, inverse, mat_mul, pivot_columns,
+    rank, rref, small_pivots, transpose,
 )
 from border3.classifier import _stabilizer_matrix
 from border3.normal_forms import ORBIT_IDS, orbit_representative
@@ -177,26 +177,29 @@ def test_pivot_columns_match_rref_over_q(a):
     _assert_exact_types(rows)
 
 
-_GRAM_SCALARS = st.one_of(
+_INT_SCALARS = st.one_of(
     st.integers(-4, 4),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.integers(-3, 3).map(lambda k: 10 ** 12 + k),
+)
+_SMALL_SCALARS = st.one_of(
+    _INT_SCALARS,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.builds(Fraction, st.integers(-3, 3).map(lambda k: 10 ** 12 + k),
               st.integers(1, 7)),
 )
 
 
 @st.composite
-def _gram_cases(draw):
-    """One to three vectors of one length from 1 to 9: drawn, zero, a repeat
+def _small_cases(draw, count=3, scalars=_SMALL_SCALARS):
+    """One to count vectors of one length from 1 to 9: drawn, zero, a repeat
     or a multiple of an earlier vector, the sum of the earlier ones, or a
     multiple of an earlier vector on the first three entries and drawn
     after them, which makes the leading 3x3 minor of three vectors zero
     while they may still be independent."""
     n = draw(st.integers(1, 9))
-    cells = st.one_of(st.just(0), _GRAM_SCALARS)
+    cells = st.one_of(st.just(0), scalars)
     vs = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, count))):
         kind = draw(st.sampled_from(("drawn", "zero", "repeat", "multiple",
                                      "sum", "head") if vs else ("drawn", "zero")))
         if kind == "drawn":
@@ -206,29 +209,29 @@ def _gram_cases(draw):
         elif kind == "sum":
             v = [sum(col) for col in zip(*vs)]
         elif kind == "head":
-            c = draw(_GRAM_SCALARS)
+            c = draw(scalars)
             v = [c * x for x in draw(st.sampled_from(vs))[:3]]
             v += draw(st.lists(cells, min_size=n - len(v), max_size=n - len(v)))
         else:
             v = draw(st.sampled_from(vs))
             if kind == "multiple":
-                c = draw(_GRAM_SCALARS.filter(bool))
+                c = draw(scalars.filter(bool))
                 v = [c * x for x in v]
         vs.append(v)
     return vs
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(vs=_gram_cases())
+@given(vs=_small_cases())
 def test_gram_pivots_match_pivot_columns(vs):
-    assert gram_pivots(vs) == pivot_columns(transpose(vs))
+    assert small_pivots(vs) == pivot_columns(transpose(vs))
 
 
 @pytest.mark.parametrize("vs, pivots", [
     # a nonzero leading minor: the certificate alone
     ([[1, 2, 3, 0], [0, 1, 4, 0], [5, 6, 0, 0]], [0, 1, 2]),
     ([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, -3]], [0, 1, 2]),
-    # a zero leading minor: independent, and dependent, by the Gram sums
+    # a zero leading minor: independent, and dependent, by the elimination
     ([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 1]], [0, 1, 2]),
     ([[0, 0, 0, 1], [0, 0, 0, 2], [1, 0, 0, 0]], [0, 2]),
     ([[1, 2, 3, 4], [2, 4, 6, 8], [3, 6, 9, 12]], [0]),
@@ -237,13 +240,45 @@ def test_gram_pivots_match_pivot_columns(vs):
     ([[0], [Fraction(2, 3)], [1]], [1]),
 ])
 def test_gram_pivots_minor_and_gram_paths(vs, pivots):
-    assert gram_pivots(vs) == pivot_columns(transpose(vs)) == pivots
+    assert small_pivots(vs) == pivot_columns(transpose(vs)) == pivots
 
 
 def test_gram_pivots_refuse_four_vectors():
-    assert gram_pivots([]) == []
+    assert small_pivots([]) == []
     with pytest.raises(ValueError, match="at most three"):
-        gram_pivots([[1, 0]] * 4)
+        small_pivots([[1, 0]] * 4)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(vs=_small_cases(count=4, scalars=_INT_SCALARS))
+def test_small_echelon_pivots_and_dependencies(vs):
+    before = repr(vs)
+    ech = list(_small_echelon(vs))
+    assert [k for k, (p, _) in enumerate(ech) if p is not None] == \
+        pivot_columns(transpose(vs))
+    seen = set()
+    for p, vec in ech:
+        if p is None:
+            assert not any(vec)
+        else:
+            # a pivot is the reduced vector's first nonzero, in a new column
+            assert vec[p] and not any(vec[:p]) and p not in seen
+            seen.add(p)
+    # with unit vector k appended to vector k, a dependent vector reduces to
+    # zero on its own entries, and the appended part is a dependency
+    width = len(vs[0])
+    units = [[int(i == j) for j in range(len(vs))] for i in range(len(vs))]
+    aug = list(_small_echelon([v + e for v, e in zip(vs, units)]))
+    for k, ((p, _), (q, vec)) in enumerate(zip(ech, aug)):
+        assert (p is None) == (q >= width) == (not any(vec[:width]))
+        if p is None:
+            combo = vec[width:]
+            assert combo[k] and not any(combo[k + 1:])
+            assert all(sum(c * v[i] for c, v in zip(combo, vs)) == 0
+                       for i in range(width))
+        else:
+            assert q == p
+    assert repr(vs) == before  # the caller's vectors are never written
 
 
 # 7 is the largest prime a 4-bit field holds: a field of a sum then

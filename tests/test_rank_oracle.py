@@ -326,7 +326,24 @@ def test_rank_upper_bound_zero_and_rank_one():
     assert len(d) == 1 and d.verify(t)
 
 
+_ENTRIES = st.one_of(st.integers(-3, 3),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(vectors=st.lists(st.lists(_ENTRIES, min_size=1, max_size=3),
+                        min_size=1, max_size=4),
+       coeff=_ENTRIES)
+def test_rank_upper_bound_rank_one_verifies(vectors, coeff):
+    # rank_upper_bound returns its rank-one recipe unchecked
+    t = rank_one(vectors, coeff)
+    dec = rank_upper_bound(t)
+    assert dec.verify(t) and len(dec) == (0 if t.is_zero() else 1)
+
+
 def test_rank_upper_bound_orbit_representatives():
+    # rank_upper_bound returns the fixed orbit recipes unchecked, so this
+    # is where each of the six is re-summed against its representative
     expected_terms = {34: 5, 35: 5, 36: 5, 37: 5, 38: 4, 39: 3}
     for oid in ORBIT_IDS:
         rep = orbit_representative(oid)
@@ -339,7 +356,8 @@ def test_rank_upper_bound_orbit_representatives():
 
 def test_rank_upper_bound_sigma_points():
     # every normal form is recognised and decomposed into its own basis
-    # terms, at dims 2 or 3 per factor and with one factor of dimension 4
+    # terms, at dims 2 or 3 per factor and with one factor of dimension 4;
+    # rank_upper_bound returns these σ2 and σ3 recipes unchecked
     for n in (3, 4, 5):
         for dims in ((2,) * n, (4,) + (2,) * (n - 1)):
             for size in range(1, n + 1):

@@ -33,6 +33,23 @@ def test_make_and_index():
         zero_tensor((101, 101, 101))
 
 
+def test_sum_difference_and_negation():
+    s = make_tensor((2, 2), [1, Fraction(1, 2), 0, -3])
+    t = make_tensor((2, 2), [2, Fraction(1, 2), Fraction(4, 3), 5])
+    assert (s + t).entries == (3, 1, Fraction(4, 3), 2)
+    d = s - t
+    assert d.entries == (-1, 0, Fraction(-4, 3), -8)
+    assert [type(x) for x in d.entries] == [int, int, Fraction, int]
+    assert (-t).entries == (-2, Fraction(-1, 2), Fraction(-4, 3), -5)
+    assert s - s == -s + s == zero_tensor((2, 2))
+    assert (2 * s).entries == (2, 1, 0, -6)
+    for other in (zero_tensor((4,)), zero_tensor((2, 2, 1))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            s + other
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            s - other
+
+
 @pytest.mark.parametrize("build", [
     lambda: zero_tensor((3,) * 40),
     lambda: basis_tensor((3,) * 40, (0,) * 40),
