@@ -3,7 +3,10 @@
 classify() decides the border-rank class {0, 1, 2, 3, greater_than_3} exactly
 where theory permits and returns "unknown" (never a guess) elsewhere, along
 with the rank, limit type, orbit id (3x3x3 catalog), distinguished factor and
-human-readable witnesses.
+human-readable witnesses.  A tensor whose squeezed concise core has at most
+three modes is always decided: a concise 3x3x3 core by Strassen's whole
+degree-4 module and then its slice-cubic line patterns, which name its
+orbit; "unknown" is left only for cores of four or more modes.
 """
 
 from __future__ import annotations
@@ -100,6 +103,10 @@ def orbit_dimension(t, stabilizer_dim=None):
 # ---- concise 3x3x3 decisions ----
 
 def _orbit_from_patterns(pats):
+    """The catalog orbit 34..39 of a concise 3x3x3 core in sigma_3 from the
+    line patterns of its three slice cubics.  By the paper's normal forms
+    every such core lies in one of these orbits, whose patterns are the
+    rows below, so no other pattern can reach here."""
     if all(p is LinePattern.SQUAREFREE for p in pats):
         return 39
     if all(p is LinePattern.DOUBLE_LINE_PLUS_LINE for p in pats):
@@ -110,20 +117,28 @@ def _orbit_from_patterns(pats):
     if len(zeros) == 1 and all(pats[m] is LinePattern.TRIPLE_LINE
                                for m in range(3) if m != zeros[0]):
         return 34 + zeros[0]
-    return None
+    raise AssertionError(f"slice determinant patterns {[p.value for p in pats]} "
+                         "of a concise core in sigma_3 match no catalog row")
 
 
 def _decide_concise_333(core):
-    """('gt3', witness) / ('orbit', k) / ('unknown', witness) for concise cores.
+    """('gt3', witness) or ('orbit', k) for a concise 3x3x3 core.
 
-    One pass over the slicing directions: each direction's slices are
-    gathered once, and its nine quartics, the block Z adj(X) Y - Y adj(X) Z
-    of ``strassen_equations``, are evaluated before the next direction's.
-    The first nonzero block ends the decision: every block before it is
-    zero, so its first nonzero entry i in direction m is the first nonzero
-    of the 27 values, number 9m + i.  When all 27 vanish, the same slices
-    give each direction's ten cubic coefficients, and the three line
-    patterns pick the catalog orbit.
+    Strassen's degree-4 equations for sigma_3 form one 27-dimensional
+    GL-invariant module, which cuts out sigma_3 (Landsberg and Manivel,
+    2004, cited from memory; the tests check it against the Koszul
+    flattening rank on a sparse sample).  The blocks Z adj(X) Y - Y adj(X) Z of the
+    mode-0 slices (X, Y, Z) = (S0, S1, S2), (S1, S0, S2), (S2, S0, S1), each
+    slice taking the adjugate role in turn, are 27 quartics that span the
+    module (their values at 70 random integer tensors have rank 27), where
+    one block per slicing direction with slice 0 as X, as
+    ``strassen_equations`` evaluates them, spans only 19 dimensions.  The
+    first nonzero block ends the decision: every block before it is zero,
+    so its first nonzero entry i in block b is the first nonzero of the 27
+    values, number 9b + i, and the first nine are those of
+    ``strassen_equations``.  When all 27 vanish, the core lies in sigma_3,
+    each direction's slices give the ten coefficients of its slice cubic,
+    and the three line patterns pick the catalog orbit.
 
     The decision runs on den * core, with den the lcm of the entries'
     denominators, so on integers.  That changes no verdict: the quartics are
@@ -135,20 +150,15 @@ def _decide_concise_333(core):
     den = math.lcm(*(x.denominator for x in core.entries))
     if den != 1:
         core = den * core
-    directions = []
-    for m in range(3):
-        x, y, z = slices = slice_matrices(core, m)
+    s0, s1, s2 = slices = slice_matrices(core, 0)
+    for b, (x, y, z) in enumerate(((s0, s1, s2), (s1, s0, s2), (s2, s0, s1))):
         for i, v in enumerate(_block(_adjugate(x), y, z)):
             if v:
                 v = _norm(Fraction(v, den ** 4))
-                return ("gt3", f"degree-4 commutation equation {9 * m + i} is nonzero ({v})")
-        directions.append(slices)
-    pats = [_line_pattern(_cubic_coefficients(s)) for s in directions]
-    k = _orbit_from_patterns(pats)
-    if k is None:
-        return ("unknown", "slice determinant patterns "
-                f"{[p.value for p in pats]} match no catalog row")
-    return ("orbit", k)
+                return ("gt3", f"degree-4 commutation equation {9 * b + i} is nonzero ({v})")
+    pats = [_line_pattern(_cubic_coefficients(s))
+            for s in (slices, slice_matrices(core, 1), slice_matrices(core, 2))]
+    return ("orbit", _orbit_from_patterns(pats))
 
 
 # ---- border-rank-2 rank decision ----
@@ -275,9 +285,6 @@ def classify(t):
             if res == "gt3":
                 return ClassificationReport(dims, GREATER_THAN_3, core_dims=core_dims,
                                             witnesses=(data,))
-            if res == "unknown":
-                return ClassificationReport(dims, UNKNOWN, core_dims=core_dims,
-                                            witnesses=(data,))
             k = data
             info = ORBIT_INFO[k]
             factor = kept[k - 34] + 1 if info["type"] == "iv" else None
@@ -348,10 +355,9 @@ def classify(t):
                 if gcore.dims != (3, 3, 3):
                     ok = False
                     break
-                res, data = _decide_concise_333(gcore)
-                if res != "orbit":
-                    ok = False
-                    break
+                # the screen above passed this grouping, in another block
+                # order, and the module is symmetric in the three factors
+                _, data = _decide_concise_333(gcore)
                 orbits[j] = data
                 common &= set(blocks[data - 34]) if data <= 36 else set()
         if ok:

@@ -2,8 +2,11 @@
 
 The quartic system evaluates, for each of the three slicing directions, the
 nine entries of  Z adj(X) Y - Y adj(X) Z  where (X, Y, Z) are the three slices
-of that direction and adj is the classical adjugate.  Vanishing of all 27
-values characterises border rank <= 3 for concise 3x3x3 tensors.
+of that direction and adj is the classical adjugate.  These 27 values lie in
+Strassen's 27-dimensional module of degree-4 equations for sigma_3 but span
+only 19 of its dimensions, so their vanishing is necessary for border rank
+<= 3, not sufficient.  ``classifier._decide_concise_333`` evaluates the same
+block with each mode-0 slice as X in turn, 27 values that span the module.
 
 The quartics exist only as this numeric evaluation, in product form: with
 A = adj(X) written out entry by entry, a block (``_block``) is Z (A Y) -
@@ -27,8 +30,8 @@ from the ten coefficients through a fixed table.
 
 The block, the coefficients and the pattern take a direction's slices, so
 a caller that decides a core (``classifier._decide_concise_333``) gathers
-each direction's slices once, evaluates its block, stops at the first
-nonzero one, and reads the line patterns off the same slices.  The public
+the slices once, evaluates its blocks, stops at the first nonzero one, and
+reads the line patterns off the same slices.  The public
 ``strassen_equations``, ``slice_det_cubic`` and ``cubic_line_pattern`` are
 thin wrappers that gather the slices or unpack a ``TernaryCubic``.
 """
@@ -82,7 +85,9 @@ def strassen_equations(t):
     """All 27 quartic values, slicing along modes 0, 1, 2 in turn.
 
     Within each slicing direction the first slice plays the adjugate role and
-    the nine entries are listed row-major.
+    the nine entries are listed row-major.  The values span 19 of the 27
+    dimensions of Strassen's module: they vanish on every tensor of border
+    rank <= 3, and on some others.
     """
     if t.dims != (3, 3, 3):
         raise ValueError("the quartic system is defined for dims (3, 3, 3)")
@@ -180,9 +185,6 @@ class TernaryCubic:
 
     def as_dict(self):
         return {e: c for e, c in self.coeffs}
-
-    def is_zero(self):
-        return not self.coeffs
 
     def evaluate(self, s, t, u):
         total = 0

@@ -580,8 +580,7 @@ def limit_analysis(model, curves):
             o = _order(diff)
             if o is not None and (best is None or o < best[0]):
                 best = (o, diff[o])
-    if best is None:
-        raise ValueError("curves are identical")
+    # some pair differs: three identical curves span a degenerate plane
     u = best[1]
     if second_fundamental_vanishes(model, c, u):
         return LimitAnalysis(plane, "iv", 1, u, _segre_single_block(model, u))

@@ -447,7 +447,7 @@ def _quotient_search(qt, j, masks=None):
     return rec([0], 0, 1, qt.root, ())
 
 
-def rank_over_field(t, q, r_max=6, jobs=1):
+def rank_over_field(t, q, r_max=6):
     """Exact rank of a small tensor over GF(q) by exhaustive quotient search.
 
     The rank of T is the smallest r such that some r-dimensional W holding
@@ -459,8 +459,7 @@ def rank_over_field(t, q, r_max=6, jobs=1):
     dimension r - dim S >= 1 that are spanned by images of rank-one
     candidates, each visited once; candidates are outer products of
     projective vectors, ordered sparsest first.  Returns GreaterThan(r_max)
-    when no r <= r_max works.  With jobs > 1 each r > dim S is searched in
-    its own worker process, and the smallest r found wins.
+    when no r <= r_max works.
     """
     # exact type tests: 2.0 == 2 and True == 1 would pass a comparison
     if type(q) is not int or q not in _PRIMES:
@@ -468,8 +467,6 @@ def rank_over_field(t, q, r_max=6, jobs=1):
     if type(r_max) is not int or not 1 <= r_max <= 6:
         raise ValueError(
             f"r_max must be an integer between 1 and 6, not {r_max!r}")
-    if type(jobs) is not int or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, not {jobs!r}")
     decided, ctx = _prepare_span_search(t, q)
     if ctx is None:
         return decided if decided <= r_max else GreaterThan(r_max)
@@ -479,19 +476,8 @@ def rank_over_field(t, q, r_max=6, jobs=1):
     if _rank_is_dim_s(slice_rows, rest, q):
         return low
     qt = _project_candidates(slice_rows, rest, q)
-    sizes = range(low + 1, r_max + 1)
-    if jobs > 1 and len(sizes) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) as pool:
-            hits = list(pool.map(_quotient_search, [qt] * len(sizes),
-                                 [r - low for r in sizes]))
-        for r, hit in zip(sizes, hits):
-            if hit:
-                return r
-        return GreaterThan(r_max)
     masks = {}
-    for r in sizes:
+    for r in range(low + 1, r_max + 1):
         if _quotient_search(qt, r - low, masks):
             return r
     return GreaterThan(r_max)

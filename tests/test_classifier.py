@@ -14,14 +14,14 @@ from border3.classifier import (
     GREATER_THAN_3, UNKNOWN, classify, orbit_dimension,
     scheme_intersection_check, stabilizer_dimension,
 )
-from border3.equations import cubic_line_pattern, slice_det_cubic, strassen_equations
+from border3.equations import _adjugate, _block, cubic_line_pattern, slice_det_cubic
 from border3.normal_forms import (
     ORBIT_IDS, ORBIT_INFO, orbit_representative, sigma2_point, sigma3_point,
 )
 from border3.tensor import (
     apply_gl, apply_mode_map, basis_tensor, concise_core, flattening,
     grouped_flattening, make_tensor, random_gl_tuple, random_tensor,
-    random_unimodular, rank_one, squeeze, zero_tensor,
+    random_unimodular, rank_one, slice_matrices, squeeze, zero_tensor,
 )
 from grouping_reference import group_modes
 
@@ -166,18 +166,23 @@ def test_two_rational_rank_one_terms_keep_rank_two(terms):
     assert rep.rank == rep.border_rank_class
 
 
+def _kernel_quartics(core):
+    """The 27 quartics of the concise 3x3x3 decision on the core as given:
+    the blocks Z adj(X) Y - Y adj(X) Z of the mode-0 slices (S0, S1, S2),
+    (S1, S0, S2) and (S2, S0, S1)."""
+    s0, s1, s2 = slice_matrices(core, 0)
+    return [v for x, y, z in ((s0, s1, s2), (s1, s0, s2), (s2, s0, s1))
+            for v in _block(_adjugate(x), y, z)]
+
+
 def _decide_unscaled(core):
     """The concise 3x3x3 decision on the core as given, without clearing
     its denominators first."""
-    for i, v in enumerate(strassen_equations(core)):
+    for i, v in enumerate(_kernel_quartics(core)):
         if v:
             return ("gt3", f"degree-4 commutation equation {i} is nonzero ({v})")
     pats = [cubic_line_pattern(slice_det_cubic(core, m)) for m in range(3)]
-    k = classifier._orbit_from_patterns(pats)
-    if k is None:
-        return ("unknown", "slice determinant patterns "
-                f"{[p.value for p in pats]} match no catalog row")
-    return ("orbit", k)
+    return ("orbit", classifier._orbit_from_patterns(pats))
 
 
 _small_rationals = st.one_of(
@@ -205,10 +210,10 @@ def _rational_333(draw):
 
     - "sparse": a sparse tensor of small rationals;
     - "orbit": a GL-moved orbit point;
-    - "block": a dense tensor whose first k of the mode-0 and mode-1 leading
-      slices (k = data, 1 or 2) have rank at most 1, so adj of each is zero
-      and the first k quartic blocks vanish; it is moved only in the modes
-      that keep those slices' ranks;
+    - "block": a dense tensor whose first k mode-0 slices (k = data, 1 or
+      2) have rank at most 1, so adj of each is zero and the first k
+      quartic blocks vanish; it is moved only in modes 1 and 2, which keep
+      those slices' ranks;
     - "minor": an orbit point whose direction-data flattening has three
       rows with a zero leading 3x3 minor, moved only in the two modes that
       keep that minor zero, so ``small_pivots`` falls back to its
@@ -229,16 +234,13 @@ def _rational_333(draw):
         data = draw(st.integers(1, 2))
         small = st.integers(-5, 5)
         e = draw(st.lists(small, min_size=27, max_size=27))
-        a, b, c = (draw(st.lists(small, min_size=3, max_size=3)) for _ in range(3))
-        for j in range(3):
-            for k in range(3):
-                e[3 * j + k] = a[j] * b[k]  # mode-0 slice 0 is a b^T
-        if data == 2:
-            for i in range(1, 3):
+        for i in range(data):
+            a, b = (draw(st.lists(small, min_size=3, max_size=3)) for _ in range(2))
+            for j in range(3):
                 for k in range(3):
-                    e[9 * i + k] = c[i] * b[k]  # mode-1 slice 0 is (a0, c1, c2) b^T
+                    e[9 * i + 3 * j + k] = a[j] * b[k]  # mode-0 slice i is a b^T
         t = make_tensor((3, 3, 3), e)
-        return kind, scale * _moved(draw, t, (1, 2) if data == 1 else (2,)), data
+        return kind, scale * _moved(draw, t, (1, 2)), data
     # a direction whose minor vanishes on the representative, and the two
     # modes other than the smaller of its two others: the minor's matrix is
     # the representative at index 0 of that smaller mode
@@ -268,7 +270,7 @@ def test_integer_decision_changes_no_report(case):
         m = _QUARTIC_WITNESS.fullmatch(w)
         if m:
             core, _ = squeeze(concise_core(t).core)
-            assert m.group(2) == str(strassen_equations(core)[int(m.group(1))])
+            assert m.group(2) == str(_kernel_quartics(core)[int(m.group(1))])
             if kind == "block":
                 assert int(m.group(1)) >= 9 * data
 

@@ -181,10 +181,12 @@ def test_rank_verb_and_overflow(capsys, monkeypatch, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["rank"] is None and report["greater_than"] == 2
+    # --jobs is accepted and ignored
     code, out, _ = run_cli(capsys, ["rank", str(path), "--field", "3",
                                     "--jobs", "2"])
     assert code == 0
     assert json.loads(out)["rank"] == 4
+    assert (0, out) == run_cli(capsys, ["rank", str(path), "--field", "3"])[:2]
     rng = random.Random(3)
     blob = json.dumps({"dims": [4, 3, 3],
                        "entries": [str(rng.randrange(1, 9)) for _ in range(36)]})

@@ -155,11 +155,11 @@ def test_quotient_search_matches_colex_search(q, data):
     t, r_max = data.draw(_small_tensor_and_bound(q))
     want = colex_rank_over_field(t, q, r_max)
     assert rank_over_field(t, q, r_max) == want
-    # each j >= 1 searched alone, with no neighbour mask from a smaller j,
-    # as a worker process of rank_over_field(..., jobs) searches it: true
-    # when the rank is at most dim S + j and F^N/S has a j-dimensional
-    # subspace (j = 0 is _rank_is_dim_s, checked against the colex search
-    # in test_rank_is_dim_s_matches_colex_search)
+    # each j >= 1 searched alone, with none of the neighbour masks that
+    # rank_over_field shares from a smaller j: true when the rank is at
+    # most dim S + j and F^N/S has a j-dimensional subspace (j = 0 is
+    # _rank_is_dim_s, checked against the colex search in
+    # test_rank_is_dim_s_matches_colex_search)
     decided, ctx = _prepare_span_search(t, q)
     if ctx is None:
         return
@@ -211,7 +211,6 @@ def test_rank_dim_s_is_decided_without_projection(q, monkeypatch):
 
     monkeypatch.setattr(rank_oracle, "_project_candidates", refuse)
     assert rank_over_field(orbit_representative(39), q) == 3
-    assert rank_over_field(orbit_representative(39), q, jobs=2) == 3
     with pytest.raises(AssertionError, match="projected"):
         rank_over_field(orbit_representative(38), q)
 
@@ -288,9 +287,6 @@ def test_rank_over_field_input_validation():
     for bad in (True, 3.0, None):
         with pytest.raises(ValueError, match="r_max"):
             rank_over_field(t, 2, r_max=bad)
-    for bad in (True, 2.0, 0):
-        with pytest.raises(ValueError, match="jobs"):
-            rank_over_field(t, 2, jobs=bad)
     rng = random.Random(5)
     wide = make_tensor((4, 3, 3), [rng.randrange(1, 7) for _ in range(36)])
     with pytest.raises(ValueError, match="too large"):

@@ -14,9 +14,9 @@ deadlines off since tracing slows every test.
 A statement is an ``ast`` statement whose first line carries bytecode, so
 a function's docstring is none, and neither is an ``else:``.  Prints
 ``path:line: text`` for each statement that never ran and a count.  Code
-run in another process (a CLI test's subprocess, the ``rank --jobs``
-workers) is not seen.  Exit code 1 when the test suite fails, since its
-listing is then incomplete.
+run in another process, such as a CLI test's subprocess, is not seen.
+Exit code 1 when the test suite fails, since its listing is then
+incomplete.
 """
 
 from __future__ import annotations
