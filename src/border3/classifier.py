@@ -241,6 +241,22 @@ def _grouped_core(sq, blocks, pivots):
 # ---- the classifier ----
 
 def classify(t):
+    """The ClassificationReport of t, read off its squeezed concise core.
+
+    An all-3s core of n >= 4 factors passes two screens: its bipartition
+    flattenings have rank <= 3, and each 3-block grouping with a concise
+    3x3x3 core satisfies Strassen's degree-4 module (a smaller grouped core
+    lies in sigma_3, as 2x3x3 tensors have border rank <= 3).  These cut
+    out sigma_3 set-theoretically (Y. Qi, 2013, cited from memory), so the
+    core has border rank 3 and a normal form a + b + c (type i), a + a' + b
+    (ii), a + a' + a'' (iii) or a' + b', a and b on a line of the Segre
+    variety moving only the distinguished factor (iv).  Grouping keeps
+    points, tangent and osculating vectors and such lines, so even after a
+    GL move each concise grouping lies in its type's orbit 39, 38, 37, or
+    34 + the block holding the distinguished factor.  So the orbits of the
+    singleton groupings, decided by the screen, name the type; for type iv
+    their distinguished blocks share only the distinguished factor.
+    """
     dims = t.dims
     if t.is_zero():
         return ClassificationReport(dims, 0, rank=0, core_dims=(0,) * len(dims),
@@ -328,7 +344,10 @@ def classify(t):
             witnesses=("every bipartition flattening has rank <= 2, which cuts "
                        "out border rank <= 2 set-theoretically", w))
 
-    # strassen screen over every 3-block grouping
+    # strassen screen over every 3-block grouping, keeping the orbits of the
+    # singleton groupings {0}, {j}, rest and the factors in all their
+    # distinguished blocks (block orbit - 34 for orbits 34..36, else none)
+    orbits, common = [], set(range(m))
     for blocks in _partitions_into_3(m):
         gcore = _grouped_core(sq, blocks, pivots)
         if gcore.dims == (3, 3, 3):
@@ -338,50 +357,30 @@ def classify(t):
                     dims, GREATER_THAN_3, core_dims=core_dims,
                     witnesses=(f"grouping the factors as {blocks} yields a concise "
                                f"3x3x3 core violating the degree-4 equations ({data})",))
+            if blocks[0] == [0] and min(len(blocks[1]), len(blocks[2])) == 1:
+                orbits.append(data)
+                common &= set(blocks[data - 34]) if data <= 36 else set()
 
     if all(d == 3 for d in sq.dims):
-        sd = stabilizer_dimension(sq)
-        family = {3 * m - 3: "i", 3 * m - 2: "ii", 3 * m - 1: "iii", 3 * m + 1: "iv"}.get(sd)
-        orbits = {}
-        # the factors lying in every grouping's distinguished block: block
-        # orbit - 34 for the type-iv orbits 34..36, none for the others
-        common = set(range(m))
-        ok = family is not None
-        if ok:
-            for j in range(m):
-                k2 = min(x for x in range(m) if x != j)
-                blocks = [[j], [k2], [x for x in range(m) if x not in (j, k2)]]
-                gcore = _grouped_core(sq, blocks, pivots)
-                if gcore.dims != (3, 3, 3):
-                    ok = False
-                    break
-                # the screen above passed this grouping, in another block
-                # order, and the module is symmetric in the three factors
-                _, data = _decide_concise_333(gcore)
-                orbits[j] = data
-                common &= set(blocks[data - 34]) if data <= 36 else set()
-        if ok:
-            expected = {"i": 39, "ii": 38, "iii": 37}
-            if family in expected:
-                ok = all(v == expected[family] for v in orbits.values())
-                if ok:
-                    return ClassificationReport(
-                        dims, 3, rank=3 if family == "i" else None, limit_type=family,
-                        core_dims=core_dims,
-                        witnesses=(f"stabilizer dimension {sd} = 3n{'-3' if family == 'i' else '-2' if family == 'ii' else '-1'} matches limit type {family}",
-                                   f"every singleton grouping reduces to catalog orbit {expected[family]}",))
-            elif len(common) == 1:  # iv, with its distinguished factor
-                f = common.pop()
-                return ClassificationReport(
-                    dims, 3, rank=None, limit_type="iv",
-                    distinguished_factor=kept[f] + 1, core_dims=core_dims,
-                    witnesses=(f"stabilizer dimension {sd} = 3n+1 matches limit type iv",
-                               f"singleton groupings locate the distinguished factor at {kept[f] + 1}",))
+        kinds = sorted(set(orbits))
+        family = ("iv" if len(common) == 1 else
+                  {(39,): "i", (38,): "ii", (37,): "iii"}.get(tuple(kinds)))
+        if len(orbits) == m - 1 and family:
+            f = kept[common.pop()] + 1 if family == "iv" else None
+            shared = f", whose distinguished blocks share only factor {f}" if f else ""
+            return ClassificationReport(
+                dims, 3, rank=3 if family == "i" else None, limit_type=family,
+                distinguished_factor=f, core_dims=core_dims,
+                witnesses=("every bipartition flattening has rank <= 3 and every "
+                           "3-block grouping satisfies the degree-4 equations, which "
+                           "cut out border rank <= 3 (Qi)",
+                           f"the singleton groupings reduce to catalog orbits "
+                           f"{kinds}{shared}, so limit type {family}"))
         return ClassificationReport(
             dims, UNKNOWN, core_dims=core_dims,
-            witnesses=(f"stabilizer dimension {sd} with grouped-core orbits "
-                       f"{sorted(orbits.values()) if orbits else 'n/a'} matches no "
-                       "normal-form family; border rank 3 vs greater is undecided here",))
+            witnesses=(f"{len(orbits)} of {m - 1} singleton groupings reduce to "
+                       f"catalog orbits {kinds}, which match no normal-form family; "
+                       "border rank 3 vs greater is undecided here",))
 
     return ClassificationReport(
         dims, UNKNOWN, core_dims=core_dims,

@@ -415,11 +415,15 @@ def test_grouped_cores_of_sparse_tensors_match_the_merged_tensor(t):
 
 def test_classify_builds_no_core_per_grouping(monkeypatch):
     """On a moved type-ii point at n = 5 the only concise_core is the
-    input's (31 when every grouping built its own: 1 + 25 + 5 singleton
-    groupings).  Each pivot set computed, by the screen's pivot_columns or
-    a grouping's pivot_set, is stored in the one cache under a block of
-    its own, so no block's pivot set is computed twice."""
-    calls, caches = {"concise_core": 0, "pivot_columns": 0, "pivot_set": 0}, []
+    input's (26 when every grouping built its own: 1 + 25 groupings), and
+    each of the 25 groupings is gathered and decided once, the singleton
+    groupings included, with no stabilizer elimination.  Each pivot set
+    computed, by the screen's pivot_columns or a grouping's pivot_set, is
+    stored in the one cache under a block of its own, so no block's pivot
+    set is computed twice."""
+    calls = dict.fromkeys(("concise_core", "pivot_columns", "pivot_set",
+                           "_decide_concise_333", "stabilizer_dimension"), 0)
+    caches = []
 
     def counted(name, real):
         def call(*args):
@@ -440,7 +444,10 @@ def test_classify_builds_no_core_per_grouping(monkeypatch):
     rep = classify(apply_gl(t, random_gl_tuple(t.dims, random.Random(5))))
     assert (rep.border_rank_class, rep.limit_type) == (3, "ii")
     assert calls["concise_core"] == 1
-    assert len(caches) == 30 and all(c is caches[0] for c in caches)
+    assert len(classifier._partitions_into_3(5)) == 25
+    assert len(caches) == 25 and all(c is caches[0] for c in caches)
+    assert calls["_decide_concise_333"] == 25
+    assert calls["stabilizer_dimension"] == 0
     assert calls["pivot_columns"] + calls["pivot_set"] == len(caches[0])
 
 

@@ -1,12 +1,14 @@
 """3x3x3 verdicts of classify against oracles that share no code with it:
 the Koszul flattening rank, the stabilizer dimension and the intersection
-scheme of the slice net, on the sparse sample; and whole reports against
-those of GL-moved copies."""
+scheme of the slice net, on the sparse sample; the limit types classify
+reads at n >= 4 against the stabilizer dimension of each type's family;
+and whole reports against those of GL-moved copies."""
 
 import importlib.util
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from border3.classifier import (
@@ -15,7 +17,10 @@ from border3.classifier import (
 from border3.normal_forms import (
     ORBIT_IDS, ORBIT_INFO, orbit_representative, sigma3_point,
 )
-from border3.tensor import apply_gl, make_tensor, multilinear_rank, random_gl_tuple
+from border3.tensor import (
+    apply_gl, concise_core, make_tensor, multilinear_rank, random_gl_tuple,
+    rank_one, squeeze,
+)
 from koszul_reference import koszul_ranks, sparse_draw, sparse_draws
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "sparse_audit.py"
@@ -69,6 +74,45 @@ def test_sparse_audit_counts_the_first_draws():
     assert counts["orbit_agrees"] > 0
     assert counts["orbit_wrong"] == counts["unknown"] == 0
     assert counts["greater_than_3_koszul_le_6"] == 0
+
+
+# the stabilizer dimension of each sigma_3 type on n factors of dim 3 is
+# 3n plus this offset
+_FAMILY_OFFSET = {"i": -3, "ii": -2, "iii": -1, "iv": 1}
+
+
+def _check_stabilizer_family(t):
+    """classify's limit type of t against the stabilizer dimension of its
+    squeezed concise core, which classify does not compute at n >= 4."""
+    rep = classify(t)
+    sq, _ = squeeze(concise_core(t).core)
+    assert rep.border_rank_class == 3 and sq.order >= 4
+    assert stabilizer_dimension(sq) == 3 * sq.order + _FAMILY_OFFSET[rep.limit_type]
+    return rep
+
+
+_FAMILY_SPECS = ([(kind, n, f) for n in (4, 5) for kind in ("i", "ii", "iii", "iv")
+                  for f in (range(1, n + 1) if kind == "iv" else (1,))]
+                 + [("i", 6, 1), ("ii", 6, 1), ("iii", 6, 1), ("iv", 6, 4)])
+
+
+@pytest.mark.parametrize("kind,n,factor", _FAMILY_SPECS)
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+def test_moved_sigma3_types_match_their_stabilizer_family(kind, n, factor, seed):
+    t = sigma3_point(kind, n, factor=factor)
+    rep = _check_stabilizer_family(apply_gl(t, random_gl_tuple(t.dims, random.Random(seed))))
+    assert rep.limit_type == kind
+    assert rep.distinguished_factor == (factor if kind == "iv" else None)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                         min_size=4, max_size=4), min_size=3, max_size=3))
+def test_sums_of_three_terms_match_their_stabilizer_family(terms):
+    t = rank_one(terms[0]) + rank_one(terms[1]) + rank_one(terms[2])
+    assume(classify(t).limit_type is not None)
+    assert _check_stabilizer_family(t).limit_type == "i"
 
 
 @st.composite
